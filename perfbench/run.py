@@ -3,11 +3,12 @@
     python3 perfbench/run.py --workload sim-batch --seed 0 --seconds 50 --trace 0
 
 Runs one workload in this process, closed loop: each operation starts when
-the previous one has returned, with no threads.  After set-up (package
-import plus input generation, repeated ``SETUP_REPEATS`` times) it runs
-whole passes over the workload's operations until ``--seconds`` have
-passed, checks every output, and prints a report followed by one JSON line
-with the metrics.
+the previous one has returned, with no threads.  It runs whole passes over
+the workload's operations until ``--seconds`` have passed, checks every
+output, and prints a report followed by one JSON line with the metrics.
+Every pass starts with a set-up (package import plus input generation), so
+set-up samples are spread over the run and no package state outlives a
+pass.
 
 ``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` alternates
 untraced and traced passes and reports the per-layer metrics (medians over
@@ -39,8 +40,14 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 DEFAULT_SEED = 0
-SETUP_REPEATS = 15
 DIGESTS = HERE / "digests.json"  # output digest of each workload at the default seed
+# The machine's speed drifts by tens of percent over seconds to minutes.  A
+# fixed reference kernel, timed between operations, tracks that drift, and
+# each end-to-end time is scaled to the speed at which the kernel takes
+# REF_S seconds (about its median on the 2-core VM the bounds were set on),
+# using the two kernel samples around the timed work.
+REF_S = 0.012
+REF_EVERY_S = 0.5  # operation time between two reference samples
 
 
 @dataclass
@@ -52,7 +59,11 @@ class Pass:
     rounds: int
     engine_s: float
     op_s: list  # latency of each operation
-    largest_s: list
+    op_scale: list  # each latency's factor to the reference speed
+    largest_at: list  # indices of the workload's largest operation
+    setup_s: float  # the set-up before this pass
+    setup_scale: float
+    last_ref: float  # the pass's last reference sample
     failures: list = field(default_factory=list)
     layers: dict = field(default_factory=dict)
 
@@ -68,28 +79,45 @@ def fresh_import():
     return rp
 
 
-def run_pass(workload: str, ops, api) -> Pass:
+def reference_kernel() -> float:
+    """Seconds for a fixed loop of tuple and dict work that does not touch
+    ringpatrol, so that its time moves only with the machine's speed."""
+    t0 = perf_counter()
+    counts = {}
+    for i in range(40_000):
+        key = (i & 63, (i * 7) & 63)
+        counts[key] = counts.get(key, 0) + 1
+    return perf_counter() - t0
+
+
+def run_pass(workload: str, ops, api, setup_s: float, ref_before_setup: float) -> Pass:
     api.reset()
+    refs = [reference_kernel()]
+    op_ref = []  # the reference sample taken last before each operation
+    since_ref = 0.0
     largest = workloads.LARGEST_OP[workload]
     digest = hashlib.sha256()
     wall = 0.0
     failures = []
-    largest_s = []
     op_s = []
     for i, op in enumerate(ops):
+        op_ref.append(len(refs) - 1)
         api.begin_op(i, op.name)
         t0 = perf_counter()
         raw = op.execute(api)
         dt = perf_counter() - t0
         api.end_op()
         wall += dt
+        since_ref += dt
         op_s.append(dt)
-        if op.name == largest:
-            largest_s.append(dt)
         ok, output = op.check(raw)
         if not ok:
             failures.append(json.dumps(output, sort_keys=True))
         digest.update(json.dumps(output, sort_keys=True).encode() + b"\n")
+        if since_ref >= REF_EVERY_S:
+            refs.append(reference_kernel())
+            since_ref = 0.0
+    refs.append(reference_kernel())
     return Pass(
         wall_s=wall,
         attempted=len(ops),
@@ -98,27 +126,49 @@ def run_pass(workload: str, ops, api) -> Pass:
         rounds=api.rounds,
         engine_s=api.engine_s,
         op_s=op_s,
-        largest_s=largest_s,
+        # samples fall between operations, so the one after op i is op_ref[i] + 1
+        op_scale=[2 * REF_S / (refs[j] + refs[j + 1]) for j in op_ref],
+        largest_at=[i for i, op in enumerate(ops) if op.name == largest],
+        setup_s=setup_s,
+        setup_scale=2 * REF_S / (ref_before_setup + refs[0]),
+        last_ref=refs[-1],
         failures=failures,
     )
 
 
-def end_to_end(setup_times, passes) -> dict:
-    ops_ms = [1000 * s for p in passes for s in p.op_s]
+def end_to_end(passes, scaled=True) -> dict:
+    """Medians over the passes, with every time scaled to the reference
+    speed (``scaled``) or as measured."""
+    times = [
+        [s * f for s, f in zip(p.op_s, p.op_scale)] if scaled else p.op_s
+        for p in passes
+    ]
+    walls = [sum(t) for t in times]
+    ops_ms = [1000 * s for t in times for s in t]
     deciles = statistics.quantiles(ops_ms, n=10)
     return {
-        "setup_s": (statistics.median(setup_times), "s"),
-        "wall_s": (statistics.median(p.wall_s for p in passes), "s"),
+        "setup_s": (
+            statistics.median(
+                p.setup_s * (p.setup_scale if scaled else 1.0) for p in passes
+            ),
+            "s",
+        ),
+        "wall_s": (statistics.median(walls), "s"),
         "peak_rss_mb": (
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"
         ),
+        # the engine's time takes the pass's time-weighted scale
         "rounds_per_s": (
-            statistics.median(p.rounds / p.engine_s for p in passes), "1/s"
+            statistics.median(
+                p.rounds / p.engine_s * p.wall_s / w for p, w in zip(passes, walls)
+            ),
+            "1/s",
         ),
         "op_ms_p50": (statistics.median(ops_ms), "ms"),
         "op_ms_p90": (deciles[8], "ms"),
         "largest_op_s": (
-            statistics.median(s for p in passes for s in p.largest_s), "s"
+            statistics.median(t[i] for p, t in zip(passes, times) for i in p.largest_at),
+            "s",
         ),
     }
 
@@ -161,24 +211,28 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(SRC))
     load_at_start = os.getloadavg()[0]
 
-    setup_times = []
-    for _ in range(SETUP_REPEATS):
+    def set_up():
         t0 = perf_counter()
         rp = fresh_import()
         ops = workloads.build(args.workload, rp, args.seed)
-        setup_times.append(perf_counter() - t0)
+        return rp, ops, perf_counter() - t0
 
-    plain = tracing.Api(rp)
-    traced_api = tracing.TracedApi(rp) if args.trace else None
+    traced_api = None
     untraced, traced = [], []
+    last_ref = reference_kernel()
     first_spans = None
     call_counts = {}
     instances = list(workloads.SOLVE_INSTANCES)
     deadline = perf_counter() + args.seconds
     while True:
-        untraced.append(run_pass(args.workload, ops, plain))
-        if traced_api is not None:
-            p = run_pass(args.workload, ops, traced_api)
+        rp, ops, setup_s = set_up()
+        untraced.append(run_pass(args.workload, ops, tracing.Api(rp), setup_s, last_ref))
+        last_ref = untraced[-1].last_ref
+        if args.trace:
+            rp, ops, setup_s = set_up()
+            traced_api = tracing.TracedApi(rp)
+            p = run_pass(args.workload, ops, traced_api, setup_s, last_ref)
+            last_ref = p.last_ref
             p.layers = tracing.per_layer_metrics(traced_api, instances)
             if first_spans is None:
                 first_spans = traced_api.tracer
@@ -204,7 +258,7 @@ def main(argv=None) -> int:
     if args.trace:
         metrics = per_layer(untraced, traced)
     else:
-        metrics = end_to_end(setup_times, untraced)
+        metrics = end_to_end(untraced)
 
     n_ops = sum(len(p.op_s) for p in untraced)
     print(
@@ -213,7 +267,7 @@ def main(argv=None) -> int:
         f"loadavg_at_start={load_at_start:.2f} shape=closed-loop,1-process"
     )
     print(
-        f"# samples: set-ups={len(setup_times)} untraced_passes={len(untraced)} "
+        f"# samples: set-ups={len(passes)} untraced_passes={len(untraced)} "
         f"traced_passes={len(traced)} ops_per_pass={len(ops)} "
         f"ops_timed={n_ops} digest={digest}"
     )
@@ -226,8 +280,20 @@ def main(argv=None) -> int:
         print(f"run_ms_p90 {metrics['op_ms_p90'][0]:.6g} ms (= op_ms_p90)")
     for name, (value, unit) in metrics.items():
         print(f"{name} {value:.6g} {unit}")
+    if not args.trace:
+        # the same metrics as measured, before scaling to the reference speed
+        for name, (value, unit) in end_to_end(untraced, scaled=False).items():
+            print(f"# raw {name} {value:.6g} {unit}")
+        scales = [f for p in untraced for f in p.op_scale]
+        print(f"# speed scale median {statistics.median(scales):.4g} "
+              f"min {min(scales):.4g} max {max(scales):.4g}")
     for name, count in call_counts.items():
         print(f"# calls {name} {count}")
+    if traced_api is not None:
+        run_s = {a: traced_api.counts[f"run_s.{a}"] for a in tracing.ALGOS}
+        total = sum(run_s.values())
+        for a, s in run_s.items():
+            print(f"# run_s share {a} {s / total if total else 0.0:.3f}")
     for line in sorted({f for p in passes for f in p.failures})[:10]:
         print(f"# FAILED {line}")
     for note in notes:

@@ -4,7 +4,6 @@ Run with ``python3 -m pytest perfbench/tests -q`` from the repository root.
 """
 
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -77,7 +76,7 @@ def test_driver_proxy_times_only_driver_methods_and_nests_spans():
 
 
 def test_traced_run_matches_untraced_run():
-    sched = workloads.random_schedule(rp, random.Random(3), 12, 240)
+    sched = rp.make_random_schedule(12, 240, 3)
     plain, traced = tracing.Api(rp), tracing.TracedApi(rp)
     outputs = []
     for api in (plain, traced):
@@ -96,17 +95,25 @@ def test_metric_names_match_benchmark_json():
     empty = tracing.TracedApi(rp)
     layers = tracing.per_layer_metrics(empty, workloads.SOLVE_INSTANCES)
     fake = run.Pass(
-        wall_s=1.0, attempted=3, failed=0, digest="", rounds=10, engine_s=0.5,
-        op_s=[0.1, 0.2, 0.3], largest_s=[0.3],
+        wall_s=0.6, attempted=3, failed=0, digest="", rounds=10, engine_s=0.5,
+        op_s=[0.1, 0.2, 0.3], op_scale=[0.5, 0.5, 0.5], largest_at=[2],
+        setup_s=0.01, setup_scale=0.5, last_ref=0.01,
     )
     fake.layers = layers
-    e2e = run.end_to_end([0.01], [fake, fake])
+    e2e = run.end_to_end([fake, fake])
+    assert e2e["wall_s"][0] == pytest.approx(0.3)
+    assert e2e["rounds_per_s"][0] == pytest.approx(10 / 0.5 / 0.5)
+    assert e2e["largest_op_s"][0] == 0.15
+    assert run.end_to_end([fake], scaled=False)["largest_op_s"][0] == 0.3
     per_layer = run.per_layer([fake], [fake])
     assert [m["name"] for m in SPEC["end_to_end"]] == list(e2e)
     assert [m["name"] for m in SPEC["per_layer"]] == list(per_layer)
     for section, produced in (("end_to_end", e2e), ("per_layer", per_layer)):
         for m in SPEC[section]:
             assert m["unit"] == produced[m["name"]][1], m["name"]
+            # rates are better higher; times, sizes and counts of work lower
+            want = "higher" if m["unit"] == "1/s" else "lower"
+            assert m["better"] == want, m["name"]
     assert [w["name"] for w in SPEC["workloads"]] == list(workloads.WORKLOADS)
     assert set(workloads.LARGEST_OP) == set(workloads.WORKLOADS)
 
@@ -140,9 +147,3 @@ def test_gate_fails_on_wrong_value():
     assert ok and out["value"] == workloads.WAVE_OPTIMUM[10]
     assert not op.check(out["value"] + 1)[0]
 
-
-def test_uniform_check():
-    assert workloads.is_uniform(10, (0, 3, 6))
-    assert workloads.is_uniform(10, (7, 0, 4))
-    assert not workloads.is_uniform(10, (0, 1, 6))
-    assert not workloads.is_uniform(10, (2, 2, 6))
