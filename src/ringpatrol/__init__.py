@@ -8,7 +8,6 @@ from .ring import (
     GlobalSnapshot,
     LocalSnapshot,
     ObliviousSchedule,
-    RingTopology,
     apply_round,
     arc_distance,
     consecutive_positions,

@@ -1,16 +1,17 @@
 """Lower-bound schedule constructions and adaptive adversaries.
 
 Adaptive adversaries implement ``decide(round, positions, memories)`` and may
-dry-run the algorithm's step function on hypothetical snapshots (the engine
-hands them the algorithm via ``bind``).  They remove at most one edge per
-round and are deterministic, so runs against them replay exactly.
+dry-run a round through the kernel ``ring.decide_moves`` (the engine hands
+them the algorithm via ``bind``, which also resets any per-run state).  They
+remove at most one edge per round and are deterministic, so runs against
+them replay exactly.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .ring import CW, CCW, STAY, ObliviousSchedule, take_snapshot
+from .ring import CW, CCW, STAY, ObliviousSchedule, decide_moves
 
 
 def fixed_edge_schedule(n: int, e: int) -> ObliviousSchedule:
@@ -57,9 +58,6 @@ def wave_schedule(n: int) -> ObliviousSchedule:
     return ObliviousSchedule(n=n, missing=missing, period=period)
 
 
-WAVE_START_A = 0  # home node for the wave lower-bound experiment
-
-
 def wave_start_positions(n: int) -> tuple[int, int]:
     """The adjacent starting pair used with wave_schedule."""
     return (0, n - 1)
@@ -69,8 +67,8 @@ class TrapAdversary:
     """Confine one agent to its starting node and that node's clockwise
     neighbour by removing whichever edge would let it leave.
 
-    The prediction dry-runs the target's step with no edge removed; removing
-    the predicted escape edge can change the target's decision, but both
+    The prediction dry-runs the round with no edge removed; removing the
+    predicted escape edge can change the target's decision, but both
     remaining choices stay inside the two-node prison.
     """
 
@@ -83,21 +81,15 @@ class TrapAdversary:
     def bind(self, algorithm, n: int, k: int) -> None:
         self._algorithm = algorithm
         self._n = n
-
-    def _dry_run_move(self, positions, memories, missing):
-        snap = take_snapshot(
-            positions, self._n, missing, self.target,
-            getattr(self._algorithm, "visibility", "global"),
-        )
-        _, move = self._algorithm.step(self.target, memories[self.target], snap)
-        return move
+        self.prison = None
 
     def decide(self, r: int, positions, memories) -> Optional[int]:
         n = self._n
         pos = positions[self.target]
         if self.prison is None:
             self.prison = (pos, (pos + 1) % n)
-        move = self._dry_run_move(positions, memories, None)
+        _, moves = decide_moves(self._algorithm, n, positions, memories, None)
+        move = moves[self.target]
         lo, hi = self.prison
         if pos == lo and move == CCW:
             return (lo - 1) % n
@@ -133,17 +125,7 @@ class GateAdversary:
         if n != self.n:
             raise ValueError(f"gate built for n={self.n}, run has n={n}")
         self._algorithm = algorithm
-
-    def _dry_run_moves(self, positions, memories, missing):
-        moves = []
-        for i in range(2):
-            snap = take_snapshot(
-                positions, self.n, missing, i,
-                getattr(self._algorithm, "visibility", "global"),
-            )
-            _, move = self._algorithm.step(i, memories[i], snap)
-            moves.append(move)
-        return moves
+        self.trapped = None
 
     def _destination(self, pos: int, move: int) -> int:
         return (pos + move) % self.n
@@ -159,7 +141,7 @@ class GateAdversary:
         if positions[self.trapped] not in self.pair and positions[free] in self.pair:
             self.trapped, free = free, self.trapped
 
-        moves = self._dry_run_moves(positions, memories, None)
+        _, moves = decide_moves(self._algorithm, self.n, positions, memories, None)
 
         t_pos, t_move = positions[self.trapped], moves[self.trapped]
         if (

@@ -1,6 +1,7 @@
 """Patrolling algorithms as deterministic per-agent state machines.
 
-Every algorithm exposes the same protocol the engine expects:
+Every algorithm exposes the same protocol to the engine and the solver; its
+``step`` is called only from the round kernel ``ring.decide_moves``:
 
 * ``visibility``       -- "global" or "local" (which snapshot it consumes)
 * ``validate(n, k)``   -- reject unsupported team sizes
@@ -153,12 +154,16 @@ class FsmSpec:
     def from_json(cls, text: str) -> "FsmSpec":
         raw = json.loads(text)
         arcs = {}
-        for a in raw["arcs"]:
-            key = (int(a["from"]), a["snapshot"])
-            if key in arcs:
-                raise ValueError(f"duplicate arc {key}")
-            arcs[key] = (int(a["to"]), int(a["move"]))
-        return cls(states=int(raw["states"]), initial=int(raw["initial"]), arcs=arcs)
+        try:
+            for a in raw["arcs"]:
+                key = (int(a["from"]), a["snapshot"])
+                if key in arcs:
+                    raise ValueError(f"duplicate arc {key}")
+                arcs[key] = (int(a["to"]), int(a["move"]))
+            states, initial = int(raw["states"]), int(raw["initial"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed machine file: {exc!r}") from None
+        return cls(states=states, initial=initial, arcs=arcs)
 
 
 def snapshot_class(snap: LocalSnapshot) -> str:
@@ -646,7 +651,6 @@ class PlaceAndSwipe:
 
     def __init__(self, schedule: ObliviousSchedule):
         self.schedule = schedule
-        self.select_failures = 0  # epochs whose target selection failed
 
     def validate(self, n, k):
         if k < 2:
@@ -703,11 +707,7 @@ class PlaceAndSwipe:
         L = self.phase_len(n, k)
         swipe_start = mem.round + L
         candidates = compute_swipe_set(self.schedule, swipe_start, L - 1)
-        try:
-            targets = select_targets(candidates, n, k)
-        except TargetSelectionError:
-            self.select_failures += 1
-            raise
+        targets = select_targets(candidates, n, k)
         plan, _, _ = placement_route(
             snap.positions, targets, self.schedule, mem.round, L
         )

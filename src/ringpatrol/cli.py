@@ -227,7 +227,7 @@ def analyze(machine, k, memory_bits, cross_n, out):
             spec = fsm_of(machine)
         else:
             spec = FsmSpec.from_json(Path(machine).read_text())
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc))
     if memory_bits is None:
         memory_bits = max(1, (spec.states - 1).bit_length())
@@ -250,11 +250,10 @@ def analyze(machine, k, memory_bits, cross_n, out):
 
 @main.command()
 @click.option("--suite", type=click.Choice(sorted(SUITES)), required=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def verify(suite, jobs, out):
+def verify(suite, out):
     """Run a verification suite; non-zero exit if any row fails."""
-    rows = run_suite(suite, jobs=jobs)
+    rows = run_suite(suite)
     lines = [CSV_HEADER] + [r.as_csv() for r in rows]
     text = "\n".join(lines) + "\n"
     if out:

@@ -1,8 +1,9 @@
 """Synchronous Look-Compute-Move round loop, traces, visit logs and idle time.
 
 A round proceeds as: resolve the missing edge (schedule lookup or adversary
-decision), give every agent a snapshot of the same pre-move state, collect
-all deterministic step decisions, then apply all moves simultaneously.
+decision), let the round kernel ``ring.decide_moves`` give every agent a
+snapshot of the same pre-move state and collect all deterministic step
+decisions, then apply all moves simultaneously with ``ring.apply_round``.
 
 Visits are recorded on post-move positions: the configuration reached at the
 end of round ``r`` is the round-``r`` configuration, and every node counts
@@ -15,7 +16,8 @@ import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .ring import apply_round, check_initial_configuration, take_snapshot
+from .agents import compute_swipe_set
+from .ring import apply_round, check_initial_configuration, decide_moves
 
 
 class SimulationError(RuntimeError):
@@ -71,8 +73,7 @@ def run(
     if driver is not None and hasattr(driver, "bind"):
         driver.bind(algorithm, n, k)
 
-    visibility = getattr(algorithm, "visibility", "global")
-    memories = [algorithm.initial_memory(n, k, i, positions) for i in range(k)]
+    memories = tuple(algorithm.initial_memory(n, k, i, positions) for i in range(k))
 
     trace = ExecutionTrace(n=n, k=k, horizon=horizon, initial=positions)
     for r in range(horizon):
@@ -81,31 +82,23 @@ def run(
         elif hasattr(driver, "missing_edge"):
             missing = driver.missing_edge(r)
         else:
-            missing = driver.decide(r, positions, tuple(memories))
+            missing = driver.decide(r, positions, memories)
         if missing is not None and not (0 <= missing < n):
             raise SimulationError(f"round {r}: driver removed invalid edge {missing}")
 
-        moves = []
-        new_memories = []
-        for i in range(k):
-            snap = take_snapshot(positions, n, missing, i, visibility)
-            mem, move = algorithm.step(i, memories[i], snap)
-            new_memories.append(mem)
-            moves.append(move)
-
+        memories, moves = decide_moves(algorithm, n, positions, memories, missing)
         after, blocked = apply_round(positions, moves, n, missing)
         record = RoundRecord(
             before=positions,
             missing_edge=missing,
-            moves=tuple(moves),
+            moves=moves,
             blocked=blocked,
             after=after,
         )
         trace.records.append(record)
-        memories = new_memories
         positions = after
         if observer is not None:
-            observer(r, tuple(memories), record)
+            observer(r, memories, record)
     return trace
 
 
@@ -196,41 +189,22 @@ class SweepCheck:
     passed: bool
     never_blocked: int
     required: int
-    walkers_off_count: int
 
 
 def verify_unblocked_sweep(schedule, r: int, h: int) -> SweepCheck:
     """Check the guaranteed-sweep property of a schedule window.
 
-    Simulates one virtual clockwise walker per start node over rounds
-    ``[r, r+h)``.  Passes iff at least ``n - h`` walkers are never blocked
-    and every never-blocked walker visited exactly ``h + 1`` nodes.
+    A clockwise walker started over rounds ``[r, r+h)`` is never blocked
+    exactly when its start is in ``compute_swipe_set``; such a walker moves
+    every round, so for ``h <= n - 1`` it visits ``h + 1`` distinct nodes.
+    Passes iff at least ``n - h`` walkers are never blocked.
     """
-    n = schedule.n
-    if not (1 <= h <= n - 1):
-        raise ValueError(f"h must be in [1, n-1], got {h}")
-    never_blocked = 0
-    off = 0
-    for start in range(n):
-        pos = start
-        blocked_once = False
-        visited = {start}
-        for t in range(r, r + h):
-            e = schedule.missing_edge(t)
-            if e == pos:
-                blocked_once = True
-            else:
-                pos = (pos + 1) % n
-                visited.add(pos)
-        if not blocked_once:
-            never_blocked += 1
-            if len(visited) != h + 1:
-                off += 1
+    never_blocked = len(compute_swipe_set(schedule, r, h))
+    required = schedule.n - h
     return SweepCheck(
-        passed=(never_blocked >= n - h) and off == 0,
+        passed=never_blocked >= required,
         never_blocked=never_blocked,
-        required=n - h,
-        walkers_off_count=off,
+        required=required,
     )
 
 

@@ -1,5 +1,10 @@
 """Dynamic ring topology, edge schedules, configurations and round semantics.
 
+One synchronous round is ``decide_moves`` (Look-Compute: every agent steps
+on a snapshot of the same pre-move state) followed by ``apply_round``
+(Move).  The engine, the exact solver and the adaptive adversaries all
+compute rounds through this one kernel.
+
 Conventions used throughout the package:
 
 * Nodes are indexed ``0..n-1`` in clockwise order; moving clockwise means
@@ -26,30 +31,7 @@ MOVES = (CCW, STAY, CW)
 
 
 class ScheduleError(ValueError):
-    """A schedule violates the one-missing-edge-per-round model."""
-
-
-@dataclass(frozen=True)
-class RingTopology:
-    """An oriented ring of ``n`` nodes."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"ring needs at least 3 nodes, got {self.n}")
-
-    def cw_of(self, u: int) -> int:
-        return (u + 1) % self.n
-
-    def ccw_of(self, u: int) -> int:
-        return (u - 1) % self.n
-
-    def cw_edge_of(self, u: int) -> int:
-        return u
-
-    def ccw_edge_of(self, u: int) -> int:
-        return (u - 1) % self.n
+    """A schedule is malformed or violates the one-missing-edge-per-round model."""
 
 
 def ring_distance(n: int, u: int, v: int, direction: int = CW) -> int:
@@ -86,6 +68,14 @@ class ObliviousSchedule:
     missing: dict[int, int] = field(default_factory=dict)
     period: Optional[int] = None
 
+    def __post_init__(self):
+        if self.n < 3:
+            raise ScheduleError(f"ring needs at least 3 nodes, got n={self.n}")
+        if self.period is not None and (
+            not isinstance(self.period, int) or self.period < 1
+        ):
+            raise ScheduleError(f"period must be an integer >= 1, got {self.period!r}")
+
     def missing_edge(self, r: int) -> Optional[int]:
         if self.period is not None:
             r = r % self.period
@@ -104,15 +94,20 @@ class ObliviousSchedule:
     def from_json(cls, text: str) -> "ObliviousSchedule":
         raw = json.loads(text)
         missing: dict[int, int] = {}
-        for m in raw["missing"]:
-            r = int(m["round"])
-            if r in missing:
-                raise ScheduleError(
-                    f"round {r}: two missing edges ({missing[r]} and {m['edge']}) "
-                    "would disconnect the ring"
-                )
-            missing[r] = int(m["edge"])
-        sched = cls(n=int(raw["n"]), missing=missing, period=raw.get("period"))
+        try:
+            for m in raw["missing"]:
+                r = int(m["round"])
+                if r in missing:
+                    raise ScheduleError(
+                        f"round {r}: two missing edges ({missing[r]} and {m['edge']}) "
+                        "would disconnect the ring"
+                    )
+                missing[r] = int(m["edge"])
+            n = int(raw["n"])
+            period = raw.get("period")
+        except (KeyError, TypeError) as exc:
+            raise ScheduleError(f"malformed schedule file: {exc!r}") from None
+        sched = cls(n=n, missing=missing, period=period)
         horizon = sched.period or (max(missing) + 1 if missing else 1)
         report = validate_schedule(sched, horizon)
         if report is not None:
@@ -124,12 +119,11 @@ def validate_schedule(schedule: ObliviousSchedule, horizon: int) -> Optional[str
     """Check a schedule over ``[0, horizon)``; return None or a violation report.
 
     The encoding already forbids two missing edges in one round (one dict
-    slot per round), so the checks are edge-index range and period sanity.
+    slot per round) and construction checks ``n`` and ``period``, so the
+    checks are edge-index and round ranges.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if schedule.period is not None and schedule.period < 1:
-        return "period must be a positive integer"
     for r in range(horizon):
         e = schedule.missing_edge(r)
         if e is not None and not (0 <= e < schedule.n):
@@ -253,6 +247,30 @@ def take_snapshot(
             ccw_present=missing_edge != (u - 1) % n,
         )
     raise ValueError(f"unknown visibility {visibility!r}")
+
+
+def decide_moves(
+    algorithm,
+    n: int,
+    positions: Sequence[int],
+    memories: Sequence,
+    missing: Optional[int],
+) -> tuple[tuple, tuple[int, ...]]:
+    """The Look-Compute half of one round: every agent looks at the same
+    pre-move state and steps once.  Returns (new memories, moves).
+
+    The engine, the exact solver and the adaptive adversaries' dry runs all
+    compute rounds through this one kernel.
+    """
+    visibility = getattr(algorithm, "visibility", "global")
+    new_memories = []
+    moves = []
+    for i, mem in enumerate(memories):
+        snap = take_snapshot(positions, n, missing, i, visibility)
+        mem, move = algorithm.step(i, mem, snap)
+        new_memories.append(mem)
+        moves.append(move)
+    return tuple(new_memories), tuple(moves)
 
 
 def apply_round(

@@ -14,7 +14,6 @@ and counter-clockwise departures simultaneously).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -416,15 +415,9 @@ SUITES: dict[str, list[Callable[[], list[Row]]]] = {
 }
 
 
-def run_suite(name: str, jobs: int = 1) -> list[Row]:
+def run_suite(name: str) -> list[Row]:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
-    makers = SUITES[name]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda f: f(), makers))
-    else:
-        chunks = [f() for f in makers]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for make in SUITES[name] for row in make()]
     rows.sort(key=lambda r: (r.suite, r.claim, r.algo, r.n, r.k, r.driver))
     return rows

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ring import ObliviousSchedule, apply_round, take_snapshot
+from .ring import ObliviousSchedule, apply_round, decide_moves
 
 UNBOUNDED = "unbounded"
 
@@ -86,7 +86,6 @@ def _explore(algorithm, n, k, initial, schedule, budget):
         def options_at(clock):
             return [schedule.missing_edge(clock)]
 
-    visibility = getattr(algorithm, "visibility", "global")
     if hasattr(algorithm, "validate"):
         algorithm.validate(n, k)
     init_mems = tuple(algorithm.initial_memory(n, k, i, initial) for i in range(k))
@@ -101,18 +100,12 @@ def _explore(algorithm, n, k, initial, schedule, budget):
         positions, memories, clock = states[si]
         out = []
         for choice in options_at(clock):
-            moves = []
-            new_mems = []
-            for i in range(k):
-                snap = take_snapshot(positions, n, choice, i, visibility)
-                mem, move = algorithm.step(i, memories[i], snap)
-                new_mems.append(mem)
-                moves.append(move)
+            new_mems, moves = decide_moves(algorithm, n, positions, memories, choice)
             after, _ = apply_round(positions, moves, n, choice)
             mask = 0
             for p in after:
                 mask |= 1 << p
-            succ = (after, tuple(new_mems), (clock + 1) % modulus)
+            succ = (after, new_mems, (clock + 1) % modulus)
             ti = index.get(succ)
             if ti is None:
                 ti = len(states)
@@ -176,8 +169,7 @@ def solve_worst_case(
     parent = _bfs_parents(edges, n_states)
 
     best_gap = -1
-    best: Optional[tuple[int, int]] = None  # (node, gap start state)
-    dp_cache = {}
+    best = None  # (node, gap start state, its longest and avoid tables)
 
     for v in range(n):
         bit = 1 << v
@@ -245,12 +237,10 @@ def solve_worst_case(
         for s in starts:
             if longest[s] + 1 > best_gap:
                 best_gap = longest[s] + 1
-                best = (v, s)
-                dp_cache[v] = (longest, avoid)
+                best = (v, s, longest, avoid)
 
     assert best is not None
-    v, start = best
-    longest, avoid = dp_cache[v]
+    v, start, longest, avoid = best
     choices = _path_from_init(parent, start)
     s = start
     g = longest[s]

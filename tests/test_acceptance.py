@@ -17,15 +17,7 @@ from ringpatrol.adversaries import (
     wave_schedule,
     wave_start_positions,
 )
-from ringpatrol.agents import (
-    FsmAlgorithm,
-    KPingPong,
-    PingPong,
-    PlaceAndSwipe,
-    PlacementInfeasibleError,
-    TargetSelectionError,
-    fsm_of,
-)
+from ringpatrol.agents import FsmAlgorithm, KPingPong, PingPong, PlaceAndSwipe, fsm_of
 from ringpatrol.engine import distinct_nodes_visited, idle_time, run, verify_unblocked_sweep
 from ringpatrol.fsm import (
     LOWER_BOUND,
@@ -42,7 +34,7 @@ from ringpatrol.ring import (
     random_positions,
     uniform_positions,
 )
-from ringpatrol.suites import rows_kpingpong, rows_known_floor
+from ringpatrol.suites import rows_kpingpong, rows_known_floor, rows_place_and_swipe
 from ringpatrol.worstcase import offline_opt_search, solve_worst_case
 
 from test_fsm import four_state_fixture
@@ -77,18 +69,18 @@ def test_criterion_02_gate_lower():
     assert ok
 
 
-def test_criterion_03_place_and_swipe_two_agents():
-    ok = True
-    details = []
-    for n in (8, 10, 12, 14):
-        bound = 3 * ((n + 1) // 2)
-        worst = 0
-        for seed in range(500):
-            sched = make_random_schedule(n, 20 * n, seed)
-            tr = run(PlaceAndSwipe(sched), sched, uniform_positions(n, 2), 14 * n)
-            worst = max(worst, idle_time(tr).worst_gap(2 * n))
-        ok = ok and worst <= bound
-        details.append(f"n={n}: {worst}<={bound}")
+@pytest.fixture(scope="module")
+def place_and_swipe_rows():
+    # seeds 0-499 on 20n-round random schedules, horizon 14n, worst_gap(2n)
+    # against 3*ceil(n/k); a flagged run fails its row
+    return rows_place_and_swipe(trials=500)
+
+
+def test_criterion_03_place_and_swipe_two_agents(place_and_swipe_rows):
+    rows = [r for r in place_and_swipe_rows if r.k == 2]
+    assert [r.n for r in rows] == [8, 10, 12, 14]
+    ok = all(r.passed for r in rows)
+    details = [f"n={r.n}: {r.measured}<={r.bound}" for r in rows]
     slowest = 0
     for n in (8, 10, 12, 14):
         for seed in range(100):
@@ -107,24 +99,13 @@ def test_criterion_03_place_and_swipe_two_agents():
     assert ok
 
 
-def test_criterion_04_place_and_swipe_k_agents():
-    ok = True
-    details = []
-    for k in (3, 4):
-        for n in (9, 12, 16):
-            bound = 3 * (-(-n // k))
-            worst = 0
-            flagged = 0
-            for seed in range(500):
-                sched = make_random_schedule(n, 20 * n, seed)
-                try:
-                    tr = run(PlaceAndSwipe(sched), sched, uniform_positions(n, k), 14 * n)
-                except (TargetSelectionError, PlacementInfeasibleError):
-                    flagged += 1  # flagged, never silent
-                    continue
-                worst = max(worst, idle_time(tr).worst_gap(2 * n))
-            ok = ok and worst <= bound and flagged == 0
-            details.append(f"k={k},n={n}: {worst}<={bound},flags={flagged}")
+def test_criterion_04_place_and_swipe_k_agents(place_and_swipe_rows):
+    rows = [r for r in place_and_swipe_rows if r.k in (3, 4)]
+    assert [(r.k, r.n) for r in rows] == [(k, n) for k in (3, 4) for n in (9, 12, 16)]
+    ok = all(r.passed for r in rows)
+    details = [
+        f"k={r.k},n={r.n}: {r.measured}<={r.bound},{r.note or 'no flags'}" for r in rows
+    ]
     report("04 place-and-swipe k agents", ok, "; ".join(details))
     assert ok
 

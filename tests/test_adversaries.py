@@ -148,3 +148,22 @@ def test_wave_start_to_end_walkers_are_slow(n):
         t += 1
     assert t >= n - 3  # its first step is unblockable, costing one round
     assert wave_start_positions(n) == (0, n - 1)
+
+
+def test_reused_trap_pens_each_run_at_its_own_start():
+    n = 10
+    algo = FsmAlgorithm(fsm_of("clockwise"))
+    trap = trap_adversary(0)
+    run(algo, trap, (3,), 10 * n, n=n)
+    tr = run(algo, trap, (7,), 10 * n, n=n)
+    assert distinct_nodes_visited(tr, 0) <= 2
+
+
+def test_reused_gate_replays_like_a_fresh_one():
+    n = 8
+    gate = gate_adversary(n)
+    # this first run ends with the roles swapped: agent 1 is the penned one
+    run(PingPong(), gate, (1, 0), 3 * n)
+    second = run(PingPong(), gate, uniform_positions(n, 2), 40 * n)
+    fresh = run(PingPong(), gate_adversary(n), uniform_positions(n, 2), 40 * n)
+    assert second.records == fresh.records

@@ -21,16 +21,7 @@ from ringpatrol.ring import (
     validate_schedule,
 )
 from ringpatrol.adversaries import wave_schedule
-
-
-def test_ring_topology_edge_naming():
-    from ringpatrol.ring import RingTopology
-
-    ring = RingTopology(6)
-    assert ring.cw_of(5) == 0 and ring.ccw_of(0) == 5
-    assert ring.cw_edge_of(5) == 5 and ring.ccw_edge_of(0) == 5
-    with pytest.raises(ValueError):
-        RingTopology(2)
+from ringpatrol.agents import FsmSpec
 
 
 def test_ring_distance_examples():
@@ -169,3 +160,46 @@ def test_initial_configuration_must_be_injective():
     with pytest.raises(ValueError):
         check_initial_configuration(6, (1, 1))
     check_initial_configuration(6, (0, 3))
+
+
+def _schedule_text(**fields):
+    raw = {"n": 6, "period": None, "missing": [{"round": 0, "edge": 1}]}
+    raw.update(fields)
+    return json.dumps(raw)
+
+
+@pytest.mark.parametrize(
+    "load,error",
+    [
+        pytest.param(lambda: ObliviousSchedule(n=2), ScheduleError, id="n-below-3"),
+        pytest.param(lambda: ObliviousSchedule(n=6, period=0), ScheduleError, id="period-0"),
+        pytest.param(lambda: ObliviousSchedule(n=6, period=2.5), ScheduleError, id="period-float"),
+        pytest.param(lambda: ObliviousSchedule(n=6, period="4"), ScheduleError, id="period-str"),
+        pytest.param(
+            lambda: ObliviousSchedule.from_json(_schedule_text(missing=[{"round": 0}])),
+            ScheduleError, id="json-missing-edge",
+        ),
+        pytest.param(
+            lambda: ObliviousSchedule.from_json("[]"), ScheduleError, id="json-top-level-list",
+        ),
+        pytest.param(
+            lambda: ObliviousSchedule.from_json(_schedule_text(period="4")),
+            ScheduleError, id="json-period-str",
+        ),
+        pytest.param(
+            lambda: ObliviousSchedule.from_json(_schedule_text(period=2.5)),
+            ScheduleError, id="json-period-float",
+        ),
+        pytest.param(
+            lambda: ObliviousSchedule.from_json(_schedule_text(n=2)),
+            ScheduleError, id="json-n-below-3",
+        ),
+        pytest.param(
+            lambda: FsmSpec.from_json(json.dumps({"states": 1, "initial": 0})),
+            ValueError, id="machine-missing-arcs",
+        ),
+    ],
+)
+def test_malformed_inputs_raise_typed_errors(load, error):
+    with pytest.raises(error):
+        load()
