@@ -5,8 +5,6 @@ from .ring import (
     CCW,
     CW,
     STAY,
-    GlobalSnapshot,
-    LocalSnapshot,
     ObliviousSchedule,
     apply_round,
     arc_distance,
@@ -15,7 +13,6 @@ from .ring import (
     make_random_schedule,
     random_positions,
     ring_distance,
-    take_snapshot,
     uniform_gaps,
     uniform_positions,
     validate_schedule,

@@ -3,17 +3,20 @@
 Every algorithm exposes the same protocol to the engine and the solver; its
 ``step`` is called only from the round kernel ``ring.decide_moves``:
 
-* ``visibility``       -- "global" or "local" (which snapshot it consumes)
 * ``validate(n, k)``   -- reject unsupported team sizes
 * ``initial_memory(n, k, i, positions)``
-* ``step(i, mem, snapshot) -> (new_mem, move)``
+* ``step(i, mem, snap) -> (new_mem, move)``
 
-Step functions are pure: all per-round coordination happens through the
-snapshot plus each agent's own memory.  Algorithms that need agreement on
-shared bookkeeping (group membership, placement plans) exploit that every
-agent sees the same global snapshot and runs the same deterministic code:
-each one carries an identical copy of the shared plan and advances it the
-same way every round.
+Each round the kernel builds one ``GlobalSnapshot`` of the pre-move state and
+passes that same object, with the agent's index ``i``, to every agent; the
+agent's own node is ``snap.positions[i]``.  Step functions are pure: all
+per-round coordination happens through the snapshot plus each agent's own
+memory.  Algorithms that need agreement on shared bookkeeping (group
+membership, placement plans) exploit that every agent sees the same snapshot
+and runs the same deterministic code: each one carries an identical copy of
+the shared plan and advances it the same way every round.  The
+bounded-memory machines (``FsmAlgorithm``) read only the two edges at their
+own node.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .ring import (
     CW,
     STAY,
     GlobalSnapshot,
-    LocalSnapshot,
     ObliviousSchedule,
     apply_round,
     arc_distance,
@@ -67,8 +69,6 @@ class PingPong:
     blocked) must not bounce again, or it would swap in place forever.
     """
 
-    visibility = "global"
-
     def validate(self, n: int, k: int) -> None:
         if k != 2:
             raise ValueError(f"ping-pong runs with exactly 2 agents, got {k}")
@@ -77,14 +77,14 @@ class PingPong:
         return S0
 
     def step(self, i: int, mem: str, snap: GlobalSnapshot):
-        me = snap.own_position
-        other = snap.positions[1 - snap.own_index]
+        me = snap.positions[i]
+        other = snap.positions[1 - i]
         if mem == S0:
             nxt = S0
             if snap.missing_edge is not None:
                 if me == other == snap.missing_edge:
                     # co-located double block; lower slot takes counter-clockwise
-                    nxt = PHASE_CCW if snap.own_index == 0 else PHASE_CW
+                    nxt = PHASE_CCW if i == 0 else PHASE_CW
                 elif snap.missing_edge == me:
                     nxt = PHASE_CCW
                 elif snap.missing_edge == other:
@@ -98,7 +98,7 @@ class PingPong:
 
 
 # ---------------------------------------------------------------------------
-# Finite-state machines over local snapshots
+# Finite-state machines over the two edges at the agent's node
 # ---------------------------------------------------------------------------
 
 SNAP_BOTH = "both"
@@ -111,8 +111,11 @@ SNAPSHOT_CLASSES = (SNAP_BOTH, SNAP_CW_MISSING, SNAP_CCW_MISSING)
 class FsmSpec:
     """Transition table of a bounded-memory local-visibility machine.
 
-    ``arcs`` maps (state, snapshot class) to (next state, move).  The table
-    must be total: every state carries all three outgoing arcs.
+    ``arcs`` maps (state, snapshot class) to (next state, move).  The class
+    says only which of the two edges at the agent's own node is missing, so
+    a machine sees nothing beyond its node even though it steps on the
+    round's global snapshot.  The table must be total: every state carries
+    all three outgoing arcs.
     """
 
     states: int
@@ -124,21 +127,25 @@ class FsmSpec:
             raise ValueError("machine needs at least one state")
         if not (0 <= self.initial < self.states):
             raise ValueError(f"initial state {self.initial} out of range")
-        missing = [
-            (s, label)
-            for s in range(self.states)
-            for label in SNAPSHOT_CLASSES
-            if (s, label) not in self.arcs
-        ]
-        if missing:
-            raise ValueError(f"non-total transition table, missing arcs: {missing}")
         for (s, label), (to, move) in self.arcs.items():
+            if not (0 <= s < self.states):
+                raise ValueError(f"arc {(s, label)} leaves unknown state {s}")
             if label not in SNAPSHOT_CLASSES:
                 raise ValueError(f"unknown snapshot class {label!r}")
             if not (0 <= to < self.states):
                 raise ValueError(f"arc {(s, label)} targets unknown state {to}")
             if move not in (CCW, STAY, CW):
                 raise ValueError(f"arc {(s, label)} has invalid move {move}")
+        # every key is now a distinct valid (state, class) pair, so the
+        # table is total exactly when it has three arcs per state
+        if len(self.arcs) < self.states * len(SNAPSHOT_CLASSES):
+            first = next(
+                (s, label)
+                for s in range(self.states)
+                for label in SNAPSHOT_CLASSES
+                if (s, label) not in self.arcs
+            )
+            raise ValueError(f"non-total transition table, first missing arc: {first}")
 
     def to_json(self) -> str:
         entries = [
@@ -152,36 +159,26 @@ class FsmSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "FsmSpec":
-        raw = json.loads(text)
         arcs = {}
         try:
+            raw = json.loads(text)
             for a in raw["arcs"]:
                 key = (int(a["from"]), a["snapshot"])
                 if key in arcs:
                     raise ValueError(f"duplicate arc {key}")
                 arcs[key] = (int(a["to"]), int(a["move"]))
             states, initial = int(raw["states"]), int(raw["initial"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ValueError(f"malformed machine file: {exc!r}") from None
         return cls(states=states, initial=initial, arcs=arcs)
 
 
-def snapshot_class(snap: LocalSnapshot) -> str:
-    if not snap.cw_present:
-        return SNAP_CW_MISSING
-    if not snap.ccw_present:
-        return SNAP_CCW_MISSING
-    return SNAP_BOTH
-
-
 class FsmAlgorithm:
-    """Run an FsmSpec as a patrolling algorithm on local snapshots."""
+    """Run an FsmSpec as a patrolling algorithm: each agent reads only which
+    edge at its own node is missing."""
 
-    visibility = "local"
-
-    def __init__(self, spec: FsmSpec, name: str = "fsm"):
+    def __init__(self, spec: FsmSpec):
         self.spec = spec
-        self.name = name
 
     def validate(self, n, k):
         pass
@@ -189,9 +186,15 @@ class FsmAlgorithm:
     def initial_memory(self, n, k, i, positions):
         return self.spec.initial
 
-    def step(self, i, mem, snap: LocalSnapshot):
-        to, move = self.spec.arcs[(mem, snapshot_class(snap))]
-        return to, move
+    def step(self, i, mem, snap: GlobalSnapshot):
+        u = snap.positions[i]
+        if snap.missing_edge == u:
+            label = SNAP_CW_MISSING
+        elif snap.missing_edge == (u - 1) % snap.n:
+            label = SNAP_CCW_MISSING
+        else:
+            label = SNAP_BOTH
+        return self.spec.arcs[(mem, label)]
 
 
 def _builtin_specs() -> dict[str, FsmSpec]:
@@ -274,7 +277,7 @@ BUILTIN_FSM_NAMES = tuple(sorted(_builtin_specs()))
 
 
 def fsm_of(name: str) -> FsmSpec:
-    """Look up a built-in local-snapshot machine by name."""
+    """Look up a built-in local-visibility machine by name."""
     specs = _builtin_specs()
     if name not in specs:
         raise KeyError(f"unknown machine {name!r}; built-ins: {', '.join(sorted(specs))}")
@@ -598,8 +601,6 @@ class UniformSpread:
     nearest clockwise to the removed edge anchors the target pattern.
     """
 
-    visibility = "global"
-
     def validate(self, n, k):
         if k < 1:
             raise ValueError("need at least one agent")
@@ -616,7 +617,7 @@ class UniformSpread:
         else:
             state = mem[1]
         moves, new_state = spread_step(state, snap.missing_edge)
-        return ("run", new_state), moves[snap.own_index]
+        return ("run", new_state), moves[i]
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +648,6 @@ class PlaceAndSwipe:
     spread plan), then anchor the epoch clock at the first uniform round.
     """
 
-    visibility = "global"
-
     def __init__(self, schedule: ObliviousSchedule):
         self.schedule = schedule
 
@@ -668,10 +667,10 @@ class PlaceAndSwipe:
 
     # -- spreading (arbitrary initial placement) --
 
-    def _spread_move_two(self, snap: GlobalSnapshot):
+    def _spread_move_two(self, i, snap: GlobalSnapshot):
         n = snap.n
-        me = snap.own_position
-        other = snap.positions[1 - snap.own_index]
+        me = snap.positions[i]
+        other = snap.positions[1 - i]
         cw_gap = (other - me) % n
         ccw_gap = n - cw_gap
         if n % 2 == 0 and arc_distance(n, me, other) == n // 2 - 1:
@@ -684,10 +683,10 @@ class PlaceAndSwipe:
             return CCW if blocked_mate else STAY
         return CCW if cw_gap < ccw_gap else CW
 
-    def _spread_step(self, mem, snap: GlobalSnapshot):
+    def _spread_step(self, i, mem, snap: GlobalSnapshot):
         k = len(snap.positions)
         if k == 2:
-            return replace(mem, round=mem.round + 1), self._spread_move_two(snap)
+            return replace(mem, round=mem.round + 1), self._spread_move_two(i, snap)
         if mem.spread is None:
             state = spread_init(
                 snap.n, tuple(range(k)), snap.positions, snap.missing_edge
@@ -697,7 +696,7 @@ class PlaceAndSwipe:
         moves, new_state = spread_step(state, snap.missing_edge)
         return (
             replace(mem, round=mem.round + 1, spread=new_state),
-            moves[snap.own_index],
+            moves[i],
         )
 
     # -- epochs --
@@ -716,7 +715,7 @@ class PlaceAndSwipe:
     def step(self, i, mem: PlaceAndSwipeMemory, snap: GlobalSnapshot):
         if mem.stage == "spread":
             if not is_uniform(snap.n, snap.positions):
-                return self._spread_step(mem, snap)
+                return self._spread_step(i, mem, snap)
             mem = replace(
                 mem, stage="epochs", epoch_anchor=mem.round, spread=None
             )
@@ -726,7 +725,7 @@ class PlaceAndSwipe:
         if t == 0:
             mem = self._plan_epoch(mem, snap)
         if t < L:
-            move = mem.plan[t][snap.own_index]
+            move = mem.plan[t][i]
         elif t < 2 * L - 1:
             move = CW
         else:
@@ -763,8 +762,6 @@ class KPingPong:
     each group first spreads its own members uniformly (treating the other
     group as transparent) before the group rules take over.
     """
-
-    visibility = "global"
 
     def validate(self, n, k):
         if k < 2:

@@ -1,9 +1,9 @@
 """Synchronous Look-Compute-Move round loop, traces, visit logs and idle time.
 
 A round proceeds as: resolve the missing edge (schedule lookup or adversary
-decision), let the round kernel ``ring.decide_moves`` give every agent a
-snapshot of the same pre-move state and collect all deterministic step
-decisions, then apply all moves simultaneously with ``ring.apply_round``.
+decision), let the round kernel ``ring.decide_moves`` step every agent on
+the one snapshot of the pre-move state, then apply all moves simultaneously
+with ``ring.apply_round``.
 
 Visits are recorded on post-move positions: the configuration reached at the
 end of round ``r`` is the round-``r`` configuration, and every node counts
@@ -40,10 +40,6 @@ class ExecutionTrace:
     horizon: int
     initial: tuple[int, ...]
     records: list[RoundRecord] = field(default_factory=list)
-
-    def positions_at(self, r: int) -> tuple[int, ...]:
-        """Post-move configuration of round ``r``."""
-        return self.records[r].after
 
 
 def run(

@@ -248,7 +248,6 @@ def cross_validate(
     spec: FsmSpec,
     n: int,
     k: int,
-    budget: Optional[int] = None,
 ) -> CrossValidation:
     """Check a verdict against the exact game solver at desk scale.
 
@@ -258,9 +257,7 @@ def cross_validate(
     degrades to requiring the claimed floor (at least 1) not be contradicted.
     """
     algorithm = FsmAlgorithm(spec)
-    result = solve_worst_case(
-        algorithm, n, k, uniform_positions(n, k), budget=budget
-    )
+    result = solve_worst_case(algorithm, n, k, uniform_positions(n, k))
     if classification.verdict == NOT_PATROLLING:
         ok = result.unbounded
         detail = "starvation confirmed" if ok else (

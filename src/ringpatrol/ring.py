@@ -1,9 +1,9 @@
 """Dynamic ring topology, edge schedules, configurations and round semantics.
 
 One synchronous round is ``decide_moves`` (Look-Compute: every agent steps
-on a snapshot of the same pre-move state) followed by ``apply_round``
-(Move).  The engine, the exact solver and the adaptive adversaries all
-compute rounds through this one kernel.
+on the one ``GlobalSnapshot`` of the pre-move state) followed by
+``apply_round`` (Move).  The engine, the exact solver and the adaptive
+adversaries all compute rounds through this one kernel.
 
 Conventions used throughout the package:
 
@@ -26,8 +26,6 @@ from typing import NamedTuple, Optional, Sequence
 CW = 1
 STAY = 0
 CCW = -1
-
-MOVES = (CCW, STAY, CW)
 
 
 class ScheduleError(ValueError):
@@ -92,9 +90,9 @@ class ObliviousSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "ObliviousSchedule":
-        raw = json.loads(text)
         missing: dict[int, int] = {}
         try:
+            raw = json.loads(text)
             for m in raw["missing"]:
                 r = int(m["round"])
                 if r in missing:
@@ -105,46 +103,41 @@ class ObliviousSchedule:
                 missing[r] = int(m["edge"])
             n = int(raw["n"])
             period = raw.get("period")
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ScheduleError(f"malformed schedule file: {exc!r}") from None
         sched = cls(n=n, missing=missing, period=period)
-        horizon = sched.period or (max(missing) + 1 if missing else 1)
-        report = validate_schedule(sched, horizon)
+        report = validate_schedule(sched)
         if report is not None:
             raise ScheduleError(report)
         return sched
 
 
-def validate_schedule(schedule: ObliviousSchedule, horizon: int) -> Optional[str]:
-    """Check a schedule over ``[0, horizon)``; return None or a violation report.
+def validate_schedule(schedule: ObliviousSchedule) -> Optional[str]:
+    """Check every entry of a schedule in round order; return None or the
+    first violation.
 
     The encoding already forbids two missing edges in one round (one dict
     slot per round) and construction checks ``n`` and ``period``, so the
-    checks are edge-index and round ranges.
+    checks are round and edge-index ranges.  The work grows with the number
+    of entries, not with the period.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    for r in range(horizon):
-        e = schedule.missing_edge(r)
-        if e is not None and not (0 <= e < schedule.n):
-            return f"round {r}: edge index {e} out of range for n={schedule.n}"
-    for r, e in schedule.missing.items():
+    for r, e in sorted(schedule.missing.items()):
         if r < 0:
             return f"negative round {r} in schedule"
         if schedule.period is not None and r >= schedule.period:
             return f"round {r} outside declared period {schedule.period}"
+        if not (0 <= e < schedule.n):
+            return f"round {r}: edge index {e} out of range for n={schedule.n}"
     return None
 
 
-def make_random_schedule(
-    n: int, rounds: int, seed: int, density: float = 0.5
-) -> ObliviousSchedule:
+def make_random_schedule(n: int, rounds: int, seed: int) -> ObliviousSchedule:
     """Seeded random valid schedule: each round removes one edge with
-    probability ``density``, chosen uniformly."""
+    probability 1/2, chosen uniformly."""
     rng = random.Random(seed)
     missing = {}
     for r in range(rounds):
-        if rng.random() < density:
+        if rng.random() < 0.5:
             missing[r] = rng.randrange(n)
     return ObliviousSchedule(n=n, missing=missing)
 
@@ -201,52 +194,12 @@ def check_initial_configuration(n: int, positions: Sequence[int]) -> None:
 
 # --- snapshots and round application ----------------------------------------
 
-class LocalSnapshot(NamedTuple):
-    """What an agent sees of its own node only."""
-
-    agents_here: int
-    cw_present: bool
-    ccw_present: bool
-
-
 class GlobalSnapshot(NamedTuple):
-    """The full round-r picture, with the observer's slot marked."""
+    """The Look-phase picture of one round, shared by every agent."""
 
     n: int
     missing_edge: Optional[int]
     positions: tuple[int, ...]
-    own_index: int
-
-    @property
-    def own_position(self) -> int:
-        return self.positions[self.own_index]
-
-
-def take_snapshot(
-    positions: Sequence[int],
-    n: int,
-    missing_edge: Optional[int],
-    agent_index: int,
-    visibility: str = "global",
-):
-    """Build the Look-phase snapshot for one agent."""
-    if not (0 <= agent_index < len(positions)):
-        raise ValueError(f"agent index {agent_index} out of range")
-    if visibility == "global":
-        return GlobalSnapshot(
-            n=n,
-            missing_edge=missing_edge,
-            positions=tuple(positions),
-            own_index=agent_index,
-        )
-    if visibility == "local":
-        u = positions[agent_index]
-        return LocalSnapshot(
-            agents_here=sum(1 for p in positions if p == u),
-            cw_present=missing_edge != u,
-            ccw_present=missing_edge != (u - 1) % n,
-        )
-    raise ValueError(f"unknown visibility {visibility!r}")
 
 
 def decide_moves(
@@ -256,17 +209,16 @@ def decide_moves(
     memories: Sequence,
     missing: Optional[int],
 ) -> tuple[tuple, tuple[int, ...]]:
-    """The Look-Compute half of one round: every agent looks at the same
-    pre-move state and steps once.  Returns (new memories, moves).
+    """The Look-Compute half of one round: every agent steps once on the
+    same snapshot of the pre-move state.  Returns (new memories, moves).
 
     The engine, the exact solver and the adaptive adversaries' dry runs all
     compute rounds through this one kernel.
     """
-    visibility = getattr(algorithm, "visibility", "global")
+    snap = GlobalSnapshot(n, missing, tuple(positions))
     new_memories = []
     moves = []
     for i, mem in enumerate(memories):
-        snap = take_snapshot(positions, n, missing, i, visibility)
         mem, move = algorithm.step(i, mem, snap)
         new_memories.append(mem)
         moves.append(move)

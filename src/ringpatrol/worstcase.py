@@ -67,7 +67,10 @@ class GameSolverResult:
 
 
 def _explore(algorithm, n, k, initial, schedule, budget):
-    """BFS the reachable game graph; returns (states list, edge lists, modulus)."""
+    """BFS the reachable game graph; returns (states list, edge lists, BFS
+    parents).  ``parents[t]`` is the (state, choice) that first discovered
+    ``t``, so following it back gives a shortest path from the initial
+    state."""
     if schedule is None:
         modulus = 1
         options = [None] + list(range(n))
@@ -93,6 +96,7 @@ def _explore(algorithm, n, k, initial, schedule, budget):
 
     index = {init_state: 0}
     states = [init_state]
+    parents: list[Optional[tuple[int, Optional[int]]]] = [None]
     edges: list[list[tuple[int, int, Optional[int]]]] = []  # (succ, mask, choice)
     queue = deque([0])
     while queue:
@@ -111,6 +115,7 @@ def _explore(algorithm, n, k, initial, schedule, budget):
                 ti = len(states)
                 index[succ] = ti
                 states.append(succ)
+                parents.append((si, choice))
                 queue.append(ti)
                 if len(states) > budget:
                     raise BudgetExceeded(
@@ -118,22 +123,7 @@ def _explore(algorithm, n, k, initial, schedule, budget):
                     )
             out.append((ti, mask, choice))
         edges.append(out)
-    return states, edges, modulus
-
-
-def _bfs_parents(edges, n_states):
-    parent: list[Optional[tuple[int, Optional[int]]]] = [None] * n_states
-    seen = [False] * n_states
-    seen[0] = True
-    dq = deque([0])
-    while dq:
-        s = dq.popleft()
-        for t, _, choice in edges[s]:
-            if not seen[t]:
-                seen[t] = True
-                parent[t] = (s, choice)
-                dq.append(t)
-    return parent
+    return states, edges, parents
 
 
 def _path_from_init(parent, target):
@@ -162,11 +152,10 @@ def solve_worst_case(
     round.  The returned witness replays through the engine to exactly
     ``worst_idle`` (finite case) or demonstrates a starvation loop.
     """
-    states, edges, _ = _explore(
+    states, edges, parent = _explore(
         algorithm, n, k, tuple(initial), schedule, _state_budget(budget)
     )
     n_states = len(states)
-    parent = _bfs_parents(edges, n_states)
 
     best_gap = -1
     best = None  # (node, gap start state, its longest and avoid tables)

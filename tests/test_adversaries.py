@@ -15,7 +15,7 @@ from ringpatrol.ring import uniform_positions, validate_schedule
 
 def test_fixed_edge_schedule_validates():
     sched = fixed_edge_schedule(10, 9)
-    assert validate_schedule(sched, 50) is None
+    assert validate_schedule(sched) is None
     assert all(sched.missing_edge(r) == 9 for r in range(50))
 
 
@@ -127,7 +127,7 @@ def test_wave_parity_split():
             assert 0 <= e <= 12 // 2 - 2  # up side on even rounds
         else:
             assert e >= 12 // 2  # down side on odd rounds
-    assert validate_schedule(w, 4 * w.period) is None
+    assert validate_schedule(w) is None
 
 
 @pytest.mark.parametrize("n", [10, 12])

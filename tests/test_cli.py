@@ -153,3 +153,29 @@ def test_verify_wave_suite_reports_known_gap(runner):
 def test_verify_rejects_unknown_suite(runner):
     result = runner.invoke(main, ["verify", "--suite", "nope"])
     assert result.exit_code != 0
+
+
+BAD_FILES = {
+    "entry-without-edge": json.dumps({"n": 6, "period": 4, "missing": [{"round": 0}]}),
+    "truncated": '{"n": 6, "period": 4, "missing": [{"round": 0, "ed',
+    "absent": None,
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_FILES))
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--algo", "pingpong", "--n", "6", "--k", "2", "--schedule"],
+        ["worstcase", "--algo", "pingpong", "--n", "6", "--k", "2", "--schedule"],
+        ["analyze"],
+    ],
+    ids=["simulate", "worstcase", "analyze"],
+)
+def test_bad_input_file_is_a_one_line_error(runner, tmp_path, command, bad):
+    path = tmp_path / "input.json"
+    if BAD_FILES[bad] is not None:
+        path.write_text(BAD_FILES[bad])
+    result = runner.invoke(main, command + [str(path)])
+    assert result.exit_code == 1
+    assert "Error: " in result.output

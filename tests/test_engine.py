@@ -20,8 +20,6 @@ from ringpatrol.ring import (
 class Stayers:
     """One memoryless agent per call that never moves."""
 
-    visibility = "global"
-
     def initial_memory(self, n, k, i, positions):
         return None
 

@@ -7,21 +7,30 @@ from ringpatrol.ring import (
     CCW,
     CW,
     STAY,
+    GlobalSnapshot,
     ObliviousSchedule,
     ScheduleError,
     apply_round,
     arc_distance,
     check_initial_configuration,
+    decide_moves,
     is_uniform,
     make_random_schedule,
     ring_distance,
-    take_snapshot,
     uniform_gaps,
     uniform_positions,
     validate_schedule,
 )
 from ringpatrol.adversaries import wave_schedule
-from ringpatrol.agents import FsmSpec
+from ringpatrol.agents import (
+    SNAP_BOTH,
+    SNAP_CCW_MISSING,
+    SNAP_CW_MISSING,
+    SNAPSHOT_CLASSES,
+    FsmAlgorithm,
+    FsmSpec,
+    fsm_of,
+)
 
 
 def test_ring_distance_examples():
@@ -49,7 +58,7 @@ def test_ring_distance_directions_sum_to_n(n, data):
 
 
 def test_validate_schedule_static_ok():
-    assert validate_schedule(ObliviousSchedule(n=10), horizon=100) is None
+    assert validate_schedule(ObliviousSchedule(n=10)) is None
 
 
 def test_schedule_file_with_two_edges_in_one_round_rejected():
@@ -66,12 +75,12 @@ def test_schedule_file_with_two_edges_in_one_round_rejected():
 
 def test_validate_schedule_flags_bad_edge_index():
     sched = ObliviousSchedule(n=6, missing={4: 6})
-    report = validate_schedule(sched, 10)
+    report = validate_schedule(sched)
     assert report is not None and "round 4" in report
 
 
 def test_wave_schedule_validates():
-    assert validate_schedule(wave_schedule(10), horizon=64) is None
+    assert validate_schedule(wave_schedule(10)) is None
 
 
 def test_schedule_json_round_trip():
@@ -126,24 +135,53 @@ def test_all_clockwise_blocks_at_most_one(n, e):
     assert sum(blocked) == 1
 
 
-def test_take_snapshot_examples():
-    snap = take_snapshot((0, 0, 4), 8, None, 1, "local")
-    assert snap.agents_here == 2 and snap.cw_present and snap.ccw_present
+class SnapshotRecorder:
+    """Never moves; remembers which snapshot object each agent stepped on."""
 
-    snap = take_snapshot((0, 3), 8, 2, 0, "local")
-    assert snap.agents_here == 1 and snap.cw_present and snap.ccw_present
+    def __init__(self):
+        self.seen = []
 
-    snap = take_snapshot((0, 3), 8, 2, 1, "global")
-    assert snap.positions == (0, 3)
-    assert snap.missing_edge == 2 and snap.own_index == 1
-    assert snap.own_position == 3
+    def step(self, i, mem, snap):
+        self.seen.append((i, snap))
+        return mem, STAY
 
 
-def test_local_snapshot_reports_missing_side():
-    snap = take_snapshot((4,), 8, 4, 0, "local")
-    assert not snap.cw_present and snap.ccw_present
-    snap = take_snapshot((4,), 8, 3, 0, "local")
-    assert snap.cw_present and not snap.ccw_present
+def test_decide_moves_shares_one_snapshot():
+    algo = SnapshotRecorder()
+    mems, moves = decide_moves(algo, 8, [0, 3, 5], ("a", "b", "c"), 2)
+    assert mems == ("a", "b", "c") and moves == (STAY,) * 3
+    assert [i for i, _ in algo.seen] == [0, 1, 2]
+    first = algo.seen[0][1]
+    assert all(snap is first for _, snap in algo.seen)
+    assert first == GlobalSnapshot(n=8, missing_edge=2, positions=(0, 3, 5))
+
+
+# from any state, move to the state numbering the snapshot class just seen
+CLASS_ECHO = FsmSpec(
+    states=len(SNAPSHOT_CLASSES),
+    initial=0,
+    arcs={
+        (s, label): (j, STAY)
+        for s in range(len(SNAPSHOT_CLASSES))
+        for j, label in enumerate(SNAPSHOT_CLASSES)
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "missing,classes",
+    [
+        pytest.param(4, (SNAP_CW_MISSING, SNAP_CCW_MISSING, SNAP_BOTH), id="edge-4"),
+        pytest.param(7, (SNAP_BOTH, SNAP_BOTH, SNAP_CCW_MISSING), id="edge-7-wraps"),
+        pytest.param(None, (SNAP_BOTH,) * 3, id="none-missing"),
+    ],
+)
+def test_decide_moves_machine_reads_its_own_edges(missing, classes):
+    # agents at nodes 4, 5 and 0 of an 8-ring: edge 4 is the clockwise edge
+    # of node 4 and the counter-clockwise edge of node 5; edge 7 is the
+    # counter-clockwise edge of node 0
+    mems, _ = decide_moves(FsmAlgorithm(CLASS_ECHO), 8, (4, 5, 0), (0, 0, 0), missing)
+    assert tuple(SNAPSHOT_CLASSES[m] for m in mems) == classes
 
 
 def test_uniform_positions_and_gaps():
@@ -198,8 +236,75 @@ def _schedule_text(**fields):
             lambda: FsmSpec.from_json(json.dumps({"states": 1, "initial": 0})),
             ValueError, id="machine-missing-arcs",
         ),
+        pytest.param(
+            lambda: ObliviousSchedule.from_json('{"n": 1e400, "missing": []}'),
+            ScheduleError, id="json-n-overflow",
+        ),
+        pytest.param(
+            lambda: FsmSpec.from_json('{"states": 1e400, "initial": 0, "arcs": []}'),
+            ValueError, id="machine-states-overflow",
+        ),
+        pytest.param(
+            lambda: FsmSpec(
+                states=1,
+                initial=0,
+                arcs={**fsm_of("stay").arcs, (5, SNAP_BOTH): (0, STAY)},
+            ),
+            ValueError, id="machine-arc-from-unknown-state",
+        ),
     ],
 )
 def test_malformed_inputs_raise_typed_errors(load, error):
     with pytest.raises(error):
         load()
+
+
+def test_loaders_work_in_proportion_to_the_file():
+    sched = ObliviousSchedule.from_json(_schedule_text(period=10**12))
+    assert sched.period == 10**12 and sched.missing == {0: 1}
+    with pytest.raises(ValueError, match="non-total") as exc:
+        FsmSpec.from_json(json.dumps({"states": 10**12, "initial": 0, "arcs": []}))
+    assert len(str(exc.value)) < 100
+
+
+_SCALARS = (
+    st.integers(-2, 8)
+    | st.sampled_from([3 * 10**7, 10**12, -(10**12), float("inf")])
+    | st.sampled_from(SNAPSHOT_CLASSES)
+    | st.none()
+    | st.booleans()
+    | st.floats()
+    | st.text(max_size=3)
+)
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=2) | st.dictionaries(
+    st.text(max_size=2), _SCALARS, max_size=2
+)
+
+
+def _documents(top_keys, list_key, entry_keys):
+    """JSON texts shaped like a loader's input, with any key left out and
+    any value of the wrong type or size."""
+    def shaped(keys, values):
+        full = {k: values.get(k, _VALUES) for k in keys}
+        return st.fixed_dictionaries(full) | st.fixed_dictionaries({}, optional=full)
+
+    entries = st.lists(shaped(entry_keys, {}) | _VALUES, max_size=4)
+    docs = (shaped(top_keys + [list_key], {list_key: entries}) | _VALUES).map(json.dumps)
+    truncated = docs.flatmap(lambda t: st.integers(0, len(t)).map(lambda i: t[:i]))
+    return docs | truncated | st.text(max_size=20)
+
+
+@given(_documents(["n", "period"], "missing", ["round", "edge"]))
+def test_schedule_loader_raises_only_value_errors(text):
+    try:
+        ObliviousSchedule.from_json(text)
+    except ValueError:  # ScheduleError, or a JSON syntax error
+        pass
+
+
+@given(_documents(["states", "initial"], "arcs", ["from", "snapshot", "to", "move"]))
+def test_machine_loader_raises_only_value_errors(text):
+    try:
+        FsmSpec.from_json(text)
+    except ValueError:
+        pass
