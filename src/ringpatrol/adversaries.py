@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .ring import CW, CCW, STAY, ObliviousSchedule, decide_moves
+from .ring import STAY, ObliviousSchedule, crossed_edge, decide_moves
 
 
 def fixed_edge_schedule(n: int, e: int) -> ObliviousSchedule:
@@ -64,16 +64,15 @@ def wave_start_positions(n: int) -> tuple[int, int]:
 
 
 class TrapAdversary:
-    """Confine one agent to its starting node and that node's clockwise
+    """Confine agent 0 to its starting node and that node's clockwise
     neighbour by removing whichever edge would let it leave.
 
     The prediction dry-runs the round with no edge removed; removing the
-    predicted escape edge can change the target's decision, but both
+    predicted escape edge can change the agent's decision, but both
     remaining choices stay inside the two-node prison.
     """
 
-    def __init__(self, target_agent: int = 0):
-        self.target = target_agent
+    def __init__(self):
         self.prison: Optional[tuple[int, int]] = None
         self._algorithm = None
         self._n = None
@@ -85,21 +84,18 @@ class TrapAdversary:
 
     def decide(self, r: int, positions, memories) -> Optional[int]:
         n = self._n
-        pos = positions[self.target]
+        pos = positions[0]
         if self.prison is None:
             self.prison = (pos, (pos + 1) % n)
         _, moves = decide_moves(self._algorithm, n, positions, memories, None)
-        move = moves[self.target]
-        lo, hi = self.prison
-        if pos == lo and move == CCW:
-            return (lo - 1) % n
-        if pos == hi and move == CW:
-            return hi
+        move = moves[0]
+        if move != STAY and (pos + move) % n not in self.prison:
+            return crossed_edge(n, pos, move)
         return None
 
 
-def trap_adversary(target_agent: int = 0) -> TrapAdversary:
-    return TrapAdversary(target_agent)
+def trap_adversary() -> TrapAdversary:
+    return TrapAdversary()
 
 
 class GateAdversary:
@@ -127,12 +123,6 @@ class GateAdversary:
         self._algorithm = algorithm
         self.trapped = None
 
-    def _destination(self, pos: int, move: int) -> int:
-        return (pos + move) % self.n
-
-    def _crossing_edge(self, pos: int, move: int) -> int:
-        return pos if move == CW else (pos - 1) % self.n
-
     def decide(self, r: int, positions, memories) -> Optional[int]:
         if self.trapped is None:
             # the agent starting counter-clockwise-closer to node n-1 is penned
@@ -147,17 +137,17 @@ class GateAdversary:
         if (
             t_pos in self.pair
             and t_move != STAY
-            and self._destination(t_pos, t_move) not in self.pair
+            and (t_pos + t_move) % self.n not in self.pair
         ):
-            return self._crossing_edge(t_pos, t_move)
+            return crossed_edge(self.n, t_pos, t_move)
 
         f_pos, f_move = positions[free], moves[free]
         if (
             f_pos not in self.pair
             and f_move != STAY
-            and self._destination(f_pos, f_move) in self.pair
+            and (f_pos + f_move) % self.n in self.pair
         ):
-            return self._crossing_edge(f_pos, f_move)
+            return crossed_edge(self.n, f_pos, f_move)
         return None
 
 

@@ -33,7 +33,9 @@ from .ring import (
     ObliviousSchedule,
     apply_round,
     arc_distance,
+    crossed_edge,
     is_uniform,
+    json_int,
     uniform_gaps,
     uniform_positions,
 )
@@ -81,14 +83,15 @@ class PingPong:
         other = snap.positions[1 - i]
         if mem == S0:
             nxt = S0
-            if snap.missing_edge is not None:
-                if me == other == snap.missing_edge:
-                    # co-located double block; lower slot takes counter-clockwise
-                    nxt = PHASE_CCW if i == 0 else PHASE_CW
-                elif snap.missing_edge == me:
-                    nxt = PHASE_CCW
-                elif snap.missing_edge == other:
-                    nxt = PHASE_CW
+            me_blocked = crossed_edge(snap.n, me, CW) == snap.missing_edge
+            other_blocked = crossed_edge(snap.n, other, CW) == snap.missing_edge
+            if me_blocked and other_blocked:
+                # co-located double block; lower slot takes counter-clockwise
+                nxt = PHASE_CCW if i == 0 else PHASE_CW
+            elif me_blocked:
+                nxt = PHASE_CCW
+            elif other_blocked:
+                nxt = PHASE_CW
             return nxt, CW
         phase = mem
         cw_pos, ccw_pos = (me, other) if phase == PHASE_CW else (other, me)
@@ -163,12 +166,13 @@ class FsmSpec:
         try:
             raw = json.loads(text)
             for a in raw["arcs"]:
-                key = (int(a["from"]), a["snapshot"])
+                key = (json_int(a["from"], "from"), a["snapshot"])
                 if key in arcs:
                     raise ValueError(f"duplicate arc {key}")
-                arcs[key] = (int(a["to"]), int(a["move"]))
-            states, initial = int(raw["states"]), int(raw["initial"])
-        except (KeyError, TypeError, OverflowError, RecursionError) as exc:
+                arcs[key] = (json_int(a["to"], "to"), json_int(a["move"], "move"))
+            states = json_int(raw["states"], "states")
+            initial = json_int(raw["initial"], "initial")
+        except (KeyError, TypeError, RecursionError) as exc:
             raise ValueError(f"malformed machine file: {exc!r}") from None
         return cls(states=states, initial=initial, arcs=arcs)
 
@@ -188,9 +192,9 @@ class FsmAlgorithm:
 
     def step(self, i, mem, snap: GlobalSnapshot):
         u = snap.positions[i]
-        if snap.missing_edge == u:
+        if snap.missing_edge == crossed_edge(snap.n, u, CW):
             label = SNAP_CW_MISSING
-        elif snap.missing_edge == (u - 1) % snap.n:
+        elif snap.missing_edge == crossed_edge(snap.n, u, CCW):
             label = SNAP_CCW_MISSING
         else:
             label = SNAP_BOTH
@@ -301,7 +305,8 @@ def compute_swipe_set(schedule: ObliviousSchedule, r: int, h: int) -> set[int]:
     survivors = set()
     for s in range(n):
         if all(
-            schedule.missing_edge(t) != (s + t - r) % n for t in range(r, r + h)
+            schedule.missing_edge(t) != crossed_edge(n, (s + t - r) % n, CW)
+            for t in range(r, r + h)
         ):
             survivors.add(s)
     return survivors
@@ -505,11 +510,8 @@ def _plan_anchored(state: SpreadState, missing: Optional[int]) -> SpreadState:
         range(m),
         key=lambda s: ((positions[s] - positions[a0]) % n, state.members[s]),
     )
-    gaps = uniform_gaps(n, m)
-    targets = [positions[a0]]
-    for g in gaps[:-1]:
-        targets.append((targets[-1] + g) % n)
-    return replace(state, stage="anchored", order=tuple(order), targets=tuple(targets))
+    targets = uniform_positions(n, m, positions[a0])
+    return replace(state, stage="anchored", order=tuple(order), targets=targets)
 
 
 def _anchored_step(state: SpreadState, missing: Optional[int]):
@@ -524,20 +526,18 @@ def _anchored_step(state: SpreadState, missing: Optional[int]):
     active = order[j_star]
     d_cw = (targets[j_star] - pos[active]) % n
     direction = CW if d_cw <= n - d_cw else CCW
-    desired_edge = pos[active] if direction == CW else (pos[active] - 1) % n
     moves = [STAY] * len(pos)
-    if missing != desired_edge:
+    if crossed_edge(n, pos[active], direction) != missing:
         moves[active] = direction
     else:
         # active is walled off: shift the whole target pattern one step
         # toward it, carrying the already-placed prefix along
         shift = -direction
-        shift_edge = lambda s: pos[s] if shift == CW else (pos[s] - 1) % n
         conflict = next(
             (
                 j
                 for j in range(j_star)
-                if shift_edge(order[j]) == missing
+                if crossed_edge(n, pos[order[j]], shift) == missing
             ),
             None,
         )
@@ -630,7 +630,6 @@ class PlaceAndSwipeMemory:
     stage: str  # "spread" | "epochs"
     epoch_anchor: int = 0
     plan: tuple = ()  # per-round move tuples for the current placement phase
-    targets: tuple = ()
     spread: Optional[SpreadState] = None
 
 
@@ -678,8 +677,8 @@ class PlaceAndSwipe:
             # so only the clockwise end of the short arc advances (the other
             # agent covers for it when that step is blocked)
             if ccw_gap < cw_gap:  # I am the clockwise end
-                return CW if snap.missing_edge != me else STAY
-            blocked_mate = snap.missing_edge == other
+                return CW if crossed_edge(n, me, CW) != snap.missing_edge else STAY
+            blocked_mate = crossed_edge(n, other, CW) == snap.missing_edge
             return CCW if blocked_mate else STAY
         return CCW if cw_gap < ccw_gap else CW
 
@@ -710,7 +709,7 @@ class PlaceAndSwipe:
         plan, _, _ = placement_route(
             snap.positions, targets, self.schedule, mem.round, L
         )
-        return replace(mem, plan=tuple(plan), targets=targets)
+        return replace(mem, plan=tuple(plan))
 
     def step(self, i, mem: PlaceAndSwipeMemory, snap: GlobalSnapshot):
         if mem.stage == "spread":
@@ -785,9 +784,6 @@ class KPingPong:
     def _group_slots(self, phases, phase):
         return tuple(i for i, p in enumerate(phases) if p == phase)
 
-    def _desired_edge(self, n, pos, phase):
-        return pos if phase == KP_C else (pos - 1) % n
-
     def _groups_moves(self, n, positions, phases, missing):
         """Apply the group rules; returns (moves, new phases)."""
         k = len(positions)
@@ -795,7 +791,7 @@ class KPingPong:
             i
             for i in range(k)
             if missing is not None
-            and self._desired_edge(n, positions[i], phases[i]) == missing
+            and crossed_edge(n, positions[i], CW if phases[i] == KP_C else CCW) == missing
         ]
         blocked_c = [i for i in blocked if phases[i] == KP_C]
         blocked_cc = [i for i in blocked if phases[i] == KP_CC]
@@ -817,7 +813,7 @@ class KPingPong:
                         moves[i] = move
         return tuple(moves), tuple(new_phases)
 
-    def _start_respread(self, n, phases, post_positions, missing_next=None):
+    def _start_respread(self, n, phases, post_positions, missing_next):
         spreads = []
         for phase in (KP_C, KP_CC):
             slots = self._group_slots(phases, phase)
@@ -835,11 +831,9 @@ class KPingPong:
         missing = snap.missing_edge
 
         if mem.stage == KP_S0:
-            blocked = (
-                [m for m in range(k) if positions[m] == missing]
-                if missing is not None
-                else []
-            )
+            blocked = [
+                m for m in range(k) if crossed_edge(n, positions[m], CW) == missing
+            ]
             if not blocked:
                 return mem, CW
             phases = self._partition(n, k, positions, min(blocked))

@@ -84,7 +84,18 @@ def _initial_positions(placement: str, n: int, k: int) -> tuple[int, ...]:
     raise click.ClickException(f"unknown placement {placement!r}")
 
 
-@click.group()
+class _Commands(click.Group):
+    """Every command reports a ValueError (bad ring, team, start or horizon)
+    as a one-line error with exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from None
+
+
+@click.group(cls=_Commands)
 def main():
     """Patrolling on dynamic rings: simulate, search worst cases, analyze, verify."""
 
@@ -122,7 +133,7 @@ def simulate(algo, n, k, adversary, schedule_spec, rounds, placement, r_s,
     if adversary == "gate":
         driver = gate_adversary(n)
     elif adversary == "trap":
-        driver = trap_adversary(0)
+        driver = trap_adversary()
     algorithm = _make_algorithm(algo, schedule)
     initial = _initial_positions(placement, n, k)
 
@@ -226,7 +237,7 @@ def analyze(machine, k, memory_bits, cross_n, out):
             spec = fsm_of(machine)
         else:
             spec = FsmSpec.from_json(Path(machine).read_text())
-    except (ValueError, OSError) as exc:
+    except OSError as exc:
         raise click.ClickException(str(exc))
     if memory_bits is None:
         memory_bits = max(1, (spec.states - 1).bit_length())

@@ -1,9 +1,9 @@
 """Synchronous Look-Compute-Move round loop, traces, visit logs and idle time.
 
-A round proceeds as: resolve the missing edge (schedule lookup or adversary
-decision), let the round kernel ``ring.decide_moves`` step every agent on
-the one snapshot of the pre-move state, then apply all moves simultaneously
-with ``ring.apply_round``.
+A run starts through ``ring.start_run``.  A round proceeds as: resolve the
+missing edge (schedule lookup or adversary decision), let the round kernel
+``ring.decide_moves`` step every agent on the one snapshot of the pre-move
+state, then apply all moves simultaneously with ``ring.apply_round``.
 
 Visits are recorded on post-move positions: the configuration reached at the
 end of round ``r`` is the round-``r`` configuration, and every node counts
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .agents import compute_swipe_set
-from .ring import apply_round, check_initial_configuration, decide_moves
+from .ring import apply_round, decide_moves, start_run
 
 
 class SimulationError(RuntimeError):
@@ -63,13 +63,9 @@ def run(
             raise ValueError("n must be given when the driver does not carry it")
     positions = tuple(initial)
     k = len(positions)
-    check_initial_configuration(n, positions)
-    if hasattr(algorithm, "validate"):
-        algorithm.validate(n, k)
+    memories = start_run(algorithm, n, k, positions)
     if driver is not None and hasattr(driver, "bind"):
         driver.bind(algorithm, n, k)
-
-    memories = tuple(algorithm.initial_memory(n, k, i, positions) for i in range(k))
 
     trace = ExecutionTrace(n=n, k=k, horizon=horizon, initial=positions)
     for r in range(horizon):
@@ -148,7 +144,7 @@ class IdleReport:
 def idle_time(trace: ExecutionTrace) -> IdleReport:
     """Per-node max gap between consecutive visits, including the -1 seed."""
     if not trace.records:
-        raise ValueError("empty trace")
+        raise ValueError("empty trace: idle time needs at least one round")
     visits = visit_log(trace)
     per_node: dict[int, int] = {}
     open_gaps: dict[int, int] = {}

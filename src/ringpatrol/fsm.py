@@ -181,7 +181,6 @@ class Classification:
     k: int
     memory_bits: int
     certificate: dict
-    note: str = MEETING_NOTE
 
     def bound_value(self, n: int) -> int:
         """Idle-time floor claimed by a LOWER_BOUND verdict."""
@@ -195,7 +194,7 @@ class Classification:
                 "k": self.k,
                 "bound": "n-7*|S|*k",
                 "certificate": self.certificate,
-                "note": self.note,
+                "note": MEETING_NOTE,
             },
             indent=2,
         )

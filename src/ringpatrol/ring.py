@@ -14,6 +14,8 @@ Conventions used throughout the package:
   ``u`` is edge ``u``; its counter-clockwise edge is edge ``(u-1) % n``.
 * At most one edge may be missing per round (removing two edges would
   disconnect the ring).
+* A move is blocked exactly when it would cross the missing edge; every
+  layer asks ``crossed_edge`` which edge that is.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ CCW = -1
 
 class ScheduleError(ValueError):
     """A schedule is malformed or violates the one-missing-edge-per-round model."""
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer; a float, a bool or any other type raises TypeError,
+    which the loaders turn into their typed error."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def ring_distance(n: int, u: int, v: int, direction: int = CW) -> int:
@@ -70,7 +80,7 @@ class ObliviousSchedule:
         if self.n < 3:
             raise ScheduleError(f"ring needs at least 3 nodes, got n={self.n}")
         if self.period is not None and (
-            not isinstance(self.period, int) or self.period < 1
+            type(self.period) is not int or self.period < 1
         ):
             raise ScheduleError(f"period must be an integer >= 1, got {self.period!r}")
 
@@ -94,16 +104,16 @@ class ObliviousSchedule:
         try:
             raw = json.loads(text)
             for m in raw["missing"]:
-                r = int(m["round"])
+                r = json_int(m["round"], "round")
                 if r in missing:
                     raise ScheduleError(
                         f"round {r}: two missing edges ({missing[r]} and {m['edge']}) "
                         "would disconnect the ring"
                     )
-                missing[r] = int(m["edge"])
-            n = int(raw["n"])
+                missing[r] = json_int(m["edge"], "edge")
+            n = json_int(raw["n"], "n")
             period = raw.get("period")
-        except (KeyError, TypeError, OverflowError, RecursionError) as exc:
+        except (KeyError, TypeError, RecursionError) as exc:
             raise ScheduleError(f"malformed schedule file: {exc!r}") from None
         sched = cls(n=n, missing=missing, period=period)
         report = validate_schedule(sched)
@@ -175,8 +185,8 @@ def is_uniform(n: int, positions: Sequence[int]) -> bool:
     return gaps == sorted(uniform_gaps(n, k))
 
 
-def consecutive_positions(n: int, k: int, anchor: int = 0) -> tuple[int, ...]:
-    return tuple((anchor + i) % n for i in range(k))
+def consecutive_positions(n: int, k: int) -> tuple[int, ...]:
+    return tuple(i % n for i in range(k))
 
 
 def random_positions(n: int, k: int, seed: int) -> tuple[int, ...]:
@@ -185,14 +195,24 @@ def random_positions(n: int, k: int, seed: int) -> tuple[int, ...]:
     return tuple(rng.sample(range(n), k))
 
 
-def check_initial_configuration(n: int, positions: Sequence[int]) -> None:
+# --- run start, snapshots and round application -----------------------------
+
+def start_run(algorithm, n: int, k: int, initial: Sequence[int]) -> tuple:
+    """Start a run of the engine or the solver: check the ring (n >= 3) and
+    the start (one distinct in-range node per agent), validate the team and
+    return the k agents' initial memories."""
+    positions = tuple(initial)
+    if n < 3:
+        raise ValueError(f"ring needs at least 3 nodes, got n={n}")
+    if len(positions) != k:
+        raise ValueError(f"expected {k} start nodes, one per agent, got {positions}")
     if any(not (0 <= p < n) for p in positions):
-        raise ValueError(f"positions out of range for n={n}: {positions}")
-    if len(set(positions)) != len(positions):
-        raise ValueError(f"initial configuration must be injective: {positions}")
+        raise ValueError(f"start nodes out of range for n={n}: {positions}")
+    if len(set(positions)) != k:
+        raise ValueError(f"start nodes must be distinct: {positions}")
+    algorithm.validate(n, k)
+    return tuple(algorithm.initial_memory(n, k, i, positions) for i in range(k))
 
-
-# --- snapshots and round application ----------------------------------------
 
 class GlobalSnapshot(NamedTuple):
     """The Look-phase picture of one round, shared by every agent."""
@@ -225,6 +245,19 @@ def decide_moves(
     return tuple(new_memories), tuple(moves)
 
 
+def crossed_edge(n: int, p: int, move: int) -> Optional[int]:
+    """The edge a move from node ``p`` crosses: edge ``p`` clockwise, edge
+    ``(p - 1) % n`` counter-clockwise, None for STAY.  A move is blocked
+    exactly when it crosses the round's missing edge."""
+    if move == CW:
+        return p
+    if move == CCW:
+        return (p - 1) % n
+    if move == STAY:
+        return None
+    raise ValueError(f"invalid move {move}")
+
+
 def apply_round(
     positions: Sequence[int],
     moves: Sequence[int],
@@ -233,7 +266,7 @@ def apply_round(
 ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     """Apply one synchronous Move phase.
 
-    An agent whose move requires the missing edge stays in place and is
+    An agent whose move crosses the missing edge stays in place and is
     flagged blocked; everyone else moves simultaneously.  Co-location is
     allowed.
     """
@@ -242,23 +275,8 @@ def apply_round(
     new_positions = []
     blocked = []
     for p, m in zip(positions, moves):
-        if m == STAY:
-            new_positions.append(p)
-            blocked.append(False)
-        elif m == CW:
-            if missing_edge == p:
-                new_positions.append(p)
-                blocked.append(True)
-            else:
-                new_positions.append((p + 1) % n)
-                blocked.append(False)
-        elif m == CCW:
-            if missing_edge == (p - 1) % n:
-                new_positions.append(p)
-                blocked.append(True)
-            else:
-                new_positions.append((p - 1) % n)
-                blocked.append(False)
-        else:
-            raise ValueError(f"invalid move {m}")
+        edge = crossed_edge(n, p, m)
+        stuck = edge == missing_edge and edge is not None
+        new_positions.append(p if stuck else (p + m) % n)
+        blocked.append(stuck)
     return tuple(new_positions), tuple(blocked)

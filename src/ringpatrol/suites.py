@@ -15,7 +15,7 @@ and counter-clockwise departures simultaneously).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .adversaries import (
     fixed_edge_schedule,
@@ -31,6 +31,7 @@ from .agents import (
     PlaceAndSwipe,
     PlacementInfeasibleError,
     TargetSelectionError,
+    UniformSpread,
     fsm_of,
 )
 from .engine import distinct_nodes_visited, idle_time, run, verify_unblocked_sweep
@@ -79,6 +80,12 @@ class Row:
 
 
 CSV_HEADER = "suite,claim,algo,n,k,driver,measured,relation,bound,result,note"
+
+# seeded random schedules behind each sampled row; the reports pin these counts
+PLACE_AND_SWIPE_TRIALS = 500
+KPINGPONG_TRIALS = 40
+SWEEP_SCHEDULES = 1000
+SPREAD_TRIALS = 500
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -129,11 +136,11 @@ def rows_gate_lower() -> list[Row]:
 
 # --- place-and-swipe ------------------------------------------------------------
 
-def _place_and_swipe_row(n: int, k: int, seeds: Iterable[int]) -> Row:
+def _place_and_swipe_row(n: int, k: int) -> Row:
     bound = 3 * _ceil_div(n, k)
     worst = 0
     flagged = 0
-    for seed in seeds:
+    for seed in range(PLACE_AND_SWIPE_TRIALS):
         sched = make_random_schedule(n, 20 * n, seed)
         try:
             tr = run(PlaceAndSwipe(sched), sched, uniform_positions(n, k), 14 * n)
@@ -144,35 +151,34 @@ def _place_and_swipe_row(n: int, k: int, seeds: Iterable[int]) -> Row:
     note = f"{flagged} flagged runs" if flagged else ""
     return Row(
         "table1", "swipe-upper", "place-and-swipe", n, k,
-        f"random x{len(list(seeds))}", worst, "<=", bound,
+        f"random x{PLACE_AND_SWIPE_TRIALS}", worst, "<=", bound,
         passed=worst <= bound and flagged == 0, note=note,
     )
 
 
-def rows_place_and_swipe(trials: int = 500) -> list[Row]:
+def rows_place_and_swipe() -> list[Row]:
     rows = []
-    seeds = range(trials)
     for n in (8, 10, 12, 14):
-        rows.append(_place_and_swipe_row(n, 2, seeds))
+        rows.append(_place_and_swipe_row(n, 2))
     for k in (3, 4):
         for n in (9, 12, 16):
-            rows.append(_place_and_swipe_row(n, k, seeds))
+            rows.append(_place_and_swipe_row(n, k))
     return rows
 
 
 # --- k-agent group patrolling ----------------------------------------------------
 
-def _kpp_drivers(n: int, k: int, seeds: Iterable[int]):
+def _kpp_drivers(n: int, k: int):
     yield "fixed-edge", lambda: fixed_edge_schedule(n, 0)
     if k == 2:
         yield "gate", lambda: gate_adversary(n)
-    for seed in seeds:
+    for seed in range(KPINGPONG_TRIALS):
         yield f"random:{seed}", lambda s=seed: make_random_schedule(n, 30 * n, s)
 
 
-def _kpp_worst(n: int, k: int, seeds: Iterable[int], r_s: int) -> tuple[int, str]:
+def _kpp_worst(n: int, k: int, r_s: int) -> tuple[int, str]:
     worst, worst_driver = 0, ""
-    for name, make in _kpp_drivers(n, k, seeds):
+    for name, make in _kpp_drivers(n, k):
         tr = run(KPingPong(), make(), uniform_positions(n, k), 30 * n, n=n)
         g = idle_time(tr).worst_gap(r_s)
         if g > worst:
@@ -180,13 +186,12 @@ def _kpp_worst(n: int, k: int, seeds: Iterable[int], r_s: int) -> tuple[int, str
     return worst, worst_driver
 
 
-def rows_kpingpong(trials: int = 40) -> list[Row]:
+def rows_kpingpong() -> list[Row]:
     rows = []
-    seeds = range(trials)
     for k in (2, 4):
         for n in (8, 12, 16):
             bound = 4 * n // k
-            worst, driver = _kpp_worst(n, k, seeds, 2 * n)
+            worst, driver = _kpp_worst(n, k, 2 * n)
             rows.append(
                 Row(
                     "table1", "group-upper", "kpingpong", n, k,
@@ -195,28 +200,23 @@ def rows_kpingpong(trials: int = 40) -> list[Row]:
             )
     for (k, n) in ((2, 9), (4, 10)):
         bound = (4 * n) // k + 2
-        worst, driver = _kpp_worst(n, k, seeds, 2 * n)
+        worst, driver = _kpp_worst(n, k, 2 * n)
         rows.append(
             Row(
                 "table1", "group-upper-uneven", "kpingpong", n, k,
                 f"worst:{driver}", worst, "<=", bound, passed=worst <= bound,
             )
         )
-    rows.append(_kpp_odd_row(12, 3, seeds))
+    rows.append(_kpp_odd_row(12, 3))
     return rows
 
 
-def _kpp_odd_row(n: int, k: int, seeds: Iterable[int]) -> Row:
+def _kpp_odd_row(n: int, k: int) -> Row:
     """Odd team size: after the in-group re-spread completes, gaps obey the
     unequal-groups bound."""
     bound = 4 * n * k // (k * k - 1) + 4
     worst, worst_driver = 0, ""
-    drivers = [("fixed-edge", lambda: fixed_edge_schedule(n, 0))]
-    drivers += [
-        (f"random:{s}", lambda s=s: make_random_schedule(n, 30 * n, s))
-        for s in seeds
-    ]
-    for name, make in drivers:
+    for name, make in _kpp_drivers(n, k):
         stages = []
         tr = run(
             KPingPong(), make(), uniform_positions(n, k), 40 * n, n=n,
@@ -289,12 +289,12 @@ def rows_wave() -> list[Row]:
 
 # --- sweep-set property ------------------------------------------------------------
 
-def rows_sweep_property(schedules: int = 1000) -> list[Row]:
+def rows_sweep_property() -> list[Row]:
     rows = []
     for n in (8, 12):
         failures = 0
         checks = 0
-        for seed in range(schedules):
+        for seed in range(SWEEP_SCHEDULES):
             sched = make_random_schedule(n, 3 * n, seed)
             for h in range(1, n):
                 checks += 1
@@ -303,7 +303,7 @@ def rows_sweep_property(schedules: int = 1000) -> list[Row]:
         rows.append(
             Row(
                 "obs3", "sweep-survivors", "walkers", n, 0,
-                f"random x{schedules}", failures, "==", 0, passed=failures == 0,
+                f"random x{SWEEP_SCHEDULES}", failures, "==", 0, passed=failures == 0,
                 note=f"{checks} windows checked",
             )
         )
@@ -316,7 +316,7 @@ def rows_trap() -> list[Row]:
     rows = []
     n = 10
     for name in ("clockwise", "counterclockwise", "reverse-on-block", "oscillator", "stay"):
-        tr = run(FsmAlgorithm(fsm_of(name)), trap_adversary(0), (3,), 10 * n, n=n)
+        tr = run(FsmAlgorithm(fsm_of(name)), trap_adversary(), (3,), 10 * n, n=n)
         seen = distinct_nodes_visited(tr, 0)
         rows.append(
             Row(
@@ -346,14 +346,14 @@ def rows_consecutive() -> list[Row]:
 
 # --- spreading ---------------------------------------------------------------------------
 
-def rows_spread(trials: int = 500) -> list[Row]:
+def rows_spread() -> list[Row]:
     rows = []
     # two agents placed anywhere become antipodal within floor(n/2) rounds
     worst_round = 0
     cases = 0
     bad = 0
     for n in (8, 10, 12, 14):
-        for seed in range(trials // 4):
+        for seed in range(SPREAD_TRIALS // 4):
             init = random_positions(n, 2, seed)
             sched = make_random_schedule(n, 20 * n, 1000 + seed)
             tr = run(PlaceAndSwipe(sched), sched, init, 10 * n)
@@ -374,13 +374,11 @@ def rows_spread(trials: int = 500) -> list[Row]:
         )
     )
     # any team reaches a uniform configuration within 2n rounds
-    from .agents import UniformSpread
-
     bad = 0
     cases = 0
     for n in (8, 11, 14):
         for k in (2, 3, 4):
-            for seed in range(trials // 9):
+            for seed in range(SPREAD_TRIALS // 9):
                 init = random_positions(n, k, 7919 * seed + k)
                 sched = make_random_schedule(n, 20 * n, seed)
                 tr = run(UniformSpread(), sched, init, 2 * n)

@@ -14,13 +14,22 @@ nodes the new configuration occupies.  For a node ``v``:
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .ring import ObliviousSchedule, apply_round, decide_moves
+from .ring import (
+    CCW,
+    CW,
+    ObliviousSchedule,
+    apply_round,
+    crossed_edge,
+    decide_moves,
+    start_run,
+)
 
 UNBOUNDED = "unbounded"
 
@@ -71,6 +80,7 @@ def _explore(algorithm, n, k, initial, schedule, budget):
     parents).  ``parents[t]`` is the (state, choice) that first discovered
     ``t``, so following it back gives a shortest path from the initial
     state."""
+    init_mems = start_run(algorithm, n, k, initial)
     if schedule is None:
         modulus = 1
         options = [None] + list(range(n))
@@ -89,9 +99,6 @@ def _explore(algorithm, n, k, initial, schedule, budget):
         def options_at(clock):
             return [schedule.missing_edge(clock)]
 
-    if hasattr(algorithm, "validate"):
-        algorithm.validate(n, k)
-    init_mems = tuple(algorithm.initial_memory(n, k, i, initial) for i in range(k))
     init_state = (tuple(initial), init_mems, 0)
 
     index = {init_state: 0}
@@ -256,8 +263,7 @@ class SearchBudgetError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class _AgentArc:
+class _AgentArc(NamedTuple):
     """Reach state of one agent: offset from start plus ccw/cw sweep extents.
 
     Once the sweep spans the whole ring the extents stop mattering, so the
@@ -281,12 +287,12 @@ def _advance_agent(states, start, n, missing):
     for st in states:
         nxt.add(st)  # waiting (or being blocked) wastes the round
         pos = (start + st.offset) % n
-        if missing != pos:
-            o = st.offset + 1
-            nxt.add(_canon_arc(o, st.ccw, max(st.cw, o), n))
-        if missing != (pos - 1) % n:
-            o = st.offset - 1
-            nxt.add(_canon_arc(o, max(st.ccw, -o), st.cw, n))
+        for move in (CW, CCW):
+            if crossed_edge(n, pos, move) != missing:
+                # an extent already covers the current offset, so only the
+                # one on the side of the move can grow
+                o = st.offset + move
+                nxt.add(_canon_arc(o, max(st.ccw, -o), max(st.cw, o), n))
     return _prune_arcs(nxt)
 
 
@@ -315,14 +321,6 @@ def _arcs_of(states, start, n):
         if best.get(lo, 0) < length:
             best[lo] = length
     return sorted(best.items())
-
-
-def _arc_contains(arc, node_first, length, n):
-    lo, arc_len = arc
-    if arc_len >= n:
-        return True
-    off = (node_first - lo) % n
-    return off + length <= arc_len
 
 
 def _covers_union(arcs, need_first, need_len, n):
@@ -395,19 +393,11 @@ def offline_opt_search(
                 need_len = n - own_len
                 # the helpers may each contribute one simultaneously
                 # reachable arc; alternatives of one agent are exclusive
-                if k == 2:
-                    if any(
-                        _arc_contains(arc, need_first, need_len, n)
-                        for arc in others[0]
-                    ):
-                        return t
-                elif k == 3:
-                    if any(
-                        _covers_union([arc_b, arc_c], need_first, need_len, n)
-                        for arc_b in others[0]
-                        for arc_c in others[1]
-                    ):
-                        return t
+                if any(
+                    _covers_union(combo, need_first, need_len, n)
+                    for combo in itertools.product(*others)
+                ):
+                    return t
         if t == max_rounds:
             break
         missing = schedule.missing_edge(t)

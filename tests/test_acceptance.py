@@ -73,7 +73,7 @@ def test_criterion_02_gate_lower():
 def place_and_swipe_rows():
     # seeds 0-499 on 20n-round random schedules, horizon 14n, worst_gap(2n)
     # against 3*ceil(n/k); a flagged run fails its row
-    return rows_place_and_swipe(trials=500)
+    return rows_place_and_swipe()
 
 
 def test_criterion_03_place_and_swipe_two_agents(place_and_swipe_rows):
@@ -111,7 +111,7 @@ def test_criterion_04_place_and_swipe_k_agents(place_and_swipe_rows):
 
 
 def test_criterion_05_kpingpong():
-    rows = rows_kpingpong(trials=40)
+    rows = rows_kpingpong()
     ok = all(r.passed for r in rows)
     detail = "; ".join(f"{r.claim} n={r.n} k={r.k}: {r.measured}<={r.bound}" for r in rows)
     report("05 k-ping-pong", ok, detail)
@@ -179,7 +179,7 @@ def test_criterion_09_confinement():
     details = []
     n = 10
     for name in ("clockwise", "counterclockwise", "reverse-on-block", "oscillator", "stay"):
-        tr = run(FsmAlgorithm(fsm_of(name)), trap_adversary(0), (3,), 10 * n, n=n)
+        tr = run(FsmAlgorithm(fsm_of(name)), trap_adversary(), (3,), 10 * n, n=n)
         seen = distinct_nodes_visited(tr, 0)
         ok = ok and seen <= 2
         details.append(f"{name}: {seen}")

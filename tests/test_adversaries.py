@@ -40,7 +40,7 @@ def test_pingpong_on_cut_ring_stays_in_proven_bracket():
 )
 def test_trap_confines_single_agent(machine, expected_max):
     n = 10
-    tr = run(FsmAlgorithm(fsm_of(machine)), trap_adversary(0), (3,), 10 * n, n=n)
+    tr = run(FsmAlgorithm(fsm_of(machine)), trap_adversary(), (3,), 10 * n, n=n)
     assert distinct_nodes_visited(tr, 0) <= expected_max
     # never outside the two-node pen
     assert all(rec.after[0] in (3, 4) for rec in tr.records)
@@ -48,7 +48,7 @@ def test_trap_confines_single_agent(machine, expected_max):
 
 def test_trap_with_stationary_agent_removes_nothing():
     n = 10
-    tr = run(FsmAlgorithm(fsm_of("stay")), trap_adversary(0), (3,), 30, n=n)
+    tr = run(FsmAlgorithm(fsm_of("stay")), trap_adversary(), (3,), 30, n=n)
     assert all(rec.missing_edge is None for rec in tr.records)
     assert distinct_nodes_visited(tr, 0) == 1
 
@@ -153,7 +153,7 @@ def test_wave_start_to_end_walkers_are_slow(n):
 def test_reused_trap_pens_each_run_at_its_own_start():
     n = 10
     algo = FsmAlgorithm(fsm_of("clockwise"))
-    trap = trap_adversary(0)
+    trap = trap_adversary()
     run(algo, trap, (3,), 10 * n, n=n)
     tr = run(algo, trap, (7,), 10 * n, n=n)
     assert distinct_nodes_visited(tr, 0) <= 2

@@ -195,8 +195,11 @@ def test_place_and_swipe_epoch_invariants(n, k, make_sched):
     )
     for r, mem in enumerate(mems):
         t = (mem.round - 1 - mem.epoch_anchor) % (2 * L)
-        if t == L - 1:  # placement just ended: standing on the chosen targets
-            assert tuple(sorted(tr.records[r].after)) == mem.targets
+        if t == L - 1:
+            # placement just ended: standing on the uniform pattern whose
+            # clockwise swipe, starting next round, is never blocked
+            targets = select_targets(compute_swipe_set(sched, mem.round, L - 1), n, k)
+            assert tuple(sorted(tr.records[r].after)) == targets
         if t == 2 * L - 1:  # epoch just ended: uniform again
             assert is_uniform(n, tr.records[r].after)
 

@@ -155,6 +155,36 @@ def test_verify_rejects_unknown_suite(runner):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["simulate", "--algo", "pingpong", "--n", "6", "--k", "2",
+                      "--rounds", "0"], id="simulate-zero-rounds"),
+        pytest.param(["simulate", "--algo", "pingpong", "--n", "6", "--k", "3"],
+                     id="simulate-pingpong-k3"),
+        pytest.param(["worstcase", "--algo", "pingpong", "--n", "6", "--k", "3"],
+                     id="worstcase-pingpong-k3"),
+        pytest.param(["simulate", "--algo", "pingpong", "--n", "2", "--k", "2"],
+                     id="simulate-n2"),
+        pytest.param(["worstcase", "--algo", "pingpong", "--n", "2", "--k", "2"],
+                     id="worstcase-n2"),
+        pytest.param(["simulate", "--algo", "pingpong", "--n", "6", "--k", "2",
+                      "--placement", "explicit:0,0"], id="simulate-co-located"),
+        pytest.param(["simulate", "--algo", "pingpong", "--n", "6", "--k", "2",
+                      "--placement", "explicit:0,9"], id="simulate-out-of-range"),
+        pytest.param(["worstcase", "--algo", "pingpong", "--n", "6", "--k", "2",
+                      "--placement", "explicit:0,0"], id="worstcase-co-located"),
+        pytest.param(["worstcase", "--algo", "pingpong", "--n", "6", "--k", "2",
+                      "--placement", "explicit:0,9"], id="worstcase-out-of-range"),
+    ],
+)
+def test_bad_arguments_are_a_one_line_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: ")
+    assert result.output.count("\n") == 1
+
+
 BAD_FILES = {
     "entry-without-edge": json.dumps({"n": 6, "period": 4, "missing": [{"round": 0}]}),
     "truncated": '{"n": 6, "period": 4, "missing": [{"round": 0, "ed',

@@ -20,6 +20,9 @@ from ringpatrol.ring import (
 class Stayers:
     """One memoryless agent per call that never moves."""
 
+    def validate(self, n, k):
+        pass
+
     def initial_memory(self, n, k, i, positions):
         return None
 
@@ -34,6 +37,11 @@ def clockwise():
 def test_single_clockwise_walk_positions():
     tr = run(clockwise(), None, (0,), 10, n=5)
     assert [rec.after[0] for rec in tr.records] == [1, 2, 3, 4, 0, 1, 2, 3, 4, 0]
+
+
+def test_run_without_driver_rejects_two_node_ring():
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        run(PingPong(), None, (0, 1), 5, n=2)
 
 
 def test_trace_continuity():

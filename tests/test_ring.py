@@ -12,11 +12,12 @@ from ringpatrol.ring import (
     ScheduleError,
     apply_round,
     arc_distance,
-    check_initial_configuration,
+    crossed_edge,
     decide_moves,
     is_uniform,
     make_random_schedule,
     ring_distance,
+    start_run,
     uniform_gaps,
     uniform_positions,
     validate_schedule,
@@ -29,6 +30,7 @@ from ringpatrol.agents import (
     SNAPSHOT_CLASSES,
     FsmAlgorithm,
     FsmSpec,
+    PingPong,
     fsm_of,
 )
 
@@ -121,6 +123,14 @@ def test_apply_round_invariants(n, data):
     after, blocked = apply_round(positions, moves, n, missing)
     assert all(0 <= p < n for p in after)
     for p, m, q, b in zip(positions, moves, after, blocked):
+        edge = crossed_edge(n, p, m)
+        if m == STAY:
+            assert edge is None
+        else:
+            # edge e joins nodes e and e+1: the two ends of the move
+            assert {edge, (edge + 1) % n} == {p, (p + m) % n}
+        # blocked exactly when the crossed edge is the missing one
+        assert b == (edge is not None and edge == missing)
         if b:
             assert q == p and m != STAY
         else:
@@ -194,14 +204,53 @@ def test_uniform_positions_and_gaps():
     assert is_uniform(9, (0, 5))  # gaps 5,4 both allowed when k does not divide n
 
 
+class Team:
+    """Accepts any team; its memories name the agent and its start."""
+
+    def validate(self, n, k):
+        pass
+
+    def initial_memory(self, n, k, i, positions):
+        return (i, positions[i])
+
+
 def test_initial_configuration_must_be_injective():
-    with pytest.raises(ValueError):
-        check_initial_configuration(6, (1, 1))
-    check_initial_configuration(6, (0, 3))
+    with pytest.raises(ValueError, match="distinct"):
+        start_run(Team(), 6, 2, (1, 1))
+    assert start_run(Team(), 6, 2, [0, 3]) == ((0, 0), (1, 3))
+
+
+@pytest.mark.parametrize(
+    "n,k,initial,message",
+    [
+        pytest.param(2, 2, (0, 1), "at least 3 nodes", id="n-below-3"),
+        pytest.param(6, 2, (0, 6), "out of range", id="start-past-ring"),
+        pytest.param(6, 2, (-1, 2), "out of range", id="start-negative"),
+        pytest.param(6, 3, (0, 2), "one per agent", id="fewer-starts-than-agents"),
+        pytest.param(6, 1, (0, 2), "one per agent", id="more-starts-than-agents"),
+    ],
+)
+def test_start_run_rejects_bad_ring_and_start(n, k, initial, message):
+    with pytest.raises(ValueError, match=message):
+        start_run(Team(), n, k, initial)
+
+
+def test_start_run_validates_the_team():
+    with pytest.raises(ValueError, match="exactly 2 agents"):
+        start_run(PingPong(), 6, 3, (0, 2, 4))
 
 
 def _schedule_text(**fields):
     raw = {"n": 6, "period": None, "missing": [{"round": 0, "edge": 1}]}
+    raw.update(fields)
+    return json.dumps(raw)
+
+
+def _machine_text(arc=None, **fields):
+    """The one-state clockwise machine as a file, with ``arc`` overriding
+    fields of its first arc and ``fields`` top-level ones."""
+    raw = json.loads(fsm_of("clockwise").to_json())
+    raw["arcs"][0].update(arc or {})
     raw.update(fields)
     return json.dumps(raw)
 
@@ -251,6 +300,39 @@ def _schedule_text(**fields):
                 arcs={**fsm_of("stay").arcs, (5, SNAP_BOTH): (0, STAY)},
             ),
             ValueError, id="machine-arc-from-unknown-state",
+        ),
+        pytest.param(
+            lambda: ObliviousSchedule.from_json(
+                '{"n": 6.9, "missing": [{"round": 1.5, "edge": true}]}'
+            ),
+            ScheduleError, id="json-float-n-round-bool-edge",
+        ),
+        pytest.param(
+            lambda: ObliviousSchedule.from_json(_schedule_text(n=6.0)),
+            ScheduleError, id="json-n-integral-float",
+        ),
+        pytest.param(
+            lambda: ObliviousSchedule.from_json(_schedule_text(period=True)),
+            ScheduleError, id="json-period-bool",
+        ),
+        pytest.param(
+            lambda: ObliviousSchedule(n=6, period=True), ScheduleError, id="period-bool",
+        ),
+        pytest.param(
+            lambda: FsmSpec.from_json(_machine_text(states=1.0)),
+            ValueError, id="machine-float-states",
+        ),
+        pytest.param(
+            lambda: FsmSpec.from_json(_machine_text(initial=False)),
+            ValueError, id="machine-bool-initial",
+        ),
+        pytest.param(
+            lambda: FsmSpec.from_json(_machine_text({"move": True})),
+            ValueError, id="machine-bool-move",
+        ),
+        pytest.param(
+            lambda: FsmSpec.from_json(_machine_text({"from": 0.5, "to": 0.0})),
+            ValueError, id="machine-float-arc-states",
         ),
     ],
 )

@@ -1,16 +1,22 @@
-"""Byte stability: seeded traces and solver reports keep their exact bytes.
+"""Byte stability: seeded traces, solver reports and suite reports keep
+their exact bytes.
 
-Each case renders one seeded run through ``trace_to_csv`` (or one solve
-through ``GameSolverResult.to_json``) and compares the sha256 of the text
-with a digest recorded before the round kernel was shared between the
-engine, the solver and the adversaries.  A refactor that changes any move,
-block flag, missing edge or witness changes a digest.
+Each case renders one seeded run through ``trace_to_csv``, one solve through
+``GameSolverResult.to_json``, or suite rows as the CSV text ``patrolctl
+verify`` prints, and compares the sha256 of the text with a recorded digest.
+The trace and solve digests were recorded before the round kernel was shared
+between the engine, the solver and the adversaries; the suite digests before
+the movement rule moved into ``ring.crossed_edge``.  A refactor that changes
+any move, block flag, missing edge, witness or report row changes a digest.
+The report cases cover the fast suites and the fast ``table1`` builders, so
+the default test run guards report bytes without the long ``table1`` rows.
 """
 
 import hashlib
 
 import pytest
 
+from ringpatrol import suites
 from ringpatrol.adversaries import gate_adversary, trap_adversary
 from ringpatrol.agents import (
     FsmAlgorithm,
@@ -52,7 +58,7 @@ def _spread():
 
 def _reverse_on_block_trap():
     algo = FsmAlgorithm(fsm_of("reverse-on-block"))
-    return trace_to_csv(run(algo, trap_adversary(0), (3,), 100, n=10))
+    return trace_to_csv(run(algo, trap_adversary(), (3,), 100, n=10))
 
 
 def _solve_pingpong():
@@ -75,6 +81,18 @@ def _solve_unbounded():
     res = solve_worst_case(algo, 8, 2, uniform_positions(8, 2))
     assert res.unbounded
     return res.to_json()
+
+
+def _report(rows):
+    return "\n".join([suites.CSV_HEADER] + [r.as_csv() for r in rows]) + "\n"
+
+
+def _suite(name):
+    return lambda: _report(suites.run_suite(name))
+
+
+def _builder(make):
+    return lambda: _report(make())
 
 
 CASES = {
@@ -113,6 +131,38 @@ CASES = {
     "solve-unbounded-rob-n8": (
         _solve_unbounded,
         "13772c3bbd92a3d4833da2611a3d5de05809e22896c0216a33196b0138465f8a",
+    ),
+    "suite-obs3": (
+        _suite("obs3"),
+        "e550ca0cb96bf64211e72a400b4bc263232769f2195f7373d101dcae1d4556d4",
+    ),
+    "suite-spread": (
+        _suite("spread"),
+        "7a11df8314db16f7585f305726cfeaecf1b2433e4ccea31834859991c094ac59",
+    ),
+    "suite-wave": (
+        _suite("wave"),
+        "657759870de6b82f7fc15c76f2bfbcab392a28fc3b82046aa719dbc78c0e9ac0",
+    ),
+    "table1-bounce-upper": (
+        _builder(suites.rows_bounce_upper),
+        "a490c8b87cdec0f3d5f614b68503215121e2628e4670b114759e05364f4a44b1",
+    ),
+    "table1-gate-lower": (
+        _builder(suites.rows_gate_lower),
+        "31f40327574cb1a592899adefb5aedfd8216a8782a6a0da6ef9ef9024b6b081b",
+    ),
+    "table1-known-floor": (
+        _builder(suites.rows_known_floor),
+        "05194d9d51facaddb6a9bc55070516c775598939c46cd532dec77e473746feb3",
+    ),
+    "table1-trap": (
+        _builder(suites.rows_trap),
+        "0656d57beaf659718e8033528ab79ed96d9b4810e47ebdbcbacdf7a327334eff",
+    ),
+    "table1-consecutive": (
+        _builder(suites.rows_consecutive),
+        "2dd0ff8feba3df61beb22a9bc20647b145e41592e10339c20d0e50852e6180e8",
     ),
 }
 

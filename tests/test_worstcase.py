@@ -88,6 +88,21 @@ def test_state_budget_env_override(monkeypatch):
         solve_worst_case(PingPong(), 10, 2, uniform_positions(10, 2))
 
 
+@pytest.mark.parametrize(
+    "n,k,initial",
+    [
+        pytest.param(2, 2, (0, 1), id="n-below-3"),
+        pytest.param(8, 2, (3, 3), id="co-located"),
+        pytest.param(8, 2, (0, 8), id="out-of-range"),
+        pytest.param(8, 2, (0, 2, 4), id="more-starts-than-k"),
+        pytest.param(8, 2, (0,), id="fewer-starts-than-k"),
+    ],
+)
+def test_solver_rejects_bad_ring_and_start(n, k, initial):
+    with pytest.raises(ValueError):
+        solve_worst_case(PingPong(), n, k, initial)
+
+
 def test_solver_rejects_aperiodic_restriction():
     sched = ObliviousSchedule(n=6, missing={0: 1, 5: 2})  # no period declared
     with pytest.raises(ValueError):
