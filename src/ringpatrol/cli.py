@@ -29,7 +29,7 @@ from .ring import (
     uniform_positions,
 )
 from .suites import CSV_HEADER, SUITES, run_suite
-from .worstcase import solve_worst_case
+from .worstcase import BudgetExceeded, solve_worst_case
 
 GLOBAL_ALGOS = ("pingpong", "kpingpong", "place-and-swipe", "spread")
 ALGO_CHOICES = GLOBAL_ALGOS + BUILTIN_FSM_NAMES + ("consecutive-sweep",)
@@ -86,12 +86,12 @@ def _initial_positions(placement: str, n: int, k: int) -> tuple[int, ...]:
 
 class _Commands(click.Group):
     """Every command reports a ValueError (bad ring, team, start or horizon)
-    as a one-line error with exit code 1."""
+    or an exhausted solver state budget as a one-line error with exit code 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (ValueError, BudgetExceeded) as exc:
             raise click.ClickException(str(exc)) from None
 
 

@@ -57,10 +57,13 @@ def run(
     ``observer``, if given, is called as ``observer(round, memories, record)``
     after each round with the post-round agent memories.
     """
+    driver_n = getattr(driver, "n", None)
     if n is None:
-        n = getattr(driver, "n", None)
-        if n is None:
+        if driver_n is None:
             raise ValueError("n must be given when the driver does not carry it")
+        n = driver_n
+    elif driver_n is not None and driver_n != n:
+        raise ValueError(f"driver is for n={driver_n}, run has n={n}")
     positions = tuple(initial)
     k = len(positions)
     memories = start_run(algorithm, n, k, positions)

@@ -1,9 +1,12 @@
 """Exact worst-case idle time via search over the agent-vs-scheduler game.
 
 The game state is (agent positions, agent memories, schedule clock).  Each
-round the scheduler picks one of its options (remove an edge or nothing),
-the deterministic algorithm reacts, and the product graph edge records which
-nodes the new configuration occupies.  For a node ``v``:
+round the scheduler picks one of its options (remove an edge or nothing)
+and the deterministic algorithm reacts.  Choices that lead to the same
+successor are one edge of the game graph, labelled with the first such
+choice.  Edges carry no occupancy mask: each state stores the nodes it
+occupies once, and a step visits ``v`` exactly when its target occupies
+``v``.  For a node ``v``:
 
 * if the reachable game graph contains a cycle using only edges that never
   visit ``v``, the scheduler can starve ``v`` forever (unbounded idle);
@@ -76,10 +79,14 @@ class GameSolverResult:
 
 
 def _explore(algorithm, n, k, initial, schedule, budget):
-    """BFS the reachable game graph; returns (states list, edge lists, BFS
-    parents).  ``parents[t]`` is the (state, choice) that first discovered
-    ``t``, so following it back gives a shortest path from the initial
-    state."""
+    """BFS the reachable game graph; returns (occupancy masks, successor
+    lists, BFS parents), each indexed by state in discovery order.
+
+    ``masks[t]`` has bit ``v`` set when state ``t`` occupies node ``v``.
+    ``succs[s]`` keeps one ``(t, choice)`` per distinct successor ``t``, with
+    the first scheduler choice that reaches it.  ``parents[t]`` is the
+    (state, choice) that first discovered ``t``, so following it back gives
+    a shortest path from the initial state."""
     init_mems = start_run(algorithm, n, k, initial)
     if schedule is None:
         modulus = 1
@@ -89,6 +96,10 @@ def _explore(algorithm, n, k, initial, schedule, budget):
             return options
 
     else:
+        if schedule.n != n:
+            raise ValueError(
+                f"schedule restriction is for n={schedule.n}, ring has n={n}"
+            )
         if schedule.period is not None:
             modulus = schedule.period
         elif not schedule.missing:
@@ -103,34 +114,43 @@ def _explore(algorithm, n, k, initial, schedule, budget):
 
     index = {init_state: 0}
     states = [init_state]
+    masks = [_occupancy(initial)]
     parents: list[Optional[tuple[int, Optional[int]]]] = [None]
-    edges: list[list[tuple[int, int, Optional[int]]]] = []  # (succ, mask, choice)
+    succs: list[list[tuple[int, Optional[int]]]] = []
     queue = deque([0])
     while queue:
         si = queue.popleft()
         positions, memories, clock = states[si]
-        out = []
+        out: dict[int, Optional[int]] = {}
         for choice in options_at(clock):
             new_mems, moves = decide_moves(algorithm, n, positions, memories, choice)
             after, _ = apply_round(positions, moves, n, choice)
-            mask = 0
-            for p in after:
-                mask |= 1 << p
             succ = (after, new_mems, (clock + 1) % modulus)
             ti = index.get(succ)
             if ti is None:
                 ti = len(states)
                 index[succ] = ti
                 states.append(succ)
+                masks.append(_occupancy(after))
                 parents.append((si, choice))
                 queue.append(ti)
                 if len(states) > budget:
                     raise BudgetExceeded(
-                        f"game graph exceeds state budget {budget}"
+                        f"game graph exceeds state budget {budget}: "
+                        f"{len(states)} states discovered, BFS depth "
+                        f"{len(_path_from_init(parents, ti))} reached, "
+                        f"{len(queue)} states still queued"
                     )
-            out.append((ti, mask, choice))
-        edges.append(out)
-    return states, edges, parents
+            out.setdefault(ti, choice)
+        succs.append(list(out.items()))
+    return masks, succs, parents
+
+
+def _occupancy(positions) -> int:
+    mask = 0
+    for p in positions:
+        mask |= 1 << p
+    return mask
 
 
 def _path_from_init(parent, target):
@@ -159,28 +179,28 @@ def solve_worst_case(
     round.  The returned witness replays through the engine to exactly
     ``worst_idle`` (finite case) or demonstrates a starvation loop.
     """
-    states, edges, parent = _explore(
+    masks, succs, parent = _explore(
         algorithm, n, k, tuple(initial), schedule, _state_budget(budget)
     )
-    n_states = len(states)
+    n_states = len(masks)
+    preds: list[list[int]] = [[] for _ in range(n_states)]
+    for s in range(n_states):
+        for t, _ in succs[s]:
+            preds[t].append(s)
 
     best_gap = -1
-    best = None  # (node, gap start state, its longest and avoid tables)
+    best = None  # (node, gap start state, its longest-path table)
 
     for v in range(n):
         bit = 1 << v
-        # scheduler options that do not visit v
-        avoid = [
-            [(t, choice) for t, mask, choice in edges[s] if not (mask & bit)]
-            for s in range(n_states)
-        ]
+        on_v = [t for t in range(n_states) if masks[t] & bit]
+        # a step avoids v unless its target is on v
+        out_deg = [len(out) for out in succs]
+        for t in on_v:
+            for p in preds[t]:
+                out_deg[p] -= 1
         # states with an infinite v-avoiding continuation survive repeated
         # pruning of avoiding-out-degree-0 states
-        out_deg = [len(a) for a in avoid]
-        preds: list[list[int]] = [[] for _ in range(n_states)]
-        for s in range(n_states):
-            for t, _ in avoid[s]:
-                preds[t].append(s)
         dead = deque(s for s in range(n_states) if out_deg[s] == 0)
         alive = n_states
         removed = [False] * n_states
@@ -190,6 +210,8 @@ def solve_worst_case(
             removed[s] = True
             alive -= 1
             order.append(s)
+            if masks[s] & bit:
+                continue  # every step into s visits v, so none avoids it
             for p in preds[s]:
                 out_deg[p] -= 1
                 if out_deg[p] == 0 and not removed[p]:
@@ -203,7 +225,8 @@ def solve_worst_case(
             s = survivor
             while True:
                 t, choice = next(
-                    (t, c) for t, c in avoid[s] if not removed[t]
+                    (t, c) for t, c in succs[s]
+                    if not masks[t] & bit and not removed[t]
                 )
                 loop_choices.append(choice)
                 if t in walk_index:
@@ -223,29 +246,33 @@ def solve_worst_case(
         # pruning order, which visited successors before predecessors)
         longest = [0] * n_states
         for s in order:
-            if avoid[s]:
-                longest[s] = 1 + max(longest[t] for t, _ in avoid[s])
+            avoiding = [longest[t] for t, _ in succs[s] if not masks[t] & bit]
+            if avoiding:
+                longest[s] = 1 + max(avoiding)
+        # a gap starts at round -1 (state 0) or on a step that visits v.
+        # Ties go to the first start in set iteration order, so insert in
+        # the order a scan of the steps first meets each target: discovery.
         starts = {0}
-        for s in range(n_states):
-            for t, mask, _ in edges[s]:
-                if mask & bit:
-                    starts.add(t)
+        starts.update(on_v)
         for s in starts:
             if longest[s] + 1 > best_gap:
                 best_gap = longest[s] + 1
-                best = (v, s, longest, avoid)
+                best = (v, s, longest)
 
     assert best is not None
-    v, start, longest, avoid = best
+    v, start, longest = best
+    bit = 1 << v
     choices = _path_from_init(parent, start)
     s = start
     g = longest[s]
     while g > 0:
-        t, choice = next((t, c) for t, c in avoid[s] if longest[t] == g - 1)
+        t, choice = next(
+            (t, c) for t, c in succs[s]
+            if not masks[t] & bit and longest[t] == g - 1
+        )
         choices.append(choice)
         s, g = t, g - 1
-    bit = 1 << v
-    closing = next(c for t, mask, c in edges[s] if mask & bit)
+    closing = next(c for t, c in succs[s] if masks[t] & bit)
     choices.append(closing)
     return GameSolverResult(
         worst_idle=best_gap,

@@ -185,6 +185,28 @@ def test_bad_arguments_are_a_one_line_error(runner, args):
     assert result.output.count("\n") == 1
 
 
+def test_exhausted_budget_is_a_one_line_error(runner):
+    result = runner.invoke(main, [
+        "worstcase", "--algo", "pingpong", "--n", "10", "--k", "2", "--budget", "10",
+    ])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: game graph exceeds state budget 10: ")
+    assert "states discovered" in result.output
+    assert result.output.count("\n") == 1
+
+
+def test_cross_validation_budget_is_a_one_line_error(runner, monkeypatch):
+    monkeypatch.setenv("PATROLCTL_STATE_BUDGET", "10")
+    result = runner.invoke(main, [
+        "analyze", "oscillator", "--k", "2", "--cross-validate", "8",
+    ])
+    assert result.exit_code == 1
+    assert result.output.splitlines()[-1].startswith(
+        "Error: game graph exceeds state budget 10: "
+    )
+    assert "Traceback" not in result.output
+
+
 BAD_FILES = {
     "entry-without-edge": json.dumps({"n": 6, "period": 4, "missing": [{"round": 0}]}),
     "truncated": '{"n": 6, "period": 4, "missing": [{"round": 0, "ed',

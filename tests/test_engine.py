@@ -44,6 +44,12 @@ def test_run_without_driver_rejects_two_node_ring():
         run(PingPong(), None, (0, 1), 5, n=2)
 
 
+def test_run_rejects_driver_for_another_ring():
+    sched = ObliviousSchedule(n=8, missing={0: 5}, period=1)
+    with pytest.raises(ValueError, match="n=8"):
+        run(PingPong(), sched, (0, 3), 20, n=6)
+
+
 def test_trace_continuity():
     tr = run(PingPong(), make_random_schedule(8, 100, 3), uniform_positions(8, 2), 100)
     assert tr.records[0].before == tr.initial

@@ -4,22 +4,27 @@ their exact bytes.
 Each case renders one seeded run through ``trace_to_csv``, one solve through
 ``GameSolverResult.to_json``, or suite rows as the CSV text ``patrolctl
 verify`` prints, and compares the sha256 of the text with a recorded digest.
-The trace and solve digests were recorded before the round kernel was shared
-between the engine, the solver and the adversaries; the suite digests before
-the movement rule moved into ``ring.crossed_edge``.  A refactor that changes
-any move, block flag, missing edge, witness or report row changes a digest.
+The trace and n=8 solve digests were recorded before the round kernel was
+shared between the engine, the solver and the adversaries; the suite digests
+before the movement rule moved into ``ring.crossed_edge``; the larger solve
+and cross-validation digests before the solver kept one edge per distinct
+successor.  A refactor that changes any move, block flag, missing edge,
+witness or report row changes a digest.
 The report cases cover the fast suites and the fast ``table1`` builders, so
 the default test run guards report bytes without the long ``table1`` rows.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from ringpatrol import suites
-from ringpatrol.adversaries import gate_adversary, trap_adversary
+from ringpatrol.adversaries import gate_adversary, trap_adversary, wave_schedule
 from ringpatrol.agents import (
+    SNAPSHOT_CLASSES,
     FsmAlgorithm,
+    FsmSpec,
     KPingPong,
     PingPong,
     PlaceAndSwipe,
@@ -27,6 +32,7 @@ from ringpatrol.agents import (
     fsm_of,
 )
 from ringpatrol.engine import run, trace_to_csv
+from ringpatrol.fsm import build_transition_graph, classify, cross_validate
 from ringpatrol.ring import (
     ObliviousSchedule,
     consecutive_positions,
@@ -83,6 +89,25 @@ def _solve_unbounded():
     return res.to_json()
 
 
+def _solve(make, n, k, schedule=None):
+    return lambda: solve_worst_case(
+        make(), n, k, uniform_positions(n, k), schedule=schedule
+    ).to_json()
+
+
+def _cross_validate_random_machine():
+    rng = random.Random(4)
+    arcs = {
+        (s, label): (rng.randrange(4), rng.choice((-1, 0, 1)))
+        for s in range(4)
+        for label in SNAPSHOT_CLASSES
+    }
+    spec = FsmSpec(states=4, initial=0, arcs=arcs)
+    check = cross_validate(classify(build_transition_graph(spec), 2, 2), spec, 8, 2)
+    head = f"{check.passed} {check.verdict} {check.threshold} {check.detail}\n"
+    return head + check.solver.to_json()
+
+
 def _report(rows):
     return "\n".join([suites.CSV_HEADER] + [r.as_csv() for r in rows]) + "\n"
 
@@ -131,6 +156,34 @@ CASES = {
     "solve-unbounded-rob-n8": (
         _solve_unbounded,
         "13772c3bbd92a3d4833da2611a3d5de05809e22896c0216a33196b0138465f8a",
+    ),
+    "solve-pingpong-n16": (
+        _solve(PingPong, 16, 2),
+        "ff3dae1f4194dfd6f8da0a7ba05f297a14da08fffc63fc0aaa065f6605730283",
+    ),
+    "solve-pingpong-n24": (
+        _solve(PingPong, 24, 2),
+        "805c308bbfac091c0634d24d3e9eeb38feda8e2b897043b437ee770254b6ef16",
+    ),
+    "solve-kpingpong-k3-n10": (
+        _solve(KPingPong, 10, 3),
+        "1f3b23dc39a993d2299c4f6c2eade044f558fbfbaab57a6408e2e6dbade04b0a",
+    ),
+    "solve-kpingpong-k4-n8": (
+        _solve(KPingPong, 8, 4),
+        "50b952b60662f460e264de3472b64638650eec7bb81910dbb28bbddb63b7ced8",
+    ),
+    "solve-unbounded-rob-k3-n10": (
+        _solve(lambda: FsmAlgorithm(fsm_of("reverse-on-block")), 10, 3),
+        "9c44cacdfc16dce827950fe7f81dbf03029a47ea81acafdce7a00e0ef4f50b73",
+    ),
+    "solve-kpingpong-k4-n12-wave": (
+        _solve(KPingPong, 12, 4, wave_schedule(12)),
+        "9bc1579f79d0057df5fd969403ab02ace76193fedcde4a6db78655a6190778f5",
+    ),
+    "cross-validate-random-machine": (
+        _cross_validate_random_machine,
+        "65bc4a991b948e5795de60262b3d8a04876c12a8419358d2982090c250a605a2",
     ),
     "suite-obs3": (
         _suite("obs3"),

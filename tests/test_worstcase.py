@@ -1,13 +1,29 @@
+import random
+
 import pytest
 
 from ringpatrol.adversaries import fixed_edge_schedule, wave_schedule, wave_start_positions
-from ringpatrol.agents import FsmAlgorithm, KPingPong, PingPong, fsm_of
+from ringpatrol.agents import (
+    SNAPSHOT_CLASSES,
+    FsmAlgorithm,
+    FsmSpec,
+    KPingPong,
+    PingPong,
+    fsm_of,
+)
 from ringpatrol.engine import idle_time, run
-from ringpatrol.ring import ObliviousSchedule, consecutive_positions, uniform_positions
+from ringpatrol.ring import (
+    ObliviousSchedule,
+    consecutive_positions,
+    make_random_schedule,
+    random_positions,
+    uniform_positions,
+)
 from ringpatrol.worstcase import (
     UNBOUNDED,
     BudgetExceeded,
     SearchBudgetError,
+    _explore,
     offline_opt_search,
     solve_worst_case,
 )
@@ -82,6 +98,15 @@ def test_state_budget_enforced():
         solve_worst_case(PingPong(), 10, 2, uniform_positions(10, 2), budget=10)
 
 
+def test_budget_error_says_how_far_the_search_got():
+    with pytest.raises(BudgetExceeded) as info:
+        solve_worst_case(PingPong(), 10, 2, uniform_positions(10, 2), budget=10)
+    assert str(info.value) == (
+        "game graph exceeds state budget 10: 11 states discovered, "
+        "BFS depth 2 reached, 7 states still queued"
+    )
+
+
 def test_state_budget_env_override(monkeypatch):
     monkeypatch.setenv("PATROLCTL_STATE_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
@@ -107,6 +132,75 @@ def test_solver_rejects_aperiodic_restriction():
     sched = ObliviousSchedule(n=6, missing={0: 1, 5: 2})  # no period declared
     with pytest.raises(ValueError):
         solve_worst_case(clockwise(), 6, 1, (0,), schedule=sched)
+
+
+def test_solver_rejects_schedule_for_another_ring():
+    sched = ObliviousSchedule(n=8, missing={0: 7}, period=1)
+    with pytest.raises(ValueError, match="n=8"):
+        solve_worst_case(PingPong(), 6, 2, (0, 3), schedule=sched)
+
+
+def test_exploration_keeps_one_edge_per_distinct_successor():
+    initial = uniform_positions(24, 2)
+    masks, succs, _ = _explore(PingPong(), 24, 2, initial, None, 10**6)
+    assert len(masks) == len(succs) == 1176
+    # 25 scheduler choices per state would make 29,400 edges
+    assert sum(len(out) for out in succs) == 3528
+    assert all(len({t for t, _ in out}) == len(out) for out in succs)
+    assert solve_worst_case(PingPong(), 24, 2, initial).states_explored == 1176
+
+
+# --- differential: the engine against the solver ------------------------------
+
+def random_machine(seed, states):
+    rng = random.Random(seed)
+    arcs = {
+        (s, label): (rng.randrange(states), rng.choice((-1, 0, 1)))
+        for s in range(states)
+        for label in SNAPSHOT_CLASSES
+    }
+    return FsmSpec(states=states, initial=0, arcs=arcs)
+
+
+DIFFERENTIAL_CASES = (
+    [(f"pingpong-n{n}", PingPong, n, uniform_positions(n, 2)) for n in range(5, 10)]
+    + [(f"kpingpong-k3-n{n}", KPingPong, n, uniform_positions(n, 3)) for n in (6, 7, 8)]
+    + [
+        (
+            f"fsm{states}-k{k}-n{n}",
+            lambda states=states, seed=10 * n + k: FsmAlgorithm(random_machine(seed, states)),
+            n,
+            random_positions(n, k, n + states),
+        )
+        for states in (2, 3)
+        for k in (1, 2)
+        for n in (5, 6, 7)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "make,n,initial",
+    [pytest.param(*case[1:], id=case[0]) for case in DIFFERENTIAL_CASES],
+)
+def test_engine_never_beats_the_solver(make, n, initial):
+    res = solve_worst_case(make(), n, len(initial), initial)
+    if res.unbounded:
+        # past the loop entry, the repeated loop never visits the target
+        witness = res.witness[: res.cycle_start] + res.witness[res.cycle_start:] * 3
+        sched = ObliviousSchedule(
+            n=n, missing={r: e for r, e in enumerate(witness) if e is not None}
+        )
+        tr = run(make(), sched, initial, len(witness))
+        for rec in tr.records[res.cycle_start:]:
+            assert res.target_node not in rec.after
+        return
+    tr = run(make(), res.witness_schedule(n), initial, len(res.witness))
+    assert idle_time(tr).idle == res.worst_idle
+    for seed in range(4):
+        sched = make_random_schedule(n, 8 * n, 100 * n + seed)
+        tr = run(make(), sched, initial, 8 * n)
+        assert idle_time(tr).idle <= res.worst_idle
 
 
 # --- offline optimum ---------------------------------------------------------
