@@ -12,7 +12,6 @@ from .ring import (
     is_uniform,
     make_random_schedule,
     random_positions,
-    ring_distance,
     uniform_gaps,
     uniform_positions,
     validate_schedule,
@@ -46,7 +45,6 @@ from .agents import (
 from .adversaries import (
     fixed_edge_schedule,
     gate_adversary,
-    gate_segment_nodes,
     trap_adversary,
     wave_schedule,
     wave_start_positions,
@@ -65,7 +63,6 @@ from .fsm import (
     build_transition_graph,
     classify,
     cross_validate,
-    cycle_info,
     fault_free_cycles,
     initial_fault_free_cycle,
 )

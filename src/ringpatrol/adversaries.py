@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .ring import STAY, ObliviousSchedule, crossed_edge, decide_moves
+from .ring import STAY, GlobalSnapshot, ObliviousSchedule, crossed_edge, decide_moves
 
 
 def fixed_edge_schedule(n: int, e: int) -> ObliviousSchedule:
@@ -87,7 +87,9 @@ class TrapAdversary:
         pos = positions[0]
         if self.prison is None:
             self.prison = (pos, (pos + 1) % n)
-        _, moves = decide_moves(self._algorithm, n, positions, memories, None)
+        _, moves = decide_moves(
+            self._algorithm, GlobalSnapshot(n, None, tuple(positions)), memories
+        )
         move = moves[0]
         if move != STAY and (pos + move) % n not in self.prison:
             return crossed_edge(n, pos, move)
@@ -131,7 +133,9 @@ class GateAdversary:
         if positions[self.trapped] not in self.pair and positions[free] in self.pair:
             self.trapped, free = free, self.trapped
 
-        _, moves = decide_moves(self._algorithm, self.n, positions, memories, None)
+        _, moves = decide_moves(
+            self._algorithm, GlobalSnapshot(self.n, None, tuple(positions)), memories
+        )
 
         t_pos, t_move = positions[self.trapped], moves[self.trapped]
         if (
@@ -154,7 +158,3 @@ class GateAdversary:
 def gate_adversary(n: int) -> GateAdversary:
     return GateAdversary(n)
 
-
-def gate_segment_nodes(n: int) -> tuple[int, int, int, int]:
-    """The guarded four-node stretch, listed from node 0 counter-clockwise."""
-    return (0, (n - 1) % n, (n - 2) % n, (n - 3) % n)

@@ -17,6 +17,14 @@ and runs the same deterministic code: each one carries an identical copy of
 the shared plan and advances it the same way every round.  The
 bounded-memory machines (``FsmAlgorithm``) read only the two edges at their
 own node.
+
+A step reads the missing edge through ``snap.blocks(p, move)``: would a
+move from node ``p`` be blocked this round?  The exact solver relies on
+this.  It steps the team once with no edge missing, notes which edges the
+team asked about, and steps it again only for those edges and the ones its
+moves cross.  A step that reads ``snap.missing_edge`` itself (the spread
+planner does, to anchor on the removed edge) is still solved exactly, but
+the solver then steps the team for every choice of edge in that state.
 """
 
 from __future__ import annotations
@@ -83,8 +91,8 @@ class PingPong:
         other = snap.positions[1 - i]
         if mem == S0:
             nxt = S0
-            me_blocked = crossed_edge(snap.n, me, CW) == snap.missing_edge
-            other_blocked = crossed_edge(snap.n, other, CW) == snap.missing_edge
+            me_blocked = snap.blocks(me, CW)
+            other_blocked = snap.blocks(other, CW)
             if me_blocked and other_blocked:
                 # co-located double block; lower slot takes counter-clockwise
                 nxt = PHASE_CCW if i == 0 else PHASE_CW
@@ -192,9 +200,9 @@ class FsmAlgorithm:
 
     def step(self, i, mem, snap: GlobalSnapshot):
         u = snap.positions[i]
-        if snap.missing_edge == crossed_edge(snap.n, u, CW):
+        if snap.blocks(u, CW):
             label = SNAP_CW_MISSING
-        elif snap.missing_edge == crossed_edge(snap.n, u, CCW):
+        elif snap.blocks(u, CCW):
             label = SNAP_CCW_MISSING
         else:
             label = SNAP_BOTH
@@ -677,9 +685,8 @@ class PlaceAndSwipe:
             # so only the clockwise end of the short arc advances (the other
             # agent covers for it when that step is blocked)
             if ccw_gap < cw_gap:  # I am the clockwise end
-                return CW if crossed_edge(n, me, CW) != snap.missing_edge else STAY
-            blocked_mate = crossed_edge(n, other, CW) == snap.missing_edge
-            return CCW if blocked_mate else STAY
+                return STAY if snap.blocks(me, CW) else CW
+            return CCW if snap.blocks(other, CW) else STAY
         return CCW if cw_gap < ccw_gap else CW
 
     def _spread_step(self, i, mem, snap: GlobalSnapshot):
@@ -784,14 +791,13 @@ class KPingPong:
     def _group_slots(self, phases, phase):
         return tuple(i for i, p in enumerate(phases) if p == phase)
 
-    def _groups_moves(self, n, positions, phases, missing):
+    def _groups_moves(self, snap: GlobalSnapshot, phases):
         """Apply the group rules; returns (moves, new phases)."""
-        k = len(positions)
+        k = len(snap.positions)
         blocked = [
             i
             for i in range(k)
-            if missing is not None
-            and crossed_edge(n, positions[i], CW if phases[i] == KP_C else CCW) == missing
+            if snap.blocks(snap.positions[i], CW if phases[i] == KP_C else CCW)
         ]
         blocked_c = [i for i in blocked if phases[i] == KP_C]
         blocked_cc = [i for i in blocked if phases[i] == KP_CC]
@@ -828,23 +834,24 @@ class KPingPong:
         n = snap.n
         k = len(snap.positions)
         positions = snap.positions
-        missing = snap.missing_edge
 
         if mem.stage == KP_S0:
-            blocked = [
-                m for m in range(k) if crossed_edge(n, positions[m], CW) == missing
-            ]
+            blocked = [m for m in range(k) if snap.blocks(positions[m], CW)]
             if not blocked:
                 return mem, CW
             phases = self._partition(n, k, positions, min(blocked))
-            post, _ = apply_round(positions, (CW,) * k, n, missing)
+            post = tuple(
+                p if m in blocked else (p + 1) % n for m, p in enumerate(positions)
+            )
             if k % 2 == 0:
                 new_mem = KPingPongMemory(stage="groups", phases=phases)
             else:
                 new_mem = KPingPongMemory(
                     stage="respread",
                     phases=phases,
-                    spreads=self._start_respread(n, phases, post, missing),
+                    spreads=self._start_respread(
+                        n, phases, post, snap.missing_edge
+                    ),
                 )
             return new_mem, CW
 
@@ -856,12 +863,12 @@ class KPingPong:
                 for ph in (KP_C, KP_CC)
             )
             if groups_uniform:
-                moves, new_phases = self._groups_moves(n, positions, mem.phases, missing)
+                moves, new_phases = self._groups_moves(snap, mem.phases)
                 return KPingPongMemory(stage="groups", phases=new_phases), moves[i]
             moves = [STAY] * k
             new_spreads = []
             for state in mem.spreads:
-                group_moves, new_state = spread_step(state, missing)
+                group_moves, new_state = spread_step(state, snap.missing_edge)
                 for slot, member in enumerate(state.members):
                     moves[member] = group_moves[slot]
                 new_spreads.append(new_state)
@@ -872,5 +879,5 @@ class KPingPong:
                 moves[i],
             )
 
-        moves, new_phases = self._groups_moves(n, positions, mem.phases, missing)
+        moves, new_phases = self._groups_moves(snap, mem.phases)
         return KPingPongMemory(stage="groups", phases=new_phases), moves[i]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .agents import compute_swipe_set
-from .ring import apply_round, decide_moves, start_run
+from .ring import GlobalSnapshot, apply_round, decide_moves, start_run
 
 
 class SimulationError(RuntimeError):
@@ -81,7 +81,9 @@ def run(
         if missing is not None and not (0 <= missing < n):
             raise SimulationError(f"round {r}: driver removed invalid edge {missing}")
 
-        memories, moves = decide_moves(algorithm, n, positions, memories, missing)
+        memories, moves = decide_moves(
+            algorithm, GlobalSnapshot(n, missing, positions), memories
+        )
         after, blocked = apply_round(positions, moves, n, missing)
         record = RoundRecord(
             before=positions,

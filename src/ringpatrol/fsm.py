@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .agents import SNAP_BOTH, SNAPSHOT_CLASSES, FsmAlgorithm, FsmSpec
 from .ring import uniform_positions
@@ -77,37 +77,6 @@ def build_transition_graph(spec: FsmSpec) -> TransitionGraph:
         if (s, SNAP_BOTH) not in spec.arcs:
             raise ValueError(f"state {s} has no fault-free arc")
     return TransitionGraph(spec)
-
-
-def path_displacement(
-    graph: TransitionGraph, start: int, labels: Sequence[str]
-) -> tuple[int, int]:
-    """Follow arcs by label from ``start``; returns (end state, move sum)."""
-    s, disp = start, 0
-    for label in labels:
-        s, move = graph.arc(s, label)
-        disp += move
-    return s, disp
-
-
-def cycle_info(
-    graph: TransitionGraph, start: int, labels: Sequence[str]
-) -> CycleInfo:
-    """Validate that the labelled arc walk from ``start`` closes into a cycle
-    and report its displacement."""
-    vertices = [start]
-    s = start
-    for label in labels[:-1]:
-        s, _ = graph.arc(s, label)
-        vertices.append(s)
-    end, disp = path_displacement(graph, start, labels)
-    if end != start:
-        raise ValueError(f"walk from {start} via {list(labels)} ends at {end}")
-    return CycleInfo(
-        vertices=tuple(vertices),
-        fault_free=all(label == SNAP_BOTH for label in labels),
-        displacement=disp,
-    )
 
 
 def _fault_free_walk(graph: TransitionGraph, start: int):

@@ -15,7 +15,8 @@ Conventions used throughout the package:
 * At most one edge may be missing per round (removing two edges would
   disconnect the ring).
 * A move is blocked exactly when it would cross the missing edge; every
-  layer asks ``crossed_edge`` which edge that is.
+  layer asks ``crossed_edge`` which edge that is, and algorithms ask the
+  round's snapshot (``GlobalSnapshot.blocks``).
 """
 
 from __future__ import annotations
@@ -40,21 +41,6 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return value
-
-
-def ring_distance(n: int, u: int, v: int, direction: int = CW) -> int:
-    """Number of edges traversed going from ``u`` to ``v`` in ``direction``.
-
-    ``direction`` is CW (+1) or CCW (-1).  Distances in the two directions
-    sum to ``n`` for distinct nodes and are 0 for ``u == v``.
-    """
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"nodes must lie in [0, {n}), got {u}, {v}")
-    if direction == CW:
-        return (v - u) % n
-    if direction == CCW:
-        return (u - v) % n
-    raise ValueError(f"direction must be +1 or -1, got {direction}")
 
 
 def arc_distance(n: int, u: int, v: int) -> int:
@@ -215,19 +201,22 @@ def start_run(algorithm, n: int, k: int, initial: Sequence[int]) -> tuple:
 
 
 class GlobalSnapshot(NamedTuple):
-    """The Look-phase picture of one round, shared by every agent."""
+    """The Look-phase picture of one round, shared by every agent.
+    Algorithms read the missing edge through ``blocks`` (see ``agents``)."""
 
     n: int
     missing_edge: Optional[int]
     positions: tuple[int, ...]
 
+    def blocks(self, p: int, move: int) -> bool:
+        """True when a move from node ``p`` crosses the missing edge (never
+        for STAY)."""
+        edge = crossed_edge(self.n, p, move)
+        return edge is not None and edge == self.missing_edge
+
 
 def decide_moves(
-    algorithm,
-    n: int,
-    positions: Sequence[int],
-    memories: Sequence,
-    missing: Optional[int],
+    algorithm, snap: GlobalSnapshot, memories: Sequence
 ) -> tuple[tuple, tuple[int, ...]]:
     """The Look-Compute half of one round: every agent steps once on the
     same snapshot of the pre-move state.  Returns (new memories, moves).
@@ -235,7 +224,6 @@ def decide_moves(
     The engine, the exact solver and the adaptive adversaries' dry runs all
     compute rounds through this one kernel.
     """
-    snap = GlobalSnapshot(n, missing, tuple(positions))
     new_memories = []
     moves = []
     for i, mem in enumerate(memories):

@@ -13,20 +13,34 @@ occupies once, and a step visits ``v`` exactly when its target occupies
 * otherwise the longest ``v``-avoiding path, plus the closing visit, is the
   largest gap the scheduler can force between two visits of ``v``.  Gaps are
   measured from round -1, so the initial state is always a valid gap start.
+
+Exploration steps the team once per state on a probe snapshot that answers
+"no edge missing" and records every edge the team asked ``blocks`` about.
+That step is the ``None`` choice's successor.  Removing an edge that no
+agent asked about and no move crosses changes no answer, so no memory and
+no move, and gives that same successor; the team is stepped again only for
+the other edges, in choice order.  A step that reads ``missing_edge``
+directly could depend on any edge, so in that state every choice is
+stepped.  Each solve logs its counts and phase times at DEBUG level to the
+``ringpatrol.worstcase`` logger.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import logging
 import os
 from collections import deque
 from dataclasses import dataclass
+from time import perf_counter
 from typing import NamedTuple, Optional, Sequence
 
 from .ring import (
     CCW,
     CW,
+    STAY,
+    GlobalSnapshot,
     ObliviousSchedule,
     apply_round,
     crossed_edge,
@@ -39,9 +53,11 @@ UNBOUNDED = "unbounded"
 DEFAULT_STATE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "PATROLCTL_STATE_BUDGET"
 
+log = logging.getLogger(__name__)
+
 
 class BudgetExceeded(RuntimeError):
-    pass
+    """The game graph has more states than the state budget allows."""
 
 
 def _state_budget(budget: Optional[int]) -> int:
@@ -78,23 +94,44 @@ class GameSolverResult:
         return ObliviousSchedule(n=n, missing=missing)
 
 
+class _ProbeSnapshot(GlobalSnapshot):
+    """The snapshot of a round with no edge missing that records what the
+    team looked at: ``asked`` holds every edge a ``blocks`` query named, and
+    ``raw_read`` is set once a step reads ``missing_edge`` directly."""
+
+    def __new__(cls, n, positions):
+        probe = super().__new__(cls, n, None, positions)
+        probe.asked = set()
+        probe.raw_read = False
+        return probe
+
+    @property
+    def missing_edge(self):
+        self.raw_read = True
+        return None
+
+    def blocks(self, p, move):
+        edge = crossed_edge(self.n, p, move)
+        if edge is not None:
+            self.asked.add(edge)
+        return False
+
+
 def _explore(algorithm, n, k, initial, schedule, budget):
     """BFS the reachable game graph; returns (occupancy masks, successor
-    lists, BFS parents), each indexed by state in discovery order.
+    lists, BFS parents, (team steps, probe fallbacks)), the first three
+    indexed by state in discovery order.
 
     ``masks[t]`` has bit ``v`` set when state ``t`` occupies node ``v``.
     ``succs[s]`` keeps one ``(t, choice)`` per distinct successor ``t``, with
     the first scheduler choice that reaches it.  ``parents[t]`` is the
     (state, choice) that first discovered ``t``, so following it back gives
-    a shortest path from the initial state."""
+    a shortest path from the initial state.  A team step is one call of the
+    round kernel; a probe fallback is a state whose probe read the missing
+    edge directly."""
     init_mems = start_run(algorithm, n, k, initial)
     if schedule is None:
         modulus = 1
-        options = [None] + list(range(n))
-
-        def options_at(clock):
-            return options
-
     else:
         if schedule.n != n:
             raise ValueError(
@@ -107,9 +144,6 @@ def _explore(algorithm, n, k, initial, schedule, budget):
         else:
             raise ValueError("schedule restriction must be periodic")
 
-        def options_at(clock):
-            return [schedule.missing_edge(clock)]
-
     init_state = (tuple(initial), init_mems, 0)
 
     index = {init_state: 0}
@@ -118,32 +152,58 @@ def _explore(algorithm, n, k, initial, schedule, budget):
     parents: list[Optional[tuple[int, Optional[int]]]] = [None]
     succs: list[list[tuple[int, Optional[int]]]] = []
     queue = deque([0])
+    team_steps = fallbacks = 0
+
+    def visit(si, out, choice, snap):
+        """Step the team on ``snap`` (whose missing edge is ``choice``) and
+        record the successor; returns the moves."""
+        nonlocal team_steps
+        team_steps += 1
+        positions, memories, clock = states[si]
+        new_mems, moves = decide_moves(algorithm, snap, memories)
+        after, _ = apply_round(positions, moves, n, choice)
+        succ = (after, new_mems, (clock + 1) % modulus)
+        ti = index.get(succ)
+        if ti is None:
+            ti = len(states)
+            index[succ] = ti
+            states.append(succ)
+            masks.append(_occupancy(after))
+            parents.append((si, choice))
+            queue.append(ti)
+            if len(states) > budget:
+                raise BudgetExceeded(
+                    f"game graph exceeds state budget {budget}: "
+                    f"{len(states)} states discovered, BFS depth "
+                    f"{len(_path_from_init(parents, ti))} reached, "
+                    f"{len(queue)} states still queued"
+                )
+        out.setdefault(ti, choice)
+        return moves
+
     while queue:
         si = queue.popleft()
-        positions, memories, clock = states[si]
+        positions, _, clock = states[si]
         out: dict[int, Optional[int]] = {}
-        for choice in options_at(clock):
-            new_mems, moves = decide_moves(algorithm, n, positions, memories, choice)
-            after, _ = apply_round(positions, moves, n, choice)
-            succ = (after, new_mems, (clock + 1) % modulus)
-            ti = index.get(succ)
-            if ti is None:
-                ti = len(states)
-                index[succ] = ti
-                states.append(succ)
-                masks.append(_occupancy(after))
-                parents.append((si, choice))
-                queue.append(ti)
-                if len(states) > budget:
-                    raise BudgetExceeded(
-                        f"game graph exceeds state budget {budget}: "
-                        f"{len(states)} states discovered, BFS depth "
-                        f"{len(_path_from_init(parents, ti))} reached, "
-                        f"{len(queue)} states still queued"
-                    )
-            out.setdefault(ti, choice)
+        if schedule is None:
+            probe = _ProbeSnapshot(n, positions)
+            moves = visit(si, out, None, probe)
+            if probe.raw_read:
+                fallbacks += 1
+                edges = range(n)
+            else:
+                edges = sorted(probe.asked.union(
+                    crossed_edge(n, p, m)
+                    for p, m in zip(positions, moves)
+                    if m != STAY
+                ))
+            for edge in edges:
+                visit(si, out, edge, GlobalSnapshot(n, edge, positions))
+        else:
+            choice = schedule.missing_edge(clock)
+            visit(si, out, choice, GlobalSnapshot(n, choice, positions))
         succs.append(list(out.items()))
-    return masks, succs, parents
+    return masks, succs, parents, (team_steps, fallbacks)
 
 
 def _occupancy(positions) -> int:
@@ -179,9 +239,23 @@ def solve_worst_case(
     round.  The returned witness replays through the engine to exactly
     ``worst_idle`` (finite case) or demonstrates a starvation loop.
     """
-    masks, succs, parent = _explore(
+    t0 = perf_counter()
+    masks, succs, parent, (team_steps, fallbacks) = _explore(
         algorithm, n, k, tuple(initial), schedule, _state_budget(budget)
     )
+    t1 = perf_counter()
+    result = _analyse(n, masks, succs, parent)
+    log.debug(
+        "solve n=%d k=%d: states=%d edges=%d team_steps=%d probe_fallbacks=%d "
+        "explore_s=%.4f analysis_s=%.4f",
+        n, k, len(masks), sum(len(out) for out in succs), team_steps,
+        fallbacks, t1 - t0, perf_counter() - t1,
+    )
+    return result
+
+
+def _analyse(n, masks, succs, parent) -> GameSolverResult:
+    """The per-node gap analysis of an explored game graph."""
     n_states = len(masks)
     preds: list[list[int]] = [[] for _ in range(n_states)]
     for s in range(n_states):
@@ -394,7 +468,7 @@ def offline_opt_search(
     if k != len(start):
         raise ValueError("one start node per agent")
     if k > 3:
-        raise BudgetExceeded("offline search supports at most 3 agents")
+        raise ValueError(f"offline search supports at most 3 agents, got {k}")
     if max_rounds is None:
         max_rounds = 8 * n
 

@@ -211,7 +211,7 @@ def test_criterion_11_machine_analyzer():
     details.append(f"oscillator: {cls.verdict}")
 
     from ringpatrol.agents import SNAP_BOTH, SNAP_CCW_MISSING, SNAP_CW_MISSING
-    from ringpatrol.fsm import cycle_info
+    from test_fsm import cycle_info
 
     g = build_transition_graph(four_state_fixture())
     disp = (

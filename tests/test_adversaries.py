@@ -3,7 +3,6 @@ import pytest
 from ringpatrol.adversaries import (
     fixed_edge_schedule,
     gate_adversary,
-    gate_segment_nodes,
     trap_adversary,
     wave_schedule,
     wave_start_positions,
@@ -58,6 +57,12 @@ def test_gate_forces_long_gaps(n):
     tr = run(PingPong(), gate_adversary(n), uniform_positions(n, 2), 60 * n)
     measured = idle_time(tr).idle
     assert 2 * n - 6 <= measured <= 2 * (n - 1)
+
+
+def gate_segment_nodes(n: int) -> tuple[int, int, int, int]:
+    """The gate's guarded four-node stretch, listed from node 0
+    counter-clockwise."""
+    return (0, (n - 1) % n, (n - 2) % n, (n - 3) % n)
 
 
 def segment_traversals(trace, n):

@@ -1,4 +1,5 @@
 import json
+from typing import Sequence
 
 import pytest
 
@@ -14,12 +15,43 @@ from ringpatrol.fsm import (
     NOT_PATROLLING,
     build_transition_graph,
     classify,
+    CycleInfo,
+    TransitionGraph,
     cross_validate,
-    cycle_info,
     fault_free_cycles,
     initial_fault_free_cycle,
-    path_displacement,
 )
+
+
+def path_displacement(
+    graph: TransitionGraph, start: int, labels: Sequence[str]
+) -> tuple[int, int]:
+    """Follow arcs by label from ``start``; returns (end state, move sum)."""
+    s, disp = start, 0
+    for label in labels:
+        s, move = graph.arc(s, label)
+        disp += move
+    return s, disp
+
+
+def cycle_info(
+    graph: TransitionGraph, start: int, labels: Sequence[str]
+) -> CycleInfo:
+    """Validate that the labelled arc walk from ``start`` closes into a cycle
+    and report its displacement."""
+    vertices = [start]
+    s = start
+    for label in labels[:-1]:
+        s, _ = graph.arc(s, label)
+        vertices.append(s)
+    end, disp = path_displacement(graph, start, labels)
+    if end != start:
+        raise ValueError(f"walk from {start} via {list(labels)} ends at {end}")
+    return CycleInfo(
+        vertices=tuple(vertices),
+        fault_free=all(label == SNAP_BOTH for label in labels),
+        displacement=disp,
+    )
 
 
 def four_state_fixture():

@@ -16,7 +16,6 @@ from ringpatrol.ring import (
     decide_moves,
     is_uniform,
     make_random_schedule,
-    ring_distance,
     start_run,
     uniform_gaps,
     uniform_positions,
@@ -33,6 +32,17 @@ from ringpatrol.agents import (
     PingPong,
     fsm_of,
 )
+
+
+def ring_distance(n: int, u: int, v: int, direction: int = CW) -> int:
+    """Number of edges traversed going from ``u`` to ``v`` in ``direction``."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"nodes must lie in [0, {n}), got {u}, {v}")
+    if direction == CW:
+        return (v - u) % n
+    if direction == CCW:
+        return (u - v) % n
+    raise ValueError(f"direction must be +1 or -1, got {direction}")
 
 
 def test_ring_distance_examples():
@@ -137,6 +147,15 @@ def test_apply_round_invariants(n, data):
             assert q == (p + m) % n
 
 
+@given(st.integers(3, 40), st.data())
+def test_snapshot_blocks_matches_apply_round(n, data):
+    p = data.draw(st.integers(0, n - 1))
+    move = data.draw(st.sampled_from((CCW, STAY, CW)))
+    missing = data.draw(st.none() | st.integers(0, n - 1))
+    _, (blocked,) = apply_round((p,), (move,), n, missing)
+    assert GlobalSnapshot(n, missing, (p,)).blocks(p, move) == blocked
+
+
 @given(st.integers(3, 20), st.integers(0, 19))
 def test_all_clockwise_blocks_at_most_one(n, e):
     e = e % n
@@ -158,7 +177,7 @@ class SnapshotRecorder:
 
 def test_decide_moves_shares_one_snapshot():
     algo = SnapshotRecorder()
-    mems, moves = decide_moves(algo, 8, [0, 3, 5], ("a", "b", "c"), 2)
+    mems, moves = decide_moves(algo, GlobalSnapshot(8, 2, (0, 3, 5)), ("a", "b", "c"))
     assert mems == ("a", "b", "c") and moves == (STAY,) * 3
     assert [i for i, _ in algo.seen] == [0, 1, 2]
     first = algo.seen[0][1]
@@ -190,7 +209,8 @@ def test_decide_moves_machine_reads_its_own_edges(missing, classes):
     # agents at nodes 4, 5 and 0 of an 8-ring: edge 4 is the clockwise edge
     # of node 4 and the counter-clockwise edge of node 5; edge 7 is the
     # counter-clockwise edge of node 0
-    mems, _ = decide_moves(FsmAlgorithm(CLASS_ECHO), 8, (4, 5, 0), (0, 0, 0), missing)
+    snap = GlobalSnapshot(8, missing, (4, 5, 0))
+    mems, _ = decide_moves(FsmAlgorithm(CLASS_ECHO), snap, (0, 0, 0))
     assert tuple(SNAPSHOT_CLASSES[m] for m in mems) == classes
 
 

@@ -1,20 +1,31 @@
+import logging
 import random
+import re
+from collections import deque
 
 import pytest
 
 from ringpatrol.adversaries import fixed_edge_schedule, wave_schedule, wave_start_positions
 from ringpatrol.agents import (
+    BUILTIN_FSM_NAMES,
     SNAPSHOT_CLASSES,
     FsmAlgorithm,
     FsmSpec,
     KPingPong,
     PingPong,
+    UniformSpread,
     fsm_of,
 )
 from ringpatrol.engine import idle_time, run
 from ringpatrol.ring import (
+    CCW,
+    CW,
+    STAY,
+    GlobalSnapshot,
     ObliviousSchedule,
+    apply_round,
     consecutive_positions,
+    decide_moves,
     make_random_schedule,
     random_positions,
     uniform_positions,
@@ -24,6 +35,7 @@ from ringpatrol.worstcase import (
     BudgetExceeded,
     SearchBudgetError,
     _explore,
+    _ProbeSnapshot,
     offline_opt_search,
     solve_worst_case,
 )
@@ -142,12 +154,133 @@ def test_solver_rejects_schedule_for_another_ring():
 
 def test_exploration_keeps_one_edge_per_distinct_successor():
     initial = uniform_positions(24, 2)
-    masks, succs, _ = _explore(PingPong(), 24, 2, initial, None, 10**6)
+    masks, succs, _, _ = _explore(PingPong(), 24, 2, initial, None, 10**6)
     assert len(masks) == len(succs) == 1176
     # 25 scheduler choices per state would make 29,400 edges
     assert sum(len(out) for out in succs) == 3528
     assert all(len({t for t, _ in out}) == len(out) for out in succs)
     assert solve_worst_case(PingPong(), 24, 2, initial).states_explored == 1176
+
+
+# --- probe round: the solver steps only the edges the team asked about --------
+
+def full_fan_out(algorithm, n, k, initial):
+    """Reference exploration: step the team once for every scheduler choice
+    in every state; returns (masks, succs, parents) like ``_explore``."""
+    init = (tuple(initial), tuple(algorithm.initial_memory(n, k, i, initial) for i in range(k)))
+    index = {init: 0}
+    states = [init]
+    masks = [sum(1 << p for p in set(initial))]
+    parents = [None]
+    succs = []
+    queue = deque([0])
+    while queue:
+        si = queue.popleft()
+        positions, memories = states[si]
+        out = {}
+        for choice in [None] + list(range(n)):
+            mems, moves = decide_moves(
+                algorithm, GlobalSnapshot(n, choice, positions), memories
+            )
+            after, _ = apply_round(positions, moves, n, choice)
+            ti = index.setdefault((after, mems), len(states))
+            if ti == len(states):
+                states.append((after, mems))
+                masks.append(sum(1 << p for p in set(after)))
+                parents.append((si, choice))
+                queue.append(ti)
+            out.setdefault(ti, choice)
+        succs.append(list(out.items()))
+    return masks, succs, parents
+
+
+class RawReader:
+    """Remembers the last missing edge it saw, read straight off the
+    snapshot, so every choice of edge leads somewhere else."""
+
+    def validate(self, n, k):
+        pass
+
+    def initial_memory(self, n, k, i, positions):
+        return None
+
+    def step(self, i, mem, snap):
+        return snap.missing_edge, CW
+
+
+PROBE_CASES = (
+    [(f"pingpong-n{n}", PingPong, n, uniform_positions(n, 2)) for n in range(5, 13)]
+    + [
+        (f"kpingpong-k{k}-n{n}", KPingPong, n, uniform_positions(n, k))
+        for k, sizes in ((2, (6, 9)), (3, (7, 9)), (4, (8, 9)))
+        for n in sizes
+    ]
+    + [
+        (f"{name}-k{k}-n7", lambda name=name: FsmAlgorithm(fsm_of(name)), 7,
+         uniform_positions(7, k))
+        for name in BUILTIN_FSM_NAMES
+        for k in (1, 2, 3)
+    ]
+    + [
+        (f"random-fsm{seed}-k{k}-n6",
+         lambda seed=seed: FsmAlgorithm(random_machine(seed, 3)), 6,
+         random_positions(6, k, seed))
+        for seed in range(4)
+        for k in (1, 2, 3)
+    ]
+    + [(f"spread-k3-n{n}", UniformSpread, n, (0, 1, 3)) for n in (7, 8)]
+    + [("raw-reader-n6", RawReader, 6, (0, 2))]
+)
+
+
+@pytest.mark.parametrize(
+    "make,n,initial", [pytest.param(*case[1:], id=case[0]) for case in PROBE_CASES]
+)
+def test_probe_exploration_matches_full_fan_out(make, n, initial):
+    k = len(initial)
+    masks, succs, parents, _ = _explore(make(), n, k, initial, None, 10**6)
+    assert (masks, succs, parents) == full_fan_out(make(), n, k, initial)
+
+
+def test_raw_reader_gets_every_choice_stepped():
+    masks, _, _, (team_steps, fallbacks) = _explore(
+        RawReader(), 6, 2, (0, 2), None, 10**6
+    )
+    assert fallbacks == len(masks)
+    assert team_steps == len(masks) * 7
+
+
+def test_probe_records_queried_edges_and_raw_reads():
+    probe = _ProbeSnapshot(8, (0, 3))
+    assert not probe.blocks(0, CW)
+    assert not probe.blocks(3, CCW)
+    assert not probe.blocks(5, STAY)
+    assert probe.asked == {0, 2}
+    assert not probe.raw_read
+    assert probe.missing_edge is None
+    assert probe.raw_read
+
+
+def solve_record(caplog, *args):
+    with caplog.at_level(logging.DEBUG, logger="ringpatrol.worstcase"):
+        caplog.clear()
+        solve_worst_case(*args)
+    (record,) = [r for r in caplog.records if r.name == "ringpatrol.worstcase"]
+    return {
+        key: float(value)
+        for key, value in re.findall(r"(\w+)=([0-9.]+)", record.getMessage())
+    }
+
+
+def test_solve_logs_its_counts_at_debug(caplog):
+    stats = solve_record(caplog, PingPong(), 24, 2, uniform_positions(24, 2))
+    assert stats["states"] == 1176 and stats["edges"] == 3528
+    assert stats["probe_fallbacks"] == 0
+    assert stats["team_steps"] < 25 * 1176
+    assert stats["explore_s"] >= 0 and stats["analysis_s"] >= 0
+    # the spread planner reads the missing edge itself
+    stats = solve_record(caplog, UniformSpread(), 8, 3, (0, 1, 3))
+    assert stats["probe_fallbacks"] > 0
 
 
 # --- differential: the engine against the solver ------------------------------
@@ -280,7 +413,7 @@ def test_offline_respects_round_cap():
 
 
 def test_offline_rejects_large_teams():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(ValueError):
         offline_opt_search(ObliviousSchedule(n=8), 4, (0, 2, 4, 6), 0)
 
 
