@@ -14,7 +14,13 @@ per-round coordination happens through the snapshot plus each agent's own
 memory.  Algorithms that need agreement on shared bookkeeping (group
 membership, placement plans) exploit that every agent sees the same snapshot
 and runs the same deterministic code: each one carries an identical copy of
-the shared plan and advances it the same way every round.  The
+the shared plan and advances it the same way every round.  Place-and-swipe
+computes each epoch's plan once per team: the plan is a pure function of the
+schedule, the round and the positions, so the first agent to step keeps it
+on the instance under the key (round, positions) and the rest of the team
+reuse it.  A reused plan is the one the agent would have computed itself,
+so the memo cannot change a result; ``validate`` (called at every run
+start) drops it and pins the ring size to the schedule's.  The
 bounded-memory machines (``FsmAlgorithm``) read only the two edges at their
 own node.
 
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .ring import (
     CCW,
@@ -304,19 +310,19 @@ def compute_swipe_set(schedule: ObliviousSchedule, r: int, h: int) -> set[int]:
     """Start nodes whose clockwise walk over rounds [r, r+h) is never blocked.
 
     A start ``s`` survives iff no round ``t`` in the window removes the edge
-    in front of the walker, which sits at ``s + (t - r)``.  Each round can
-    disqualify at most one start, so at least ``n - h`` survive.
+    in front of the walker, which sits at ``s + (t - r)``.  So the edge ``e``
+    removed in round ``t`` disqualifies exactly the start ``e - (t - r)``
+    (mod n), and a round with no removal disqualifies none: one lookup per
+    round, and at least ``n - h`` starts survive.
     """
     n = schedule.n
     if not (1 <= h <= n - 1):
         raise ValueError(f"h must be in [1, n-1], got {h}")
-    survivors = set()
-    for s in range(n):
-        if all(
-            schedule.missing_edge(t) != crossed_edge(n, (s + t - r) % n, CW)
-            for t in range(r, r + h)
-        ):
-            survivors.add(s)
+    survivors = set(range(n))
+    for t in range(r, r + h):
+        e = schedule.missing_edge(t)
+        if e is not None:
+            survivors.discard((e - (t - r)) % n)
     return survivors
 
 
@@ -632,8 +638,7 @@ class UniformSpread:
 # Place-&-Swipe: known schedule, epochs of placement then a clockwise swipe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlaceAndSwipeMemory:
+class PlaceAndSwipeMemory(NamedTuple):
     round: int
     stage: str  # "spread" | "epochs"
     epoch_anchor: int = 0
@@ -657,12 +662,19 @@ class PlaceAndSwipe:
 
     def __init__(self, schedule: ObliviousSchedule):
         self.schedule = schedule
+        self._epoch = None  # ((round, positions), plan) of the last epoch planned
 
     def validate(self, n, k):
         if k < 2:
             raise ValueError("place-and-swipe needs k >= 2")
         if n <= k:
             raise ValueError("place-and-swipe needs n > k")
+        if n != self.schedule.n:
+            raise ValueError(
+                f"place-and-swipe planned on a ring of {self.schedule.n} nodes, "
+                f"run on {n}"
+            )
+        self._epoch = None  # every run starts here: no plan outlives its run
 
     def phase_len(self, n, k):
         return -(-n // k)
@@ -692,7 +704,7 @@ class PlaceAndSwipe:
     def _spread_step(self, i, mem, snap: GlobalSnapshot):
         k = len(snap.positions)
         if k == 2:
-            return replace(mem, round=mem.round + 1), self._spread_move_two(i, snap)
+            return mem._replace(round=mem.round + 1), self._spread_move_two(i, snap)
         if mem.spread is None:
             state = spread_init(
                 snap.n, tuple(range(k)), snap.positions, snap.missing_edge
@@ -701,30 +713,31 @@ class PlaceAndSwipe:
             state = mem.spread
         moves, new_state = spread_step(state, snap.missing_edge)
         return (
-            replace(mem, round=mem.round + 1, spread=new_state),
+            mem._replace(round=mem.round + 1, spread=new_state),
             moves[i],
         )
 
     # -- epochs --
 
     def _plan_epoch(self, mem, snap: GlobalSnapshot):
-        n, k = snap.n, len(snap.positions)
-        L = self.phase_len(n, k)
-        swipe_start = mem.round + L
-        candidates = compute_swipe_set(self.schedule, swipe_start, L - 1)
-        targets = select_targets(candidates, n, k)
-        plan, _, _ = placement_route(
-            snap.positions, targets, self.schedule, mem.round, L
-        )
-        return replace(mem, plan=tuple(plan))
+        key = (mem.round, snap.positions)
+        if self._epoch is None or self._epoch[0] != key:
+            n, k = snap.n, len(snap.positions)
+            L = self.phase_len(n, k)
+            swipe_start = mem.round + L
+            candidates = compute_swipe_set(self.schedule, swipe_start, L - 1)
+            targets = select_targets(candidates, n, k)
+            plan, _, _ = placement_route(
+                snap.positions, targets, self.schedule, mem.round, L
+            )
+            self._epoch = (key, tuple(plan))
+        return mem._replace(plan=self._epoch[1])
 
     def step(self, i, mem: PlaceAndSwipeMemory, snap: GlobalSnapshot):
         if mem.stage == "spread":
             if not is_uniform(snap.n, snap.positions):
                 return self._spread_step(i, mem, snap)
-            mem = replace(
-                mem, stage="epochs", epoch_anchor=mem.round, spread=None
-            )
+            mem = mem._replace(stage="epochs", epoch_anchor=mem.round, spread=None)
         n, k = snap.n, len(snap.positions)
         L = self.phase_len(n, k)
         t = (mem.round - mem.epoch_anchor) % (2 * L)
@@ -736,7 +749,7 @@ class PlaceAndSwipe:
             move = CW
         else:
             move = STAY
-        return replace(mem, round=mem.round + 1), move
+        return mem._replace(round=mem.round + 1), move
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,12 @@ from ringpatrol.agents import (
     placement_route,
     select_targets,
 )
-from ringpatrol.engine import idle_time, run, visit_log
+from ringpatrol.engine import idle_time, run, trace_to_csv, visit_log
 from ringpatrol.ring import (
     CCW,
     CW,
     ObliviousSchedule,
+    crossed_edge,
     is_uniform,
     make_random_schedule,
     random_positions,
@@ -93,6 +94,39 @@ def test_swipe_set_cardinality_floor():
 
     survivors = compute_swipe_set(wave_schedule(10), 0, 4)
     assert len(survivors) >= 6
+
+
+def _swipe_set_by_walking(schedule, r, h):
+    """Reference definition: walk every start clockwise through the window
+    and keep those never in front of the round's missing edge."""
+    n = schedule.n
+    return {
+        s
+        for s in range(n)
+        if all(
+            schedule.missing_edge(t) != crossed_edge(n, (s + t - r) % n, CW)
+            for t in range(r, r + h)
+        )
+    }
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_swipe_set_matches_walking_reference(n):
+    schedules = [make_random_schedule(n, 3 * n, seed) for seed in range(3)]
+    schedules.append(
+        ObliviousSchedule(n=n, missing={0: 1, 2: n - 1, 3: 0, 6: n // 2}, period=7)
+    )
+    if n % 2 == 0 and n >= 10:
+        schedules.append(wave_schedule(n))
+    for sched in schedules:
+        for r in range(2 * n):
+            for h in range(1, n):
+                assert compute_swipe_set(sched, r, h) == _swipe_set_by_walking(
+                    sched, r, h
+                ), (sched, r, h)
+        for h in (0, n):
+            with pytest.raises(ValueError):
+                compute_swipe_set(sched, 0, h)
 
 
 def test_select_targets_examples():
@@ -219,6 +253,46 @@ def test_place_and_swipe_needs_room():
     sched = ObliviousSchedule(n=4)
     with pytest.raises(ValueError):
         run(PlaceAndSwipe(sched), sched, (0, 1, 2, 3), 5, n=4)
+
+
+def test_place_and_swipe_rejects_schedule_of_another_ring():
+    algo = PlaceAndSwipe(make_random_schedule(8, 160, 1))
+    with pytest.raises(ValueError, match="8 nodes"):
+        run(algo, make_random_schedule(10, 200, 2), uniform_positions(10, 2), 60)
+
+
+def test_place_and_swipe_plans_each_epoch_once_per_team(monkeypatch):
+    rounds = []
+
+    def counting_route(current, targets, schedule, start_round, window):
+        rounds.append(start_round)
+        return placement_route(current, targets, schedule, start_round, window)
+
+    monkeypatch.setattr("ringpatrol.agents.placement_route", counting_route)
+    sched = make_random_schedule(16, 320, 3)
+    run(PlaceAndSwipe(sched), sched, uniform_positions(16, 4), 224)
+    # phase length 4, so an epoch every 8 rounds: 28 epochs, one plan each
+    assert rounds == list(range(0, 224, 8))
+
+
+def test_reused_place_and_swipe_runs_like_a_fresh_one():
+    n, k = 12, 3
+    L = -(-n // k)
+    sched = make_random_schedule(n, 20 * n, 7)
+    algo = PlaceAndSwipe(sched)
+
+    def assert_fresh(start, horizon):
+        reused = trace_to_csv(run(algo, sched, start, horizon))
+        fresh = trace_to_csv(run(PlaceAndSwipe(sched), sched, start, horizon))
+        assert reused == fresh
+
+    uniform, scattered = uniform_positions(n, k), random_positions(n, k, 3)
+    assert_fresh(uniform, 12 * L)
+    assert_fresh(uniform, 12 * L)
+    assert_fresh(scattered, 12 * L)
+    assert_fresh(uniform, L)  # the last plan made is round 0's from `uniform`
+    sched.missing = make_random_schedule(n, 20 * n, 8).missing
+    assert_fresh(uniform, 12 * L)
 
 
 # --- k-ping-pong ----------------------------------------------------------------------
