@@ -28,9 +28,11 @@ A step reads the missing edge through ``snap.blocks(p, move)``: would a
 move from node ``p`` be blocked this round?  The exact solver relies on
 this.  It steps the team once with no edge missing, notes which edges the
 team asked about, and steps it again only for those edges and the ones its
-moves cross.  A step that reads ``snap.missing_edge`` itself (the spread
-planner does, to anchor on the removed edge) is still solved exactly, but
-the solver then steps the team for every choice of edge in that state.
+moves cross.  A step that reads ``snap.missing_edge`` itself is still
+solved exactly, but the solver then steps the team for every choice of edge
+in that state.  Only spread planning does, where it needs the location of
+the removed edge (see ``SpreadState``); k-ping-pong's group spreads anchor
+on the edge its first blocked agent faces and never read it.
 """
 
 from __future__ import annotations
@@ -432,14 +434,16 @@ def placement_route(
 class SpreadState:
     """Joint plan moving a member set onto a uniform pattern.
 
-    Identical copies of this state live in every member's memory; advancing
-    it is a pure function of (state, this round's missing edge), so the
-    copies never diverge.
+    Identical copies live in every member's memory.  The state holds no
+    positions: ``spread_step`` reads member ``m`` at ``snap.positions[m]``
+    and asks ``snap.blocks`` about its moves, so the copies never diverge.
+    ``snap.missing_edge`` is read only where the removed edge's location is
+    needed: a team's first round anchors its plan next to it
+    (``_team_spread``), and the segments stage replans around the first
+    removal it sees.
     """
 
-    n: int
     members: tuple[int, ...]
-    positions: tuple[int, ...]  # by member slot
     stage: str  # "segments" | "anchored" | "done"
     order: tuple[int, ...] = ()  # member slots in placement order
     targets: tuple[int, ...] = ()  # by placement-order slot
@@ -472,20 +476,17 @@ def _symmetry_shift(n: int, positions: Sequence[int]) -> int:
 def spread_init(
     n: int, members: Sequence[int], positions: Sequence[int], missing: Optional[int]
 ) -> SpreadState:
-    state = SpreadState(
-        n=n, members=tuple(members), positions=tuple(positions), stage="segments"
-    )
+    state = SpreadState(members=tuple(members), stage="segments")
     if is_uniform(n, positions):
         return replace(state, stage="done")
     if missing is not None or _symmetry_shift(n, positions) == n:
-        return _plan_anchored(state, missing)
-    return _plan_segments(state)
+        return _plan_anchored(state, n, positions, missing)
+    return _plan_segments(state, n, positions)
 
 
-def _plan_segments(state: SpreadState) -> SpreadState:
+def _plan_segments(state: SpreadState, n: int, pos: Sequence[int]) -> SpreadState:
     """Rotation-symmetric fault-free start: one independent placement plan
     per symmetry segment, all executing the same relative moves."""
-    n, pos = state.n, state.positions
     m = len(pos)
     rho = _symmetry_shift(n, pos)
     leaders = _lexmin_rotation_slots(n, pos)
@@ -503,19 +504,17 @@ def _plan_segments(state: SpreadState) -> SpreadState:
     return replace(state, segments=tuple(plans))
 
 
-def _plan_anchored(state: SpreadState, missing: Optional[int]) -> SpreadState:
-    n, positions = state.n, state.positions
+def _plan_anchored(
+    state: SpreadState, n: int, positions: Sequence[int], missing: Optional[int]
+) -> SpreadState:
     m = len(positions)
     if missing is not None:
         # reference agent: first occupied node walking clockwise from the
         # clockwise endpoint of the removed edge
-        a0 = None
-        for d in range(n):
-            node = (missing + 1 + d) % n
-            here = [s for s in range(m) if positions[s] == node]
-            if here:
-                a0 = min(here, key=lambda s: state.members[s])
-                break
+        a0 = min(
+            range(m),
+            key=lambda s: ((positions[s] - missing - 1) % n, state.members[s]),
+        )
     else:
         a0 = min(
             _lexmin_rotation_slots(n, positions), key=lambda s: state.members[s]
@@ -528,9 +527,8 @@ def _plan_anchored(state: SpreadState, missing: Optional[int]) -> SpreadState:
     return replace(state, stage="anchored", order=tuple(order), targets=targets)
 
 
-def _anchored_step(state: SpreadState, missing: Optional[int]):
-    n = state.n
-    pos = list(state.positions)
+def _anchored_step(state: SpreadState, snap: GlobalSnapshot, pos: Sequence[int]):
+    n = snap.n
     order, targets = list(state.order), list(state.targets)
     j_star = next(
         (j for j in range(len(order)) if pos[order[j]] != targets[j]), None
@@ -541,42 +539,33 @@ def _anchored_step(state: SpreadState, missing: Optional[int]):
     d_cw = (targets[j_star] - pos[active]) % n
     direction = CW if d_cw <= n - d_cw else CCW
     moves = [STAY] * len(pos)
-    if crossed_edge(n, pos[active], direction) != missing:
+    if not snap.blocks(pos[active], direction):
         moves[active] = direction
-    else:
-        # active is walled off: shift the whole target pattern one step
-        # toward it, carrying the already-placed prefix along
-        shift = -direction
-        conflict = next(
-            (
-                j
-                for j in range(j_star)
-                if crossed_edge(n, pos[order[j]], shift) == missing
-            ),
-            None,
-        )
-        targets = [(t + shift) % n for t in targets]
-        for j in range(j_star):
-            if j != conflict:
-                moves[order[j]] = shift
-        if conflict is not None:
-            # the placed agent across the missing edge cannot shift; it
-            # hands its (shifted) slot to the active agent and takes over
-            # the chase, which also advances the frontier by one node
-            order[conflict], order[j_star] = order[j_star], order[conflict]
-    new_pos, _ = apply_round(pos, moves, n, missing)
-    new_state = replace(
-        state, positions=tuple(new_pos), order=tuple(order), targets=tuple(targets)
+        return tuple(moves), state
+    # active is walled off: shift the whole target pattern one step toward
+    # it, carrying the already-placed prefix along
+    shift = -direction
+    conflict = next(
+        (j for j in range(j_star) if snap.blocks(pos[order[j]], shift)), None
     )
-    return tuple(moves), new_state
+    targets = [(t + shift) % n for t in targets]
+    for j in range(j_star):
+        if j != conflict:
+            moves[order[j]] = shift
+    if conflict is not None:
+        # the placed agent across the missing edge cannot shift; it hands
+        # its (shifted) slot to the active agent and takes over the chase,
+        # which also advances the frontier by one node
+        order[conflict], order[j_star] = order[j_star], order[conflict]
+    return tuple(moves), replace(state, order=tuple(order), targets=tuple(targets))
 
 
-def _segments_step(state: SpreadState, missing: Optional[int]):
-    n = state.n
-    if missing is not None:
+def _segments_step(state: SpreadState, snap: GlobalSnapshot, pos: Sequence[int]):
+    n = snap.n
+    if snap.missing_edge is not None:
         # the removal breaks the symmetry; replan around it from here on
-        return _anchored_step(_plan_anchored(state, missing), missing)
-    pos = list(state.positions)
+        replanned = _plan_anchored(state, n, pos, snap.missing_edge)
+        return _anchored_step(replanned, snap, pos)
     moves = [STAY] * len(pos)
     all_done = True
     for segment, targets in state.segments:
@@ -589,22 +578,30 @@ def _segments_step(state: SpreadState, missing: Optional[int]):
         active = segment[j_star]
         d_cw = (targets[j_star] - pos[active]) % n
         moves[active] = CW if d_cw <= n - d_cw else CCW
-    new_pos, _ = apply_round(pos, moves, n, missing)
-    new_state = replace(state, positions=tuple(new_pos))
     if all_done:
-        new_state = replace(new_state, stage="done")
-    return tuple(moves), new_state
+        state = replace(state, stage="done")
+    return tuple(moves), state
 
 
-def spread_step(state: SpreadState, missing: Optional[int]):
-    """Advance the joint spread plan one round: (moves by member slot, state)."""
-    if state.stage == "done" or is_uniform(state.n, state.positions):
-        if state.stage != "done":
-            state = replace(state, stage="done")
-        return (STAY,) * len(state.positions), state
+def spread_step(state: SpreadState, snap: GlobalSnapshot):
+    """Advance the joint spread plan one round on the round's snapshot:
+    (moves by member slot, state)."""
+    pos = tuple(snap.positions[m] for m in state.members)
+    if state.stage == "done" or is_uniform(snap.n, pos):
+        done = state if state.stage == "done" else replace(state, stage="done")
+        return (STAY,) * len(pos), done
     if state.stage == "segments":
-        return _segments_step(state, missing)
-    return _anchored_step(state, missing)
+        return _segments_step(state, snap, pos)
+    return _anchored_step(state, snap, pos)
+
+
+def _team_spread(state: Optional[SpreadState], snap: GlobalSnapshot):
+    """One round of the whole team's spread; the first round (``state``
+    None) plans it, next to that round's missing edge if there is one."""
+    if state is None:
+        k = len(snap.positions)
+        state = spread_init(snap.n, range(k), snap.positions, snap.missing_edge)
+    return spread_step(state, snap)
 
 
 class UniformSpread:
@@ -613,25 +610,19 @@ class UniformSpread:
     Symmetric starting configurations are handled per rotational segment
     until an edge removal breaks the symmetry; from then on the agent
     nearest clockwise to the removed edge anchors the target pattern.
+    Each agent's memory is None until its first step, then the team's
+    ``SpreadState``.
     """
 
     def validate(self, n, k):
-        if k < 1:
-            raise ValueError("need at least one agent")
+        pass
 
     def initial_memory(self, n, k, i, positions):
-        return ("init", i)
+        return None
 
     def step(self, i, mem, snap: GlobalSnapshot):
-        if mem[0] == "init":
-            state = spread_init(
-                snap.n, tuple(range(len(snap.positions))), snap.positions,
-                snap.missing_edge,
-            )
-        else:
-            state = mem[1]
-        moves, new_state = spread_step(state, snap.missing_edge)
-        return ("run", new_state), moves[i]
+        moves, state = _team_spread(mem, snap)
+        return state, moves[i]
 
 
 # ---------------------------------------------------------------------------
@@ -705,17 +696,8 @@ class PlaceAndSwipe:
         k = len(snap.positions)
         if k == 2:
             return mem._replace(round=mem.round + 1), self._spread_move_two(i, snap)
-        if mem.spread is None:
-            state = spread_init(
-                snap.n, tuple(range(k)), snap.positions, snap.missing_edge
-            )
-        else:
-            state = mem.spread
-        moves, new_state = spread_step(state, snap.missing_edge)
-        return (
-            mem._replace(round=mem.round + 1, spread=new_state),
-            moves[i],
-        )
+        moves, state = _team_spread(mem.spread, snap)
+        return mem._replace(round=mem.round + 1, spread=state), moves[i]
 
     # -- epochs --
 
@@ -832,16 +814,13 @@ class KPingPong:
                         moves[i] = move
         return tuple(moves), tuple(new_phases)
 
-    def _start_respread(self, n, phases, post_positions, missing_next):
-        spreads = []
-        for phase in (KP_C, KP_CC):
-            slots = self._group_slots(phases, phase)
-            spreads.append(
-                spread_init(
-                    n, slots, tuple(post_positions[s] for s in slots), missing_next
-                )
-            )
-        return tuple(spreads)
+    def _start_respread(self, n, phases, post_positions, cut):
+        """One spread per group, anchored next to ``cut``."""
+        groups = (self._group_slots(phases, KP_C), self._group_slots(phases, KP_CC))
+        return tuple(
+            spread_init(n, slots, [post_positions[s] for s in slots], cut)
+            for slots in groups
+        )
 
     def step(self, i, mem: KPingPongMemory, snap: GlobalSnapshot):
         n = snap.n
@@ -863,34 +842,27 @@ class KPingPong:
                     stage="respread",
                     phases=phases,
                     spreads=self._start_respread(
-                        n, phases, post, snap.missing_edge
+                        n, phases, post, crossed_edge(n, positions[blocked[0]], CW)
                     ),
                 )
             return new_mem, CW
 
         if mem.stage == "respread":
             groups_uniform = all(
-                is_uniform(
-                    n, tuple(positions[s] for s in self._group_slots(mem.phases, ph))
-                )
-                for ph in (KP_C, KP_CC)
+                is_uniform(n, [positions[m] for m in spread.members])
+                for spread in mem.spreads
             )
             if groups_uniform:
                 moves, new_phases = self._groups_moves(snap, mem.phases)
                 return KPingPongMemory(stage="groups", phases=new_phases), moves[i]
-            moves = [STAY] * k
-            new_spreads = []
-            for state in mem.spreads:
-                group_moves, new_state = spread_step(state, snap.missing_edge)
-                for slot, member in enumerate(state.members):
-                    moves[member] = group_moves[slot]
-                new_spreads.append(new_state)
-            return (
-                KPingPongMemory(
-                    stage="respread", phases=mem.phases, spreads=tuple(new_spreads)
-                ),
-                moves[i],
-            )
+            stepped = [spread_step(spread, snap) for spread in mem.spreads]
+            moves = {
+                m: move
+                for group_moves, spread in stepped
+                for m, move in zip(spread.members, group_moves)
+            }
+            spreads = tuple(spread for _, spread in stepped)
+            return replace(mem, spreads=spreads), moves[i]
 
         moves, new_phases = self._groups_moves(snap, mem.phases)
         return KPingPongMemory(stage="groups", phases=new_phases), moves[i]

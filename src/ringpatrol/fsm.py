@@ -173,6 +173,8 @@ def classify(graph: TransitionGraph, k: int, memory_bits: int) -> Classification
     """Classify a machine: either it provably fails patrolling, or every
     fault-free cycle it can be driven into drifts and the drift-herding
     bound applies."""
+    if k < 1:
+        raise ValueError(f"a team needs at least one agent, got k={k}")
     if graph.states > 2 ** memory_bits:
         raise ValueError(
             f"{graph.states} states do not fit in {memory_bits} memory bits"

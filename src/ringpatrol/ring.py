@@ -142,6 +142,8 @@ def make_random_schedule(n: int, rounds: int, seed: int) -> ObliviousSchedule:
 
 def uniform_gaps(n: int, k: int) -> list[int]:
     """Inter-agent gaps of the canonical uniform placement, larger gaps first."""
+    if k < 1:
+        raise ValueError(f"a placement needs at least one agent, got k={k}")
     q, rem = divmod(n, k)
     return [q + 1] * rem + [q] * (k - rem)
 
@@ -184,12 +186,14 @@ def random_positions(n: int, k: int, seed: int) -> tuple[int, ...]:
 # --- run start, snapshots and round application -----------------------------
 
 def start_run(algorithm, n: int, k: int, initial: Sequence[int]) -> tuple:
-    """Start a run of the engine or the solver: check the ring (n >= 3) and
-    the start (one distinct in-range node per agent), validate the team and
-    return the k agents' initial memories."""
+    """Start a run of the engine or the solver: check the ring (n >= 3), the
+    team (k >= 1) and the start (one distinct in-range node per agent),
+    validate the team and return the k agents' initial memories."""
     positions = tuple(initial)
     if n < 3:
         raise ValueError(f"ring needs at least 3 nodes, got n={n}")
+    if k < 1:
+        raise ValueError(f"a run needs at least one agent, got k={k}")
     if len(positions) != k:
         raise ValueError(f"expected {k} start nodes, one per agent, got {positions}")
     if any(not (0 <= p < n) for p in positions):

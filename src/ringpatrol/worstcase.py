@@ -462,13 +462,15 @@ def offline_opt_search(
     known schedule (blocked moves waste the round).
 
     Agents do not interact, so each agent's reachable sweep extents are
-    tracked independently and combined per round.  Supports k <= 3.
+    tracked independently and combined per round.  Supports 1 <= k <= 3.
     """
     n = schedule.n
     if k != len(start):
         raise ValueError("one start node per agent")
-    if k > 3:
-        raise ValueError(f"offline search supports at most 3 agents, got {k}")
+    if not (1 <= k <= 3):
+        raise ValueError(f"offline search supports 1 to 3 agents, got {k}")
+    if any(not (0 <= v < n) for v in (*start, home)):
+        raise ValueError(f"start {tuple(start)} or home {home} is off the ring n={n}")
     if max_rounds is None:
         max_rounds = 8 * n
 

@@ -176,6 +176,12 @@ def test_verify_rejects_unknown_suite(runner):
                       "--placement", "explicit:0,0"], id="worstcase-co-located"),
         pytest.param(["worstcase", "--algo", "pingpong", "--n", "6", "--k", "2",
                       "--placement", "explicit:0,9"], id="worstcase-out-of-range"),
+        pytest.param(["simulate", "--algo", "clockwise", "--n", "8", "--k", "0"],
+                     id="simulate-no-agents"),
+        pytest.param(["worstcase", "--algo", "clockwise", "--n", "8", "--k", "0"],
+                     id="worstcase-no-agents"),
+        pytest.param(["analyze", "stay", "--k", "0", "--cross-validate", "8"],
+                     id="analyze-no-agents"),
     ],
 )
 def test_bad_arguments_are_a_one_line_error(runner, args):

@@ -44,6 +44,11 @@ def test_run_without_driver_rejects_two_node_ring():
         run(PingPong(), None, (0, 1), 5, n=2)
 
 
+def test_run_rejects_empty_team():
+    with pytest.raises(ValueError, match="at least one agent"):
+        run(clockwise(), None, (), 10, n=8)
+
+
 def test_run_rejects_driver_for_another_ring():
     sched = ObliviousSchedule(n=8, missing={0: 5}, period=1)
     with pytest.raises(ValueError, match="n=8"):

@@ -146,6 +146,11 @@ def test_classify_rejects_oversized_machines():
         classify(build_transition_graph(fsm_of("reverse-on-block")), 2, 0)
 
 
+def test_classify_rejects_empty_team():
+    with pytest.raises(ValueError, match="at least one agent"):
+        classify(build_transition_graph(fsm_of("stay")), 0, 1)
+
+
 def test_certificate_replays():
     spec = four_state_fixture()
     g = build_transition_graph(spec)

@@ -217,6 +217,8 @@ def test_decide_moves_machine_reads_its_own_edges(missing, classes):
 def test_uniform_positions_and_gaps():
     assert uniform_positions(10, 2) == (0, 5)
     assert uniform_gaps(9, 2) == [5, 4]
+    with pytest.raises(ValueError, match="at least one agent"):
+        uniform_gaps(8, 0)
     assert uniform_positions(9, 2) == (0, 5)
     assert is_uniform(12, (0, 3, 6, 9))
     assert is_uniform(9, (1, 4, 7))
@@ -248,6 +250,7 @@ def test_initial_configuration_must_be_injective():
         pytest.param(6, 2, (-1, 2), "out of range", id="start-negative"),
         pytest.param(6, 3, (0, 2), "one per agent", id="fewer-starts-than-agents"),
         pytest.param(6, 1, (0, 2), "one per agent", id="more-starts-than-agents"),
+        pytest.param(6, 0, (), "at least one agent", id="no-agents"),
     ],
 )
 def test_start_run_rejects_bad_ring_and_start(n, k, initial, message):

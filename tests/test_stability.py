@@ -8,7 +8,9 @@ The trace and n=8 solve digests were recorded before the round kernel was
 shared between the engine, the solver and the adversaries; the suite digests
 before the movement rule moved into ``ring.crossed_edge``; the larger solve
 and cross-validation digests before the solver kept one edge per distinct
-successor.  A refactor that changes any move, block flag, missing edge,
+successor; the symmetric-spread, place-and-swipe spread and kpingpong
+k=3 n=12 solve digests before the spread planner read positions from the
+round's snapshot.  A refactor that changes any move, block flag, missing edge,
 witness or report row changes a digest.
 The report cases cover the fast suites and the fast ``table1`` builders, so
 the default test run guards report bytes without the long ``table1`` rows.
@@ -60,6 +62,22 @@ def _place_and_swipe():
 def _spread():
     sched = make_random_schedule(11, 220, 2)
     return trace_to_csv(run(UniformSpread(), sched, random_positions(11, 3, 4), 44))
+
+
+def _spread_from(n, start, missing, rounds):
+    return lambda: trace_to_csv(
+        run(UniformSpread(), ObliviousSchedule(n=n, missing=missing), start, rounds)
+    )
+
+
+def _place_and_swipe_spread(n, k, seed):
+    def render():
+        sched = make_random_schedule(n, 8 * n, seed)
+        return trace_to_csv(
+            run(PlaceAndSwipe(sched), sched, random_positions(n, k, seed), 6 * n)
+        )
+
+    return render
 
 
 def _reverse_on_block_trap():
@@ -137,6 +155,26 @@ CASES = {
         _spread,
         "cdc76297f3b2f7ce3dad973adb3bf9f87fd74fb366b308242faccb557161bb3c",
     ),
+    "spread-n12-symmetric-late-removal": (
+        _spread_from(12, (0, 1, 6, 7), {2: 9}, 24),
+        "3743180e2d383c40eecfed673ae15a939a8e2a83195f35afaefe54c4ae08ab5e",
+    ),
+    "spread-n12-symmetric-replan": (
+        _spread_from(12, (0, 1, 6, 7), {1: 8}, 24),
+        "0798690afaa202727ff402e4dea124ffc687c3ef226f80245e9de6700150b64d",
+    ),
+    "spread-n12-symmetric-static": (
+        _spread_from(12, (0, 1, 2, 6, 7, 8), {}, 24),
+        "bdf6482169759770afd71cc23e0182fc6113be9826ce91cc56ecfe7dc9567892",
+    ),
+    "place-and-swipe-spread-k3-n12": (
+        _place_and_swipe_spread(12, 3, 239),
+        "4846d617b8af4e5f195023411af1e5e36370a083d3a533c6cb9e943154db8734",
+    ),
+    "place-and-swipe-spread-k4-n16": (
+        _place_and_swipe_spread(16, 4, 128),
+        "a6b734a5bf52354b2e2d3bdb96983b5f80266bd14b20d1d94c28c9cd8b92abf7",
+    ),
     "reverse-on-block-trap": (
         _reverse_on_block_trap,
         "b089428536686fbc0f9bfb5a33ae42ba92680a81ad3fef4e5b900dd0f5dcec2f",
@@ -168,6 +206,10 @@ CASES = {
     "solve-kpingpong-k3-n10": (
         _solve(KPingPong, 10, 3),
         "1f3b23dc39a993d2299c4f6c2eade044f558fbfbaab57a6408e2e6dbade04b0a",
+    ),
+    "solve-kpingpong-k3-n12": (
+        _solve(KPingPong, 12, 3),
+        "567ff5d2b2ad06d95a9ee1ea91cc4cd10212a5da75320a3a93e6f4f7e0d522cc",
     ),
     "solve-kpingpong-k4-n8": (
         _solve(KPingPong, 8, 4),

@@ -140,6 +140,11 @@ def test_solver_rejects_bad_ring_and_start(n, k, initial):
         solve_worst_case(PingPong(), n, k, initial)
 
 
+def test_solver_rejects_empty_team():
+    with pytest.raises(ValueError, match="at least one agent"):
+        solve_worst_case(clockwise(), 8, 0, ())
+
+
 def test_solver_rejects_aperiodic_restriction():
     sched = ObliviousSchedule(n=6, missing={0: 1, 5: 2})  # no period declared
     with pytest.raises(ValueError):
@@ -229,6 +234,10 @@ PROBE_CASES = (
         for k in (1, 2, 3)
     ]
     + [(f"spread-k3-n{n}", UniformSpread, n, (0, 1, 3)) for n in (7, 8)]
+    # rotation-symmetric starts run the segments stage, which reads the raw
+    # missing edge to replan around the first removal
+    + [("spread-symmetric-n8", UniformSpread, 8, (0, 1, 4, 5))]
+    + [("spread-symmetric-n12", UniformSpread, 12, (0, 1, 6, 7))]
     + [("raw-reader-n6", RawReader, 6, (0, 2))]
 )
 
@@ -278,9 +287,13 @@ def test_solve_logs_its_counts_at_debug(caplog):
     assert stats["probe_fallbacks"] == 0
     assert stats["team_steps"] < 25 * 1176
     assert stats["explore_s"] >= 0 and stats["analysis_s"] >= 0
-    # the spread planner reads the missing edge itself
+    # the spread planner reads the missing edge itself when it anchors
     stats = solve_record(caplog, UniformSpread(), 8, 3, (0, 1, 3))
     assert stats["probe_fallbacks"] > 0
+    # kpingpong's group spreads ask about blocked moves only
+    stats = solve_record(caplog, KPingPong(), 12, 3, uniform_positions(12, 3))
+    assert stats["states"] == 804 and stats["edges"] == 2208
+    assert stats["probe_fallbacks"] == 0
 
 
 # --- differential: the engine against the solver ------------------------------
@@ -415,6 +428,20 @@ def test_offline_respects_round_cap():
 def test_offline_rejects_large_teams():
     with pytest.raises(ValueError):
         offline_opt_search(ObliviousSchedule(n=8), 4, (0, 2, 4, 6), 0)
+
+
+@pytest.mark.parametrize(
+    "k,start,home",
+    [
+        pytest.param(0, (), 0, id="no-agents"),
+        pytest.param(2, (0, 99), 0, id="start-past-ring"),
+        pytest.param(2, (-1, 5), 0, id="start-negative"),
+        pytest.param(2, (0, 5), 10, id="home-past-ring"),
+    ],
+)
+def test_offline_rejects_empty_teams_and_nodes_off_the_ring(k, start, home):
+    with pytest.raises(ValueError):
+        offline_opt_search(wave_schedule(10), k, start, home)
 
 
 def test_offline_three_agents():
