@@ -24,15 +24,12 @@ start) drops it and pins the ring size to the schedule's.  The
 bounded-memory machines (``FsmAlgorithm``) read only the two edges at their
 own node.
 
-A step reads the missing edge through ``snap.blocks(p, move)``: would a
-move from node ``p`` be blocked this round?  The exact solver relies on
+A step reads the missing edge only through ``snap.blocks(p, move)``: would
+a move from node ``p`` be blocked this round?  The exact solver relies on
 this.  It steps the team once with no edge missing, notes which edges the
 team asked about, and steps it again only for those edges and the ones its
-moves cross.  A step that reads ``snap.missing_edge`` itself is still
-solved exactly, but the solver then steps the team for every choice of edge
-in that state.  Only spread planning does, where it needs the location of
-the removed edge (see ``SpreadState``); k-ping-pong's group spreads anchor
-on the edge its first blocked agent faces and never read it.
+moves cross.  A plan that needs the removed edge's location asks about
+every edge (``_removed_edge``).
 """
 
 from __future__ import annotations
@@ -437,10 +434,6 @@ class SpreadState:
     Identical copies live in every member's memory.  The state holds no
     positions: ``spread_step`` reads member ``m`` at ``snap.positions[m]``
     and asks ``snap.blocks`` about its moves, so the copies never diverge.
-    ``snap.missing_edge`` is read only where the removed edge's location is
-    needed: a team's first round anchors its plan next to it
-    (``_team_spread``), and the segments stage replans around the first
-    removal it sees.
     """
 
     members: tuple[int, ...]
@@ -448,6 +441,11 @@ class SpreadState:
     order: tuple[int, ...] = ()  # member slots in placement order
     targets: tuple[int, ...] = ()  # by placement-order slot
     segments: tuple = ()  # per segment: (member slots, their targets)
+
+
+def _removed_edge(snap: GlobalSnapshot) -> Optional[int]:
+    """The round's missing edge, found by asking ``blocks`` about every edge."""
+    return next((e for e in range(snap.n) if snap.blocks(e, CW)), None)
 
 
 def _lexmin_rotation_slots(n: int, positions: Sequence[int]) -> list[int]:
@@ -562,9 +560,10 @@ def _anchored_step(state: SpreadState, snap: GlobalSnapshot, pos: Sequence[int])
 
 def _segments_step(state: SpreadState, snap: GlobalSnapshot, pos: Sequence[int]):
     n = snap.n
-    if snap.missing_edge is not None:
+    removed = _removed_edge(snap)
+    if removed is not None:
         # the removal breaks the symmetry; replan around it from here on
-        replanned = _plan_anchored(state, n, pos, snap.missing_edge)
+        replanned = _plan_anchored(state, n, pos, removed)
         return _anchored_step(replanned, snap, pos)
     moves = [STAY] * len(pos)
     all_done = True
@@ -600,7 +599,7 @@ def _team_spread(state: Optional[SpreadState], snap: GlobalSnapshot):
     None) plans it, next to that round's missing edge if there is one."""
     if state is None:
         k = len(snap.positions)
-        state = spread_init(snap.n, range(k), snap.positions, snap.missing_edge)
+        state = spread_init(snap.n, range(k), snap.positions, _removed_edge(snap))
     return spread_step(state, snap)
 
 

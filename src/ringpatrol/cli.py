@@ -194,6 +194,8 @@ def worstcase(algo, n, k, placement, static_only, schedule_spec, budget, out):
             "place-and-swipe plans from the future schedule; the adaptive-game "
             "solver applies to schedule-oblivious algorithms"
         )
+    if static_only and schedule_spec:
+        raise click.ClickException("give either --static or --schedule, not both")
     restriction = None
     if static_only:
         restriction = ObliviousSchedule(n=n, period=1)

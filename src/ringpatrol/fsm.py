@@ -28,7 +28,7 @@ from typing import Optional
 
 from .agents import SNAP_BOTH, SNAPSHOT_CLASSES, FsmAlgorithm, FsmSpec
 from .ring import uniform_positions
-from .worstcase import GameSolverResult, solve_worst_case
+from .worstcase import GameSolverResult, _path_from_init, solve_worst_case
 
 NOT_PATROLLING = "NOT_PATROLLING"
 LOWER_BOUND = "LOWER_BOUND"
@@ -132,17 +132,6 @@ def _reachable_from(graph: TransitionGraph, sources) -> dict[int, Optional[tuple
     return parents
 
 
-def _path_to(parents, target) -> list[str]:
-    labels = []
-    s = target
-    while parents[s] is not None:
-        prev, label = parents[s]
-        labels.append(label)
-        s = prev
-    labels.reverse()
-    return labels
-
-
 @dataclass
 class Classification:
     verdict: str
@@ -190,7 +179,7 @@ def classify(graph: TransitionGraph, k: int, memory_bits: int) -> Classification
     certificate = {
         "initial_path": prefix,
         "initial_cycle": list(start_cycle.vertices),
-        "reach_labels": _path_to(parents, entry),
+        "reach_labels": _path_from_init(parents, entry),
         "cycle": list(chosen.vertices),
         "cycle_displacement": chosen.displacement,
     }

@@ -102,9 +102,7 @@ class ObliviousSchedule:
         except (KeyError, TypeError, RecursionError) as exc:
             raise ScheduleError(f"malformed schedule file: {exc!r}") from None
         sched = cls(n=n, missing=missing, period=period)
-        report = validate_schedule(sched)
-        if report is not None:
-            raise ScheduleError(report)
+        check_schedule(sched)
         return sched
 
 
@@ -125,6 +123,13 @@ def validate_schedule(schedule: ObliviousSchedule) -> Optional[str]:
         if not (0 <= e < schedule.n):
             return f"round {r}: edge index {e} out of range for n={schedule.n}"
     return None
+
+
+def check_schedule(schedule: ObliviousSchedule) -> None:
+    """Raise ``ScheduleError`` naming the first violation, if any."""
+    report = validate_schedule(schedule)
+    if report is not None:
+        raise ScheduleError(report)
 
 
 def make_random_schedule(n: int, rounds: int, seed: int) -> ObliviousSchedule:

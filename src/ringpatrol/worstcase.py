@@ -19,10 +19,9 @@ Exploration steps the team once per state on a probe snapshot that answers
 That step is the ``None`` choice's successor.  Removing an edge that no
 agent asked about and no move crosses changes no answer, so no memory and
 no move, and gives that same successor; the team is stepped again only for
-the other edges, in choice order.  A step that reads ``missing_edge``
-directly could depend on any edge, so in that state every choice is
-stepped.  Each solve logs its counts and phase times at DEBUG level to the
-``ringpatrol.worstcase`` logger.
+the other edges, in choice order.  The probe refuses ``missing_edge``
+reads: steps must ask ``blocks``.  Each solve logs its counts and phase
+times at DEBUG level to the ``ringpatrol.worstcase`` logger.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .ring import (
     GlobalSnapshot,
     ObliviousSchedule,
     apply_round,
+    check_schedule,
     crossed_edge,
     decide_moves,
     start_run,
@@ -61,10 +61,16 @@ class BudgetExceeded(RuntimeError):
 
 
 def _state_budget(budget: Optional[int]) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_STATE_BUDGET
+    """``budget``, else the environment variable, else the default; anything
+    but an integer >= 1 raises ``ValueError`` naming its source."""
+    source, value = "budget", budget
+    if budget is None:
+        source = BUDGET_ENV_VAR
+        value = os.environ.get(BUDGET_ENV_VAR) or DEFAULT_STATE_BUDGET
+    digits = str(value).strip()
+    if not digits.isdecimal() or int(digits) < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
+    return int(digits)
 
 
 @dataclass
@@ -96,19 +102,17 @@ class GameSolverResult:
 
 class _ProbeSnapshot(GlobalSnapshot):
     """The snapshot of a round with no edge missing that records what the
-    team looked at: ``asked`` holds every edge a ``blocks`` query named, and
-    ``raw_read`` is set once a step reads ``missing_edge`` directly."""
+    team looked at: ``asked`` holds every edge a ``blocks`` query named.  A
+    direct ``missing_edge`` read raises ``TypeError``."""
 
     def __new__(cls, n, positions):
         probe = super().__new__(cls, n, None, positions)
         probe.asked = set()
-        probe.raw_read = False
         return probe
 
     @property
     def missing_edge(self):
-        self.raw_read = True
-        return None
+        raise TypeError("a step must read the missing edge through blocks(p, move)")
 
     def blocks(self, p, move):
         edge = crossed_edge(self.n, p, move)
@@ -119,30 +123,26 @@ class _ProbeSnapshot(GlobalSnapshot):
 
 def _explore(algorithm, n, k, initial, schedule, budget):
     """BFS the reachable game graph; returns (occupancy masks, successor
-    lists, BFS parents, (team steps, probe fallbacks)), the first three
-    indexed by state in discovery order.
+    lists, BFS parents, team steps), the first three indexed by state in
+    discovery order.
 
     ``masks[t]`` has bit ``v`` set when state ``t`` occupies node ``v``.
     ``succs[s]`` keeps one ``(t, choice)`` per distinct successor ``t``, with
     the first scheduler choice that reaches it.  ``parents[t]`` is the
     (state, choice) that first discovered ``t``, so following it back gives
     a shortest path from the initial state.  A team step is one call of the
-    round kernel; a probe fallback is a state whose probe read the missing
-    edge directly."""
+    round kernel."""
     init_mems = start_run(algorithm, n, k, initial)
-    if schedule is None:
-        modulus = 1
-    else:
+    modulus = 1
+    if schedule is not None:
         if schedule.n != n:
             raise ValueError(
                 f"schedule restriction is for n={schedule.n}, ring has n={n}"
             )
-        if schedule.period is not None:
-            modulus = schedule.period
-        elif not schedule.missing:
-            modulus = 1
-        else:
+        check_schedule(schedule)
+        if schedule.period is None and schedule.missing:
             raise ValueError("schedule restriction must be periodic")
+        modulus = schedule.period or 1
 
     init_state = (tuple(initial), init_mems, 0)
 
@@ -152,7 +152,7 @@ def _explore(algorithm, n, k, initial, schedule, budget):
     parents: list[Optional[tuple[int, Optional[int]]]] = [None]
     succs: list[list[tuple[int, Optional[int]]]] = []
     queue = deque([0])
-    team_steps = fallbacks = 0
+    team_steps = 0
 
     def visit(si, out, choice, snap):
         """Step the team on ``snap`` (whose missing edge is ``choice``) and
@@ -188,22 +188,16 @@ def _explore(algorithm, n, k, initial, schedule, budget):
         if schedule is None:
             probe = _ProbeSnapshot(n, positions)
             moves = visit(si, out, None, probe)
-            if probe.raw_read:
-                fallbacks += 1
-                edges = range(n)
-            else:
-                edges = sorted(probe.asked.union(
-                    crossed_edge(n, p, m)
-                    for p, m in zip(positions, moves)
-                    if m != STAY
-                ))
-            for edge in edges:
+            edges = probe.asked.union(
+                crossed_edge(n, p, m) for p, m in zip(positions, moves) if m != STAY
+            )
+            for edge in sorted(edges):
                 visit(si, out, edge, GlobalSnapshot(n, edge, positions))
         else:
             choice = schedule.missing_edge(clock)
             visit(si, out, choice, GlobalSnapshot(n, choice, positions))
         succs.append(list(out.items()))
-    return masks, succs, parents, (team_steps, fallbacks)
+    return masks, succs, parents, team_steps
 
 
 def _occupancy(positions) -> int:
@@ -240,16 +234,16 @@ def solve_worst_case(
     ``worst_idle`` (finite case) or demonstrates a starvation loop.
     """
     t0 = perf_counter()
-    masks, succs, parent, (team_steps, fallbacks) = _explore(
+    masks, succs, parent, team_steps = _explore(
         algorithm, n, k, tuple(initial), schedule, _state_budget(budget)
     )
     t1 = perf_counter()
     result = _analyse(n, masks, succs, parent)
     log.debug(
-        "solve n=%d k=%d: states=%d edges=%d team_steps=%d probe_fallbacks=%d "
+        "solve n=%d k=%d: states=%d edges=%d team_steps=%d "
         "explore_s=%.4f analysis_s=%.4f",
         n, k, len(masks), sum(len(out) for out in succs), team_steps,
-        fallbacks, t1 - t0, perf_counter() - t1,
+        t1 - t0, perf_counter() - t1,
     )
     return result
 
@@ -464,6 +458,7 @@ def offline_opt_search(
     Agents do not interact, so each agent's reachable sweep extents are
     tracked independently and combined per round.  Supports 1 <= k <= 3.
     """
+    check_schedule(schedule)
     n = schedule.n
     if k != len(start):
         raise ValueError("one start node per agent")

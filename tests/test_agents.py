@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ringpatrol import engine
 from ringpatrol.agents import (
+    BUILTIN_FSM_NAMES,
     FsmAlgorithm,
     FsmSpec,
     KPingPong,
@@ -14,6 +16,7 @@ from ringpatrol.agents import (
     TargetSelectionError,
     UniformSpread,
     _order_preserving_assignment,
+    _removed_edge,
     compute_swipe_set,
     fsm_of,
     placement_route,
@@ -23,6 +26,7 @@ from ringpatrol.engine import idle_time, run, trace_to_csv, visit_log
 from ringpatrol.ring import (
     CCW,
     CW,
+    GlobalSnapshot,
     ObliviousSchedule,
     crossed_edge,
     is_uniform,
@@ -472,3 +476,58 @@ def test_fsm_algorithm_runs_on_local_snapshots():
              (3,), 6, n=8)
     # blocked at once: the machine turns around immediately
     assert tr.records[0].after[0] == 2
+
+
+# --- steps read the missing edge only through blocks ---------------------------
+
+class BlocksOnlySnapshot(GlobalSnapshot):
+    """Answers ``blocks`` from the tuple slot; reading ``missing_edge``
+    fails, so a step that reads it directly cannot pass unnoticed."""
+
+    @property
+    def missing_edge(self):
+        raise AssertionError("a step read snap.missing_edge")
+
+    def blocks(self, p, move):
+        edge = crossed_edge(self.n, p, move)
+        return edge is not None and edge == self[1]
+
+
+def _protocol_cases():
+    n = 12
+    random_schedule = make_random_schedule(n, 6 * n, 5)
+    cases = [
+        ("pingpong", PingPong, random_positions(n, 2, 1), random_schedule),
+        ("kpingpong-k3", KPingPong, uniform_positions(n, 3), random_schedule),
+        ("spread-random", UniformSpread, random_positions(n, 4, 2), random_schedule),
+        ("spread-symmetric", UniformSpread, (0, 1, 6, 7), random_schedule),
+        # still for a round, then a removal mid-way through the segment plans
+        ("spread-symmetric-replan", UniformSpread, (0, 1, 6, 7),
+         ObliviousSchedule(n=n, missing={1: 8})),
+    ]
+    for k, seed in ((2, 3), (3, 239)):
+        sched = make_random_schedule(n, 10 * n, seed)
+        cases.append((f"place-and-swipe-k{k}", lambda s=sched: PlaceAndSwipe(s),
+                      random_positions(n, k, seed), sched))
+    cases += [
+        (name, lambda name=name: FsmAlgorithm(fsm_of(name)),
+         uniform_positions(n, 2), random_schedule)
+        for name in BUILTIN_FSM_NAMES
+    ]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("make,initial,schedule", _protocol_cases())
+def test_steps_read_the_missing_edge_only_through_blocks(
+    monkeypatch, make, initial, schedule
+):
+    rounds = 5 * schedule.n
+    expected = trace_to_csv(run(make(), schedule, initial, rounds))
+    monkeypatch.setattr(engine, "GlobalSnapshot", BlocksOnlySnapshot)
+    assert trace_to_csv(run(make(), schedule, initial, rounds)) == expected
+
+
+def test_removed_edge_is_the_snapshots_missing_edge():
+    for n in range(3, 17):
+        for edge in (None, *range(n)):
+            assert _removed_edge(GlobalSnapshot(n, edge, (0,))) == edge

@@ -182,6 +182,11 @@ def test_verify_rejects_unknown_suite(runner):
                      id="worstcase-no-agents"),
         pytest.param(["analyze", "stay", "--k", "0", "--cross-validate", "8"],
                      id="analyze-no-agents"),
+        pytest.param(["worstcase", "--algo", "pingpong", "--n", "6", "--k", "2",
+                      "--static", "--schedule", "fixed:3"],
+                     id="worstcase-static-and-schedule"),
+        pytest.param(["worstcase", "--algo", "pingpong", "--n", "6", "--k", "2",
+                      "--budget", "0"], id="worstcase-zero-budget"),
     ],
 )
 def test_bad_arguments_are_a_one_line_error(runner, args):
@@ -189,6 +194,17 @@ def test_bad_arguments_are_a_one_line_error(runner, args):
     assert result.exit_code == 1
     assert result.output.startswith("Error: ")
     assert result.output.count("\n") == 1
+
+
+def test_bad_state_budget_variable_is_a_one_line_error(runner, monkeypatch):
+    monkeypatch.setenv("PATROLCTL_STATE_BUDGET", "abc")
+    result = runner.invoke(
+        main, ["worstcase", "--algo", "pingpong", "--n", "6", "--k", "2"]
+    )
+    assert result.exit_code == 1
+    assert result.output == (
+        "Error: PATROLCTL_STATE_BUDGET must be an integer >= 1, got 'abc'\n"
+    )
 
 
 def test_exhausted_budget_is_a_one_line_error(runner):

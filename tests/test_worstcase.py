@@ -23,6 +23,7 @@ from ringpatrol.ring import (
     STAY,
     GlobalSnapshot,
     ObliviousSchedule,
+    ScheduleError,
     apply_round,
     consecutive_positions,
     decide_moves,
@@ -125,6 +126,21 @@ def test_state_budget_env_override(monkeypatch):
         solve_worst_case(PingPong(), 10, 2, uniform_positions(10, 2))
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_state_budget_env_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("PATROLCTL_STATE_BUDGET", value)
+    message = f"PATROLCTL_STATE_BUDGET must be an integer >= 1, got '{value}'"
+    with pytest.raises(ValueError, match=message):
+        solve_worst_case(PingPong(), 10, 2, uniform_positions(10, 2))
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_state_budget_argument_must_be_positive(budget):
+    message = f"^budget must be an integer >= 1, got {budget}$"
+    with pytest.raises(ValueError, match=message):
+        solve_worst_case(PingPong(), 10, 2, uniform_positions(10, 2), budget=budget)
+
+
 @pytest.mark.parametrize(
     "n,k,initial",
     [
@@ -155,6 +171,27 @@ def test_solver_rejects_schedule_for_another_ring():
     sched = ObliviousSchedule(n=8, missing={0: 7}, period=1)
     with pytest.raises(ValueError, match="n=8"):
         solve_worst_case(PingPong(), 6, 2, (0, 3), schedule=sched)
+
+
+INVALID_SCHEDULES = [
+    pytest.param({0: 9}, 1, "edge index 9 out of range", id="edge-past-ring"),
+    pytest.param({0: -1}, 1, "edge index -1 out of range", id="negative-edge"),
+    pytest.param({3: 1}, 2, "outside declared period", id="round-past-period"),
+]
+
+
+@pytest.mark.parametrize("missing,period,message", INVALID_SCHEDULES)
+def test_solver_rejects_invalid_schedule(missing, period, message):
+    sched = ObliviousSchedule(n=6, missing=missing, period=period)
+    with pytest.raises(ScheduleError, match=message):
+        solve_worst_case(PingPong(), 6, 2, (0, 3), schedule=sched)
+
+
+@pytest.mark.parametrize("missing,period,message", INVALID_SCHEDULES)
+def test_offline_rejects_invalid_schedule(missing, period, message):
+    sched = ObliviousSchedule(n=6, missing=missing, period=period)
+    with pytest.raises(ScheduleError, match=message):
+        offline_opt_search(sched, 1, (0,), 0)
 
 
 def test_exploration_keeps_one_edge_per_distinct_successor():
@@ -200,8 +237,8 @@ def full_fan_out(algorithm, n, k, initial):
 
 
 class RawReader:
-    """Remembers the last missing edge it saw, read straight off the
-    snapshot, so every choice of edge leads somewhere else."""
+    """Reads the missing edge straight off the snapshot instead of asking
+    ``blocks``, which the solver's protocol forbids."""
 
     def validate(self, n, k):
         pass
@@ -234,11 +271,10 @@ PROBE_CASES = (
         for k in (1, 2, 3)
     ]
     + [(f"spread-k3-n{n}", UniformSpread, n, (0, 1, 3)) for n in (7, 8)]
-    # rotation-symmetric starts run the segments stage, which reads the raw
-    # missing edge to replan around the first removal
+    # rotation-symmetric starts run the segments stage, which asks about
+    # every edge to replan around the first removal
     + [("spread-symmetric-n8", UniformSpread, 8, (0, 1, 4, 5))]
     + [("spread-symmetric-n12", UniformSpread, 12, (0, 1, 6, 7))]
-    + [("raw-reader-n6", RawReader, 6, (0, 2))]
 )
 
 
@@ -251,12 +287,9 @@ def test_probe_exploration_matches_full_fan_out(make, n, initial):
     assert (masks, succs, parents) == full_fan_out(make(), n, k, initial)
 
 
-def test_raw_reader_gets_every_choice_stepped():
-    masks, _, _, (team_steps, fallbacks) = _explore(
-        RawReader(), 6, 2, (0, 2), None, 10**6
-    )
-    assert fallbacks == len(masks)
-    assert team_steps == len(masks) * 7
+def test_solving_a_raw_reader_raises():
+    with pytest.raises(TypeError, match="blocks"):
+        solve_worst_case(RawReader(), 6, 2, (0, 2))
 
 
 def test_probe_records_queried_edges_and_raw_reads():
@@ -265,9 +298,8 @@ def test_probe_records_queried_edges_and_raw_reads():
     assert not probe.blocks(3, CCW)
     assert not probe.blocks(5, STAY)
     assert probe.asked == {0, 2}
-    assert not probe.raw_read
-    assert probe.missing_edge is None
-    assert probe.raw_read
+    with pytest.raises(TypeError, match="blocks"):
+        probe.missing_edge
 
 
 def solve_record(caplog, *args):
@@ -284,16 +316,15 @@ def solve_record(caplog, *args):
 def test_solve_logs_its_counts_at_debug(caplog):
     stats = solve_record(caplog, PingPong(), 24, 2, uniform_positions(24, 2))
     assert stats["states"] == 1176 and stats["edges"] == 3528
-    assert stats["probe_fallbacks"] == 0
-    assert stats["team_steps"] < 25 * 1176
+    assert stats["team_steps"] == 3528
     assert stats["explore_s"] >= 0 and stats["analysis_s"] >= 0
-    # the spread planner reads the missing edge itself when it anchors
+    # the spread planner asks about every edge when it anchors
     stats = solve_record(caplog, UniformSpread(), 8, 3, (0, 1, 3))
-    assert stats["probe_fallbacks"] > 0
+    assert stats["team_steps"] == 35
     # kpingpong's group spreads ask about blocked moves only
     stats = solve_record(caplog, KPingPong(), 12, 3, uniform_positions(12, 3))
     assert stats["states"] == 804 and stats["edges"] == 2208
-    assert stats["probe_fallbacks"] == 0
+    assert stats["team_steps"] == 2712
 
 
 # --- differential: the engine against the solver ------------------------------
