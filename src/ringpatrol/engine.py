@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .agents import compute_swipe_set
-from .ring import GlobalSnapshot, apply_round, decide_moves, start_run
+from .ring import (
+    GlobalSnapshot,
+    ObliviousSchedule,
+    apply_round,
+    check_schedule,
+    decide_moves,
+    start_run,
+)
 
 
 class SimulationError(RuntimeError):
@@ -53,7 +60,8 @@ def run(
     """Execute ``horizon`` rounds of ``algorithm`` against ``driver``.
 
     ``driver`` is an ObliviousSchedule, an adaptive adversary exposing
-    ``decide(round, positions, memories)``, or None for a static ring.
+    ``decide(round, positions, memories)``, or None for a static ring.  A
+    schedule is checked first: an invalid one raises ``ScheduleError``.
     ``observer``, if given, is called as ``observer(round, memories, record)``
     after each round with the post-round agent memories.
     """
@@ -64,6 +72,8 @@ def run(
         n = driver_n
     elif driver_n is not None and driver_n != n:
         raise ValueError(f"driver is for n={driver_n}, run has n={n}")
+    if isinstance(driver, ObliviousSchedule):
+        check_schedule(driver)
     positions = tuple(initial)
     k = len(positions)
     memories = start_run(algorithm, n, k, positions)

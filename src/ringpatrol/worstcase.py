@@ -20,8 +20,17 @@ That step is the ``None`` choice's successor.  Removing an edge that no
 agent asked about and no move crosses changes no answer, so no memory and
 no move, and gives that same successor; the team is stepped again only for
 the other edges, in choice order.  The probe refuses ``missing_edge``
-reads: steps must ask ``blocks``.  Each solve logs its counts and phase
-times at DEBUG level to the ``ringpatrol.worstcase`` logger.
+reads: steps must ask ``blocks``.
+
+Most games are symmetric under rotating the ring: positions shift, while
+memories and the schedule clock do not name nodes.  When node 0 is bounded
+and the explored graph is checked to be invariant under that rotation, no
+other node can force a longer gap (see ``_analyse``), so the analysis stops
+after node 0 with the result the all-nodes loop would return.  Graphs that
+fail the check (memories that hold node ids, a schedule restriction that
+removes particular edges, steps that read absolute node ids) get one pass
+per node.  Each solve logs its counts, node passes, state budget use and
+phase times at DEBUG level to the ``ringpatrol.worstcase`` logger.
 """
 
 from __future__ import annotations
@@ -123,15 +132,15 @@ class _ProbeSnapshot(GlobalSnapshot):
 
 def _explore(algorithm, n, k, initial, schedule, budget):
     """BFS the reachable game graph; returns (occupancy masks, successor
-    lists, BFS parents, team steps), the first three indexed by state in
-    discovery order.
+    lists, BFS parents, rotation map, team steps), the first three indexed
+    by state in discovery order.
 
     ``masks[t]`` has bit ``v`` set when state ``t`` occupies node ``v``.
     ``succs[s]`` keeps one ``(t, choice)`` per distinct successor ``t``, with
     the first scheduler choice that reaches it.  ``parents[t]`` is the
     (state, choice) that first discovered ``t``, so following it back gives
-    a shortest path from the initial state.  A team step is one call of the
-    round kernel."""
+    a shortest path from the initial state.  The rotation map is
+    ``_rotation_map``'s.  A team step is one call of the round kernel."""
     init_mems = start_run(algorithm, n, k, initial)
     modulus = 1
     if schedule is not None:
@@ -197,7 +206,21 @@ def _explore(algorithm, n, k, initial, schedule, budget):
             choice = schedule.missing_edge(clock)
             visit(si, out, choice, GlobalSnapshot(n, choice, positions))
         succs.append(list(out.items()))
-    return masks, succs, parents, team_steps
+    return masks, succs, parents, _rotation_map(n, states, index), team_steps
+
+
+def _rotation_map(n, states, index):
+    """``rotated[s]``, the number of state ``s`` turned one node clockwise
+    (positions shifted, memories and clock kept), or None when some turned
+    state was never reached.  Built before the index is dropped, so the
+    analysis holds one list, not every explored state."""
+    rotated = []
+    for positions, memories, clock in states:
+        image = index.get((tuple((p + 1) % n for p in positions), memories, clock))
+        if image is None:
+            return None
+        rotated.append(image)
+    return rotated
 
 
 def _occupancy(positions) -> int:
@@ -234,22 +257,56 @@ def solve_worst_case(
     ``worst_idle`` (finite case) or demonstrates a starvation loop.
     """
     t0 = perf_counter()
-    masks, succs, parent, team_steps = _explore(
-        algorithm, n, k, tuple(initial), schedule, _state_budget(budget)
+    budget = _state_budget(budget)
+    masks, succs, parent, rotated, team_steps = _explore(
+        algorithm, n, k, tuple(initial), schedule, budget
     )
     t1 = perf_counter()
-    result = _analyse(n, masks, succs, parent)
+    result, node_passes = _analyse(n, masks, succs, parent, rotated)
     log.debug(
-        "solve n=%d k=%d: states=%d edges=%d team_steps=%d "
-        "explore_s=%.4f analysis_s=%.4f",
+        "solve n=%d k=%d: states=%d edges=%d team_steps=%d node_passes=%d "
+        "budget_used=%.6f explore_s=%.4f analysis_s=%.4f",
         n, k, len(masks), sum(len(out) for out in succs), team_steps,
-        t1 - t0, perf_counter() - t1,
+        node_passes, len(masks) / budget, t1 - t0, perf_counter() - t1,
     )
     return result
 
 
-def _analyse(n, masks, succs, parent) -> GameSolverResult:
-    """The per-node gap analysis of an explored game graph."""
+def _rotation_invariant(succs, rotated) -> bool:
+    """Whether turning the ring one node clockwise maps the explored graph
+    onto itself: every turned state was reached (``rotated`` is a map), and
+    the turned successors of each state are exactly its turned state's
+    successors."""
+    return rotated is not None and all(
+        {rotated[t] for t, _ in out} == {t for t, _ in succs[image]}
+        for out, image in zip(succs, rotated)
+    )
+
+
+def _analyse(n, masks, succs, parent, rotated) -> tuple[GameSolverResult, int]:
+    """The per-node gap analysis of an explored game graph; returns the
+    result and the number of node passes it ran.
+
+    Node 0 is analysed first.  If it is bounded and the graph is
+    rotation-invariant (``_rotation_invariant``), the other passes are
+    skipped, because none of them could win:
+
+    Let rho map a state (positions, memories, clock) to ((p + 1) % n ...,
+    memories, clock).  If rho maps the reachable states onto themselves and
+    each state's successor set onto its image's successor set, then rho^-v
+    turns node v's avoiding paths into node 0's, so longest_v(s) =
+    longest_0(rho^-v s), and node v is unbounded exactly when node 0 is.
+
+    * A gap start on v maps to a gap start on 0.
+    * The start from round -1 maps to u = rho^-v(init), which BFS reached
+      from init.  If that path visits node 0, the last state on 0 along it
+      has a 0-avoiding path at least as long as u's; if it never visits 0,
+      init has one.
+
+    So gap_v <= gap_0 for every v.  Ties go to the lowest node, so the
+    result is node 0's: the same gap start, the same witness and the same
+    JSON bytes as the all-nodes loop.
+    """
     n_states = len(masks)
     preds: list[list[int]] = [[] for _ in range(n_states)]
     for s in range(n_states):
@@ -306,7 +363,7 @@ def _analyse(n, masks, succs, parent) -> GameSolverResult:
                         witness=witness,
                         cycle_start=len(prefix) + cut,
                         states_explored=n_states,
-                    )
+                    ), v + 1
                 walk_index[t] = len(loop_choices)
                 s = t
 
@@ -326,8 +383,11 @@ def _analyse(n, masks, succs, parent) -> GameSolverResult:
             if longest[s] + 1 > best_gap:
                 best_gap = longest[s] + 1
                 best = (v, s, longest)
+        if v == 0 and _rotation_invariant(succs, rotated):
+            break
 
     assert best is not None
+    passes = v + 1
     v, start, longest = best
     bit = 1 << v
     choices = _path_from_init(parent, start)
@@ -347,7 +407,7 @@ def _analyse(n, masks, succs, parent) -> GameSolverResult:
         target_node=v,
         witness=choices,
         states_explored=n_states,
-    )
+    ), passes
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from ringpatrol.engine import (
 from ringpatrol.ring import (
     STAY,
     ObliviousSchedule,
+    ScheduleError,
     make_random_schedule,
     uniform_positions,
 )
@@ -53,6 +54,21 @@ def test_run_rejects_driver_for_another_ring():
     sched = ObliviousSchedule(n=8, missing={0: 5}, period=1)
     with pytest.raises(ValueError, match="n=8"):
         run(PingPong(), sched, (0, 3), 20, n=6)
+
+
+@pytest.mark.parametrize(
+    "missing,period,message",
+    [
+        # round 3 is never read (round r looks up r % 2), so an unchecked
+        # run reports idle 3, as if nothing were removed
+        pytest.param({3: 1}, 2, "round 3 outside declared period 2", id="round-past-period"),
+        pytest.param({30: 9}, None, "edge index 9 out of range", id="edge-past-ring"),
+    ],
+)
+def test_run_rejects_invalid_schedule(missing, period, message):
+    sched = ObliviousSchedule(n=6, missing=missing, period=period)
+    with pytest.raises(ScheduleError, match=message):
+        run(PingPong(), sched, (0, 3), 20)
 
 
 def test_trace_continuity():

@@ -10,7 +10,8 @@ before the movement rule moved into ``ring.crossed_edge``; the larger solve
 and cross-validation digests before the solver kept one edge per distinct
 successor; the symmetric-spread, place-and-swipe spread and kpingpong
 k=3 n=12 solve digests before the spread planner read positions from the
-round's snapshot.  A refactor that changes any move, block flag, missing edge,
+round's snapshot; the pingpong n=40 and n=48 solve digests before the solver
+stopped after node 0 on rotation-symmetric games.  A refactor that changes any move, block flag, missing edge,
 witness or report row changes a digest.
 The report cases cover the fast suites and the fast ``table1`` builders, so
 the default test run guards report bytes without the long ``table1`` rows.
@@ -202,6 +203,14 @@ CASES = {
     "solve-pingpong-n24": (
         _solve(PingPong, 24, 2),
         "805c308bbfac091c0634d24d3e9eeb38feda8e2b897043b437ee770254b6ef16",
+    ),
+    "solve-pingpong-n40": (
+        _solve(PingPong, 40, 2),
+        "9dfb9bbc85c2c17dae00aa25a9dcb2db64cec3dd75b95f05d30178e849228407",
+    ),
+    "solve-pingpong-n48": (
+        _solve(PingPong, 48, 2),
+        "5b09b0adccbdb5535c730f31060b182de42a0a5f9df8b486dfa0a3fe9b5fe1e1",
     ),
     "solve-kpingpong-k3-n10": (
         _solve(KPingPong, 10, 3),

@@ -4,6 +4,7 @@ import re
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringpatrol.adversaries import fixed_edge_schedule, wave_schedule, wave_start_positions
 from ringpatrol.agents import (
@@ -12,6 +13,7 @@ from ringpatrol.agents import (
     FsmAlgorithm,
     FsmSpec,
     KPingPong,
+    S0,
     PingPong,
     UniformSpread,
     fsm_of,
@@ -34,9 +36,12 @@ from ringpatrol.ring import (
 from ringpatrol.worstcase import (
     UNBOUNDED,
     BudgetExceeded,
+    GameSolverResult,
     SearchBudgetError,
     _explore,
+    _path_from_init,
     _ProbeSnapshot,
+    _rotation_invariant,
     offline_opt_search,
     solve_worst_case,
 )
@@ -196,7 +201,7 @@ def test_offline_rejects_invalid_schedule(missing, period, message):
 
 def test_exploration_keeps_one_edge_per_distinct_successor():
     initial = uniform_positions(24, 2)
-    masks, succs, _, _ = _explore(PingPong(), 24, 2, initial, None, 10**6)
+    masks, succs, _, _, _ = _explore(PingPong(), 24, 2, initial, None, 10**6)
     assert len(masks) == len(succs) == 1176
     # 25 scheduler choices per state would make 29,400 edges
     assert sum(len(out) for out in succs) == 3528
@@ -283,7 +288,7 @@ PROBE_CASES = (
 )
 def test_probe_exploration_matches_full_fan_out(make, n, initial):
     k = len(initial)
-    masks, succs, parents, _ = _explore(make(), n, k, initial, None, 10**6)
+    masks, succs, parents, _, _ = _explore(make(), n, k, initial, None, 10**6)
     assert (masks, succs, parents) == full_fan_out(make(), n, k, initial)
 
 
@@ -318,6 +323,13 @@ def test_solve_logs_its_counts_at_debug(caplog):
     assert stats["states"] == 1176 and stats["edges"] == 3528
     assert stats["team_steps"] == 3528
     assert stats["explore_s"] >= 0 and stats["analysis_s"] >= 0
+    # the game is rotation-symmetric, so node 0's pass answers for all 24
+    assert stats["node_passes"] == 1
+    assert stats["budget_used"] == pytest.approx(1176 / 10_000_000, abs=1e-6)
+    stats = solve_record(
+        caplog, PingPong(), 24, 2, uniform_positions(24, 2), None, 2000
+    )
+    assert stats["budget_used"] == pytest.approx(0.588)
     # the spread planner asks about every edge when it anchors
     stats = solve_record(caplog, UniformSpread(), 8, 3, (0, 1, 3))
     assert stats["team_steps"] == 35
@@ -325,6 +337,178 @@ def test_solve_logs_its_counts_at_debug(caplog):
     stats = solve_record(caplog, KPingPong(), 12, 3, uniform_positions(12, 3))
     assert stats["states"] == 804 and stats["edges"] == 2208
     assert stats["team_steps"] == 2712
+    # odd-k respreads keep node ids in memory: no symmetry, one pass per node
+    assert stats["node_passes"] == 12
+    # an unbounded solve stops at node 0 either way
+    stats = solve_record(caplog, clockwise(), 6, 1, (0,))
+    assert stats["node_passes"] == 1
+
+
+# --- rotation symmetry: node 0's pass answers for every node -------------------
+
+def all_nodes_analysis(n, masks, succs, parent):
+    """Reference analysis: one pruning and longest-path pass per node, in
+    node order, with no symmetry shortcut; returns a ``GameSolverResult``
+    like ``solve_worst_case``."""
+    n_states = len(masks)
+    preds = [[] for _ in range(n_states)]
+    for s in range(n_states):
+        for t, _ in succs[s]:
+            preds[t].append(s)
+    best_gap, best = -1, None
+    for v in range(n):
+        bit = 1 << v
+        on_v = [t for t in range(n_states) if masks[t] & bit]
+        out_deg = [len(out) for out in succs]
+        for t in on_v:
+            for p in preds[t]:
+                out_deg[p] -= 1
+        dead = deque(s for s in range(n_states) if out_deg[s] == 0)
+        removed = [False] * n_states
+        order = []
+        while dead:
+            s = dead.popleft()
+            removed[s] = True
+            order.append(s)
+            if masks[s] & bit:
+                continue
+            for p in preds[s]:
+                out_deg[p] -= 1
+                if out_deg[p] == 0 and not removed[p]:
+                    dead.append(p)
+        if len(order) < n_states:
+            survivor = removed.index(False)
+            prefix = _path_from_init(parent, survivor)
+            loop, seen, s = [], {survivor: 0}, survivor
+            while True:
+                t, choice = next(
+                    (t, c) for t, c in succs[s] if not masks[t] & bit and not removed[t]
+                )
+                loop.append(choice)
+                if t in seen:
+                    return GameSolverResult(
+                        worst_idle=UNBOUNDED, target_node=v, witness=prefix + loop,
+                        cycle_start=len(prefix) + seen[t], states_explored=n_states,
+                    )
+                seen[t] = len(loop)
+                s = t
+        longest = [0] * n_states
+        for s in order:
+            avoiding = [longest[t] for t, _ in succs[s] if not masks[t] & bit]
+            if avoiding:
+                longest[s] = 1 + max(avoiding)
+        starts = {0}
+        starts.update(on_v)
+        for s in starts:
+            if longest[s] + 1 > best_gap:
+                best_gap, best = longest[s] + 1, (v, s, longest)
+    v, s, longest = best
+    bit = 1 << v
+    witness = _path_from_init(parent, s)
+    for g in range(longest[s], 0, -1):
+        t, choice = next(
+            (t, c) for t, c in succs[s] if not masks[t] & bit and longest[t] == g - 1
+        )
+        witness.append(choice)
+        s = t
+    witness.append(next(c for t, c in succs[s] if masks[t] & bit))
+    return GameSolverResult(
+        worst_idle=best_gap, target_node=v, witness=witness, states_explored=n_states
+    )
+
+
+def assert_matches_all_nodes(algorithm, n, initial, schedule=None):
+    k = len(initial)
+    masks, succs, parents, _, _ = _explore(
+        algorithm, n, k, tuple(initial), schedule, 10**7
+    )
+    expected = all_nodes_analysis(n, masks, succs, parents).to_json()
+    assert solve_worst_case(algorithm, n, k, initial, schedule).to_json() == expected
+
+
+@pytest.mark.parametrize(
+    "make,n,initial", [pytest.param(*case[1:], id=case[0]) for case in PROBE_CASES]
+)
+def test_one_pass_matches_all_nodes_on_probe_cases(make, n, initial):
+    assert_matches_all_nodes(make(), n, initial)
+
+
+def _wave_kpingpong():
+    return KPingPong(), 24, uniform_positions(24, 4), wave_schedule(24)
+
+
+# the solve instances the benchmark times, with their frozen worst cases
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: (PingPong(), 12, uniform_positions(12, 2), None), id="pp-n12"),
+        pytest.param(lambda: (PingPong(), 24, uniform_positions(24, 2), None), id="pp-n24"),
+        pytest.param(lambda: (PingPong(), 32, uniform_positions(32, 2), None), id="pp-n32"),
+        pytest.param(lambda: (KPingPong(), 12, uniform_positions(12, 3), None), id="kpp-k3-n12"),
+        pytest.param(lambda: (KPingPong(), 12, uniform_positions(12, 4), None), id="kpp-k4-n12"),
+        pytest.param(
+            lambda: (FsmAlgorithm(fsm_of("reverse-on-block")), 14, uniform_positions(14, 3), None),
+            id="rob-k3-n14",
+        ),
+        pytest.param(
+            lambda: (clockwise(), 8, consecutive_positions(8, 3), ObliviousSchedule(n=8)),
+            id="cw-k3-n8-static",
+        ),
+        pytest.param(_wave_kpingpong, id="kpp-k4-n24-wave"),
+    ],
+)
+def test_one_pass_matches_all_nodes_on_bench_solves(make):
+    assert_matches_all_nodes(*make())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    states=st.integers(1, 4),
+    n=st.integers(3, 8),
+    data=st.data(),
+)
+def test_one_pass_matches_all_nodes_on_random_machines(seed, states, n, data):
+    initial = data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+    )
+    assert_matches_all_nodes(FsmAlgorithm(random_machine(seed, states)), n, initial)
+
+
+class PausesOnNodeZero(PingPong):
+    """PingPong, except that a patroller standing on node 0 waits there
+    one round: the step reads an absolute node id, so the game is not
+    rotation-symmetric."""
+
+    def step(self, i, mem, snap):
+        if isinstance(mem, tuple):  # waited last round
+            return super().step(i, mem[0], snap)
+        if mem != S0 and snap.positions[i] == 0:
+            return (mem, "waited"), STAY
+        return super().step(i, mem, snap)
+
+
+def test_node_dependent_step_runs_every_node_pass(caplog):
+    n, initial = 8, uniform_positions(8, 2)
+    masks, succs, _, rotated, _ = _explore(
+        PausesOnNodeZero(), n, 2, initial, None, 10**6
+    )
+    assert not _rotation_invariant(succs, rotated)
+    stats = solve_record(caplog, PausesOnNodeZero(), n, 2, initial)
+    assert stats["node_passes"] == n
+    res = solve_worst_case(PausesOnNodeZero(), n, 2, initial)
+    assert res.worst_idle == 32 and res.target_node == 1  # node 0's gap is smaller
+    assert_matches_all_nodes(PausesOnNodeZero(), n, initial)
+
+
+def test_rotation_check_compares_successor_sets():
+    # three states on n=3 that rotate onto each other, so the map exists,
+    # but the last one loops instead of stepping on to the first
+    succs = [[(1, None)], [(2, None)], [(2, None)]]
+    assert not _rotation_invariant(succs, [1, 2, 0])
+    succs[2] = [(0, None)]
+    assert _rotation_invariant(succs, [1, 2, 0])
+    assert not _rotation_invariant(succs, None)
 
 
 # --- differential: the engine against the solver ------------------------------
