@@ -1,10 +1,10 @@
 """Lower-bound schedule constructions and adaptive adversaries.
 
-Adaptive adversaries implement ``decide(round, positions, memories)`` and may
-dry-run a round through the kernel ``ring.decide_moves`` (the engine hands
-them the algorithm via ``bind``, which also resets any per-run state).  They
-remove at most one edge per round and are deterministic, so runs against
-them replay exactly.
+Adaptive adversaries implement ``decide(round, positions, memory)`` and may
+dry-run a round of the team's memory through the kernel
+``ring.decide_moves`` (the engine hands them the algorithm via ``bind``,
+which also resets any per-run state).  They remove at most one edge per
+round and are deterministic, so runs against them replay exactly.
 """
 
 from __future__ import annotations
@@ -82,13 +82,13 @@ class TrapAdversary:
         self._n = n
         self.prison = None
 
-    def decide(self, r: int, positions, memories) -> Optional[int]:
+    def decide(self, r: int, positions, memory) -> Optional[int]:
         n = self._n
         pos = positions[0]
         if self.prison is None:
             self.prison = (pos, (pos + 1) % n)
         _, moves = decide_moves(
-            self._algorithm, GlobalSnapshot(n, None, tuple(positions)), memories
+            self._algorithm, GlobalSnapshot(n, None, tuple(positions)), memory
         )
         move = moves[0]
         if move != STAY and (pos + move) % n not in self.prison:
@@ -125,7 +125,7 @@ class GateAdversary:
         self._algorithm = algorithm
         self.trapped = None
 
-    def decide(self, r: int, positions, memories) -> Optional[int]:
+    def decide(self, r: int, positions, memory) -> Optional[int]:
         if self.trapped is None:
             # the agent starting counter-clockwise-closer to node n-1 is penned
             self.trapped = min(range(2), key=lambda i: ((positions[i] + 1) % self.n, i))
@@ -134,7 +134,7 @@ class GateAdversary:
             self.trapped, free = free, self.trapped
 
         _, moves = decide_moves(
-            self._algorithm, GlobalSnapshot(self.n, None, tuple(positions)), memories
+            self._algorithm, GlobalSnapshot(self.n, None, tuple(positions)), memory
         )
 
         t_pos, t_move = positions[self.trapped], moves[self.trapped]

@@ -1,28 +1,29 @@
-"""Patrolling algorithms as deterministic per-agent state machines.
+"""Patrolling algorithms as deterministic state machines.
 
-Every algorithm exposes the same protocol to the engine and the solver; its
-``step`` is called only from the round kernel ``ring.decide_moves``:
+Every algorithm exposes one of two protocols to the engine and the solver.
+Its steps are called only from the round kernel ``ring.decide_moves``, on
+the one ``GlobalSnapshot`` of the pre-move state; agent ``i`` stands on
+``snap.positions[i]``.
 
 * ``validate(n, k)``   -- reject unsupported team sizes
-* ``initial_memory(n, k, i, positions)``
-* ``step(i, mem, snap) -> (new_mem, move)``
+* global view (``PingPong``, ``KPingPong``, ``UniformSpread``): every agent
+  sees the same snapshot, so the moves are one joint plan, made once per
+  round on one team memory: ``initial_memory(n, k, positions)`` and
+  ``joint_step(mem, snap) -> (new_mem, moves)``
+* per agent (``FsmAlgorithm``, ``PlaceAndSwipe``): one memory per agent,
+  ``initial_memory(n, k, i, positions)`` and
+  ``step(i, mem, snap) -> (new_mem, move)``
 
-Each round the kernel builds one ``GlobalSnapshot`` of the pre-move state and
-passes that same object, with the agent's index ``i``, to every agent; the
-agent's own node is ``snap.positions[i]``.  Step functions are pure: all
-per-round coordination happens through the snapshot plus each agent's own
-memory.  Algorithms that need agreement on shared bookkeeping (group
-membership, placement plans) exploit that every agent sees the same snapshot
-and runs the same deterministic code: each one carries an identical copy of
-the shared plan and advances it the same way every round.  Place-and-swipe
-computes each epoch's plan once per team: the plan is a pure function of the
-schedule, the round and the positions, so the first agent to step keeps it
-on the instance under the key (round, positions) and the rest of the team
-reuse it.  A reused plan is the one the agent would have computed itself,
-so the memo cannot change a result; ``validate`` (called at every run
-start) drops it and pins the ring size to the schedule's.  The
-bounded-memory machines (``FsmAlgorithm``) read only the two edges at their
-own node.
+``ring.start_run`` rejects a team with both steps or neither.  Steps are
+pure: coordination happens through the snapshot plus the memory.  The
+bounded-memory machines read only the two edges at their own node, so they
+keep a per-agent view by design.  Place-and-swipe computes each epoch's
+plan once per team: the plan is a pure function of the schedule, the round
+and the positions, so the first agent to step keeps it on the instance
+under the key (round, positions) and the rest of the team reuse it.  A
+reused plan is the one the agent would have computed itself, so the memo
+cannot change a result; ``validate`` (called at every run start) drops it
+and pins the ring size to the schedule's.
 
 A step reads the missing edge only through ``snap.blocks(p, move)``: would
 a move from node ``p`` be blocked this round?  The exact solver relies on
@@ -46,7 +47,6 @@ from .ring import (
     ObliviousSchedule,
     apply_round,
     arc_distance,
-    crossed_edge,
     is_uniform,
     json_int,
     uniform_gaps,
@@ -68,49 +68,38 @@ class PlacementInfeasibleError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 S0 = "S0"
-PHASE_CW = "CW"
-PHASE_CCW = "CCW"
 
 
 class PingPong:
     """Two agents sweep clockwise until one is blocked, then patrol in
     opposite directions, bouncing off each other at distance <= 1.
 
-    The bounce predicate is evaluated on the Look-phase snapshot, and a
-    bounce round both reverses the assigned direction and moves.  The
-    distance that matters is the one along the approach arc, from the
-    clockwise-assigned agent to the counter-clockwise one: a pair left at
-    distance 1 while already heading apart (possible when a bounce move was
-    blocked) must not bounce again, or it would swap in place forever.
+    The team memory is ``S0`` during the sweep, then the slot of the
+    clockwise-assigned agent; the other agent goes counter-clockwise.  At
+    the first block the blocked agent turns counter-clockwise (agent 0 when
+    both are).  The bounce predicate is evaluated on the Look-phase
+    snapshot, and a bounce round both swaps the two directions and moves.
+    The distance that matters is the one along the approach arc, from the
+    clockwise agent to the counter-clockwise one: a pair left at distance 1
+    while already heading apart (possible when a bounce move was blocked)
+    must not bounce again, or it would swap in place forever.
     """
 
     def validate(self, n: int, k: int) -> None:
         if k != 2:
             raise ValueError(f"ping-pong runs with exactly 2 agents, got {k}")
 
-    def initial_memory(self, n, k, i, positions):
+    def initial_memory(self, n, k, positions):
         return S0
 
-    def step(self, i: int, mem: str, snap: GlobalSnapshot):
-        me = snap.positions[i]
-        other = snap.positions[1 - i]
+    def joint_step(self, mem, snap: GlobalSnapshot):
         if mem == S0:
-            nxt = S0
-            me_blocked = snap.blocks(me, CW)
-            other_blocked = snap.blocks(other, CW)
-            if me_blocked and other_blocked:
-                # co-located double block; lower slot takes counter-clockwise
-                nxt = PHASE_CCW if i == 0 else PHASE_CW
-            elif me_blocked:
-                nxt = PHASE_CCW
-            elif other_blocked:
-                nxt = PHASE_CW
-            return nxt, CW
-        phase = mem
-        cw_pos, ccw_pos = (me, other) if phase == PHASE_CW else (other, me)
+            blocked = [snap.blocks(p, CW) for p in snap.positions]
+            return (1 if blocked[0] else 0 if blocked[1] else S0), (CW, CW)
+        cw_pos, ccw_pos = snap.positions[mem], snap.positions[1 - mem]
         if (ccw_pos - cw_pos) % snap.n <= 1:
-            phase = PHASE_CW if phase == PHASE_CCW else PHASE_CCW
-        return phase, (CW if phase == PHASE_CW else CCW)
+            mem = 1 - mem
+        return mem, ((CW, CCW) if mem == 0 else (CCW, CW))
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +420,10 @@ def placement_route(
 class SpreadState:
     """Joint plan moving a member set onto a uniform pattern.
 
-    Identical copies live in every member's memory.  The state holds no
+    It lives in the team memory (place-and-swipe, which steps per agent,
+    keeps an identical copy in every agent's).  The state holds no
     positions: ``spread_step`` reads member ``m`` at ``snap.positions[m]``
-    and asks ``snap.blocks`` about its moves, so the copies never diverge.
+    and asks ``snap.blocks`` about its moves, so copies never diverge.
     """
 
     members: tuple[int, ...]
@@ -595,12 +585,14 @@ def spread_step(state: SpreadState, snap: GlobalSnapshot):
 
 
 def _team_spread(state: Optional[SpreadState], snap: GlobalSnapshot):
-    """One round of the whole team's spread; the first round (``state``
-    None) plans it, next to that round's missing edge if there is one."""
+    """One round of the whole team's spread: (state, moves).  The first
+    round (``state`` None) plans it, next to that round's missing edge if
+    there is one."""
     if state is None:
         k = len(snap.positions)
         state = spread_init(snap.n, range(k), snap.positions, _removed_edge(snap))
-    return spread_step(state, snap)
+    moves, state = spread_step(state, snap)
+    return state, moves
 
 
 class UniformSpread:
@@ -609,19 +601,17 @@ class UniformSpread:
     Symmetric starting configurations are handled per rotational segment
     until an edge removal breaks the symmetry; from then on the agent
     nearest clockwise to the removed edge anchors the target pattern.
-    Each agent's memory is None until its first step, then the team's
+    The team memory is None until the first round, then the team's
     ``SpreadState``.
     """
 
     def validate(self, n, k):
         pass
 
-    def initial_memory(self, n, k, i, positions):
+    def initial_memory(self, n, k, positions):
         return None
 
-    def step(self, i, mem, snap: GlobalSnapshot):
-        moves, state = _team_spread(mem, snap)
-        return state, moves[i]
+    joint_step = staticmethod(_team_spread)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +685,7 @@ class PlaceAndSwipe:
         k = len(snap.positions)
         if k == 2:
             return mem._replace(round=mem.round + 1), self._spread_move_two(i, snap)
-        moves, state = _team_spread(mem.spread, snap)
+        state, moves = _team_spread(mem.spread, snap)
         return mem._replace(round=mem.round + 1, spread=state), moves[i]
 
     # -- epochs --
@@ -745,7 +735,7 @@ KP_CC = "CC"
 @dataclass(frozen=True)
 class KPingPongMemory:
     stage: str  # "S0" | "respread" | "groups"
-    phases: tuple = ()  # per-agent "C"/"CC" once assigned
+    phases: tuple = ()  # by agent slot, "C"/"CC" once assigned
     spreads: tuple = ()  # one SpreadState per group while respreading
 
 
@@ -767,10 +757,8 @@ class KPingPong:
         if k < 2:
             raise ValueError(f"k-ping-pong needs k >= 2, got {k}")
 
-    def initial_memory(self, n, k, i, positions):
+    def initial_memory(self, n, k, positions):
         return KPingPongMemory(stage=KP_S0)
-
-    # -- helpers shared by all agents' identical memories --
 
     def _partition(self, n, k, positions, blocked_index):
         ranks = sorted(
@@ -813,15 +801,7 @@ class KPingPong:
                         moves[i] = move
         return tuple(moves), tuple(new_phases)
 
-    def _start_respread(self, n, phases, post_positions, cut):
-        """One spread per group, anchored next to ``cut``."""
-        groups = (self._group_slots(phases, KP_C), self._group_slots(phases, KP_CC))
-        return tuple(
-            spread_init(n, slots, [post_positions[s] for s in slots], cut)
-            for slots in groups
-        )
-
-    def step(self, i, mem: KPingPongMemory, snap: GlobalSnapshot):
+    def joint_step(self, mem: KPingPongMemory, snap: GlobalSnapshot):
         n = snap.n
         k = len(snap.positions)
         positions = snap.positions
@@ -829,39 +809,33 @@ class KPingPong:
         if mem.stage == KP_S0:
             blocked = [m for m in range(k) if snap.blocks(positions[m], CW)]
             if not blocked:
-                return mem, CW
-            phases = self._partition(n, k, positions, min(blocked))
-            post = tuple(
-                p if m in blocked else (p + 1) % n for m, p in enumerate(positions)
-            )
+                return mem, (CW,) * k
+            phases = self._partition(n, k, positions, blocked[0])
             if k % 2 == 0:
-                new_mem = KPingPongMemory(stage="groups", phases=phases)
-            else:
-                new_mem = KPingPongMemory(
-                    stage="respread",
-                    phases=phases,
-                    spreads=self._start_respread(
-                        n, phases, post, crossed_edge(n, positions[blocked[0]], CW)
-                    ),
+                return KPingPongMemory(stage="groups", phases=phases), (CW,) * k
+            # one spread per group, on the nodes after this round's moves,
+            # anchored next to the cut (the first blocked agent's edge)
+            post = [p if m in blocked else (p + 1) % n for m, p in enumerate(positions)]
+            spreads = tuple(
+                spread_init(n, slots, [post[m] for m in slots], positions[blocked[0]])
+                for slots in (
+                    self._group_slots(phases, KP_C), self._group_slots(phases, KP_CC)
                 )
-            return new_mem, CW
-
-        if mem.stage == "respread":
-            groups_uniform = all(
-                is_uniform(n, [positions[m] for m in spread.members])
-                for spread in mem.spreads
             )
-            if groups_uniform:
-                moves, new_phases = self._groups_moves(snap, mem.phases)
-                return KPingPongMemory(stage="groups", phases=new_phases), moves[i]
-            stepped = [spread_step(spread, snap) for spread in mem.spreads]
-            moves = {
-                m: move
-                for group_moves, spread in stepped
-                for m, move in zip(spread.members, group_moves)
-            }
-            spreads = tuple(spread for _, spread in stepped)
-            return replace(mem, spreads=spreads), moves[i]
+            return KPingPongMemory("respread", phases, spreads), (CW,) * k
 
+        if mem.stage == "respread" and not all(
+            is_uniform(n, [positions[m] for m in spread.members])
+            for spread in mem.spreads
+        ):
+            stepped = [spread_step(spread, snap) for spread in mem.spreads]
+            moves = [STAY] * k
+            for group_moves, spread in stepped:
+                for m, move in zip(spread.members, group_moves):
+                    moves[m] = move
+            spreads = tuple(spread for _, spread in stepped)
+            return replace(mem, spreads=spreads), tuple(moves)
+
+        # the group rules, also on the round the respread hands over to them
         moves, new_phases = self._groups_moves(snap, mem.phases)
-        return KPingPongMemory(stage="groups", phases=new_phases), moves[i]
+        return KPingPongMemory(stage="groups", phases=new_phases), moves

@@ -2,8 +2,9 @@
 
 A run starts through ``ring.start_run``.  A round proceeds as: resolve the
 missing edge (schedule lookup or adversary decision), let the round kernel
-``ring.decide_moves`` step every agent on the one snapshot of the pre-move
-state, then apply all moves simultaneously with ``ring.apply_round``.
+``ring.decide_moves`` step the team (once for a global-view team, once per
+agent otherwise) on the one snapshot of the pre-move state, then apply all
+moves simultaneously with ``ring.apply_round``.
 
 Visits are recorded on post-move positions: the configuration reached at the
 end of round ``r`` is the round-``r`` configuration, and every node counts
@@ -60,10 +61,12 @@ def run(
     """Execute ``horizon`` rounds of ``algorithm`` against ``driver``.
 
     ``driver`` is an ObliviousSchedule, an adaptive adversary exposing
-    ``decide(round, positions, memories)``, or None for a static ring.  A
+    ``decide(round, positions, memory)``, or None for a static ring.  A
     schedule is checked first: an invalid one raises ``ScheduleError``.
-    ``observer``, if given, is called as ``observer(round, memories, record)``
-    after each round with the post-round agent memories.
+    ``observer``, if given, is called as ``observer(round, memory, record)``
+    after each round with the team's post-round memory: the team memory of
+    a global-view team, a tuple of agent memories otherwise (see
+    ``ring.start_run``).
     """
     driver_n = getattr(driver, "n", None)
     if n is None:
@@ -76,7 +79,7 @@ def run(
         check_schedule(driver)
     positions = tuple(initial)
     k = len(positions)
-    memories = start_run(algorithm, n, k, positions)
+    memory = start_run(algorithm, n, k, positions)
     if driver is not None and hasattr(driver, "bind"):
         driver.bind(algorithm, n, k)
 
@@ -87,12 +90,12 @@ def run(
         elif hasattr(driver, "missing_edge"):
             missing = driver.missing_edge(r)
         else:
-            missing = driver.decide(r, positions, memories)
+            missing = driver.decide(r, positions, memory)
         if missing is not None and not (0 <= missing < n):
             raise SimulationError(f"round {r}: driver removed invalid edge {missing}")
 
-        memories, moves = decide_moves(
-            algorithm, GlobalSnapshot(n, missing, positions), memories
+        memory, moves = decide_moves(
+            algorithm, GlobalSnapshot(n, missing, positions), memory
         )
         after, blocked = apply_round(positions, moves, n, missing)
         record = RoundRecord(
@@ -105,7 +108,7 @@ def run(
         trace.records.append(record)
         positions = after
         if observer is not None:
-            observer(r, memories, record)
+            observer(r, memory, record)
     return trace
 
 

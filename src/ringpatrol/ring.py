@@ -1,7 +1,7 @@
 """Dynamic ring topology, edge schedules, configurations and round semantics.
 
-One synchronous round is ``decide_moves`` (Look-Compute: every agent steps
-on the one ``GlobalSnapshot`` of the pre-move state) followed by
+One synchronous round is ``decide_moves`` (Look-Compute: the team plans on
+the one ``GlobalSnapshot`` of the pre-move state) followed by
 ``apply_round`` (Move).  The engine, the exact solver and the adaptive
 adversaries all compute rounds through this one kernel.
 
@@ -190,10 +190,12 @@ def random_positions(n: int, k: int, seed: int) -> tuple[int, ...]:
 
 # --- run start, snapshots and round application -----------------------------
 
-def start_run(algorithm, n: int, k: int, initial: Sequence[int]) -> tuple:
+def start_run(algorithm, n: int, k: int, initial: Sequence[int]):
     """Start a run of the engine or the solver: check the ring (n >= 3), the
-    team (k >= 1) and the start (one distinct in-range node per agent),
-    validate the team and return the k agents' initial memories."""
+    team (k >= 1), the start (one distinct in-range node per agent) and that
+    the team has exactly one of ``joint_step`` and ``step`` (else
+    ``TypeError``), validate the team and return its start memory: one team
+    memory for a global-view team, a tuple of k for a per-agent team."""
     positions = tuple(initial)
     if n < 3:
         raise ValueError(f"ring needs at least 3 nodes, got n={n}")
@@ -205,7 +207,13 @@ def start_run(algorithm, n: int, k: int, initial: Sequence[int]) -> tuple:
         raise ValueError(f"start nodes out of range for n={n}: {positions}")
     if len(set(positions)) != k:
         raise ValueError(f"start nodes must be distinct: {positions}")
+    joint = hasattr(algorithm, "joint_step")
+    if joint == hasattr(algorithm, "step"):
+        name = type(algorithm).__name__
+        raise TypeError(f"{name} must define exactly one of joint_step and step")
     algorithm.validate(n, k)
+    if joint:
+        return algorithm.initial_memory(n, k, positions)
     return tuple(algorithm.initial_memory(n, k, i, positions) for i in range(k))
 
 
@@ -224,18 +232,20 @@ class GlobalSnapshot(NamedTuple):
         return edge is not None and edge == self.missing_edge
 
 
-def decide_moves(
-    algorithm, snap: GlobalSnapshot, memories: Sequence
-) -> tuple[tuple, tuple[int, ...]]:
-    """The Look-Compute half of one round: every agent steps once on the
-    same snapshot of the pre-move state.  Returns (new memories, moves).
+def decide_moves(algorithm, snap: GlobalSnapshot, memory) -> tuple:
+    """The Look-Compute half of one round: a global-view team plans once on
+    the snapshot of the pre-move state, a per-agent team steps each agent
+    with its own memory on that same snapshot.  Returns (new memory, moves).
 
     The engine, the exact solver and the adaptive adversaries' dry runs all
     compute rounds through this one kernel.
     """
+    joint_step = getattr(algorithm, "joint_step", None)
+    if joint_step is not None:
+        return joint_step(memory, snap)
     new_memories = []
     moves = []
-    for i, mem in enumerate(memories):
+    for i, mem in enumerate(memory):
         mem, move = algorithm.step(i, mem, snap)
         new_memories.append(mem)
         moves.append(move)

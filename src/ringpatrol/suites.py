@@ -220,7 +220,7 @@ def _kpp_odd_row(n: int, k: int) -> Row:
         stages = []
         tr = run(
             KPingPong(), make(), uniform_positions(n, k), 40 * n, n=n,
-            observer=lambda r, mems, rec: stages.append(mems[0].stage),
+            observer=lambda r, mem, rec: stages.append(mem.stage),
         )
         settled = next((r for r, s in enumerate(stages) if s == "groups"), None)
         if settled is None:

@@ -1,6 +1,6 @@
 """Exact worst-case idle time via search over the agent-vs-scheduler game.
 
-The game state is (agent positions, agent memories, schedule clock).  Each
+The game state is (agent positions, team memory, schedule clock).  Each
 round the scheduler picks one of its options (remove an edge or nothing)
 and the deterministic algorithm reacts.  Choices that lead to the same
 successor are one edge of the game graph, labelled with the first such
@@ -23,11 +23,11 @@ the other edges, in choice order.  The probe refuses ``missing_edge``
 reads: steps must ask ``blocks``.
 
 Most games are symmetric under rotating the ring: positions shift, while
-memories and the schedule clock do not name nodes.  When node 0 is bounded
+the memory and the schedule clock do not name nodes.  When node 0 is bounded
 and the explored graph is checked to be invariant under that rotation, no
 other node can force a longer gap (see ``_analyse``), so the analysis stops
 after node 0 with the result the all-nodes loop would return.  Graphs that
-fail the check (memories that hold node ids, a schedule restriction that
+fail the check (memory that holds node ids, a schedule restriction that
 removes particular edges, steps that read absolute node ids) get one pass
 per node.  Each solve logs its counts, node passes, state budget use and
 phase times at DEBUG level to the ``ringpatrol.worstcase`` logger.
@@ -141,7 +141,7 @@ def _explore(algorithm, n, k, initial, schedule, budget):
     (state, choice) that first discovered ``t``, so following it back gives
     a shortest path from the initial state.  The rotation map is
     ``_rotation_map``'s.  A team step is one call of the round kernel."""
-    init_mems = start_run(algorithm, n, k, initial)
+    init_memory = start_run(algorithm, n, k, initial)
     modulus = 1
     if schedule is not None:
         if schedule.n != n:
@@ -153,7 +153,7 @@ def _explore(algorithm, n, k, initial, schedule, budget):
             raise ValueError("schedule restriction must be periodic")
         modulus = schedule.period or 1
 
-    init_state = (tuple(initial), init_mems, 0)
+    init_state = (tuple(initial), init_memory, 0)
 
     index = {init_state: 0}
     states = [init_state]
@@ -168,10 +168,10 @@ def _explore(algorithm, n, k, initial, schedule, budget):
         record the successor; returns the moves."""
         nonlocal team_steps
         team_steps += 1
-        positions, memories, clock = states[si]
-        new_mems, moves = decide_moves(algorithm, snap, memories)
+        positions, memory, clock = states[si]
+        new_memory, moves = decide_moves(algorithm, snap, memory)
         after, _ = apply_round(positions, moves, n, choice)
-        succ = (after, new_mems, (clock + 1) % modulus)
+        succ = (after, new_memory, (clock + 1) % modulus)
         ti = index.get(succ)
         if ti is None:
             ti = len(states)
@@ -211,12 +211,12 @@ def _explore(algorithm, n, k, initial, schedule, budget):
 
 def _rotation_map(n, states, index):
     """``rotated[s]``, the number of state ``s`` turned one node clockwise
-    (positions shifted, memories and clock kept), or None when some turned
+    (positions shifted, memory and clock kept), or None when some turned
     state was never reached.  Built before the index is dropped, so the
     analysis holds one list, not every explored state."""
     rotated = []
-    for positions, memories, clock in states:
-        image = index.get((tuple((p + 1) % n for p in positions), memories, clock))
+    for positions, memory, clock in states:
+        image = index.get((tuple((p + 1) % n for p in positions), memory, clock))
         if image is None:
             return None
         rotated.append(image)
@@ -291,8 +291,8 @@ def _analyse(n, masks, succs, parent, rotated) -> tuple[GameSolverResult, int]:
     rotation-invariant (``_rotation_invariant``), the other passes are
     skipped, because none of them could win:
 
-    Let rho map a state (positions, memories, clock) to ((p + 1) % n ...,
-    memories, clock).  If rho maps the reachable states onto themselves and
+    Let rho map a state (positions, memory, clock) to ((p + 1) % n ...,
+    memory, clock).  If rho maps the reachable states onto themselves and
     each state's successor set onto its image's successor set, then rho^-v
     turns node v's avoiding paths into node 0's, so longest_v(s) =
     longest_0(rho^-v s), and node v is unbounded exactly when node 0 is.

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from ringpatrol.agents import (
     KPingPong,
     PingPong,
     PlaceAndSwipe,
+    S0,
     SNAP_BOTH,
     SNAP_CCW_MISSING,
     SNAP_CW_MISSING,
@@ -23,6 +25,7 @@ from ringpatrol.agents import (
     select_targets,
 )
 from ringpatrol.engine import idle_time, run, trace_to_csv, visit_log
+from ringpatrol.worstcase import solve_worst_case
 from ringpatrol.ring import (
     CCW,
     CW,
@@ -34,7 +37,7 @@ from ringpatrol.ring import (
     random_positions,
     uniform_positions,
 )
-from ringpatrol.adversaries import fixed_edge_schedule, wave_schedule
+from ringpatrol.adversaries import fixed_edge_schedule, gate_adversary, wave_schedule
 
 
 # --- ping-pong ---------------------------------------------------------------
@@ -43,9 +46,9 @@ def test_pingpong_static_stays_synchronized():
     phases = []
     tr = run(
         PingPong(), None, (0, 3), 30, n=6,
-        observer=lambda r, mems, rec: phases.append(mems),
+        observer=lambda r, mem, rec: phases.append(mem),
     )
-    assert all(m == ("S0", "S0") for m in phases)
+    assert all(m == "S0" for m in phases)
     assert idle_time(tr).idle <= 6 - 1  # distinct loopers revisit within n-1
 
 
@@ -54,10 +57,12 @@ def test_pingpong_first_block_assigns_opposite_phases():
     phases = []
     run(
         PingPong(), sched, (0, 3), 5, n=6,
-        observer=lambda r, mems, rec: phases.append(mems),
+        observer=lambda r, mem, rec: phases.append(mem),
     )
-    assert phases[0] == ("CCW", "CW")
-    assert {"CW", "CCW"} == set(phases[-1])
+    # the team memory is the clockwise agent's slot: agent 0, blocked on
+    # edge 0, goes counter-clockwise and agent 1 clockwise
+    assert phases[0] == 1
+    assert phases[-1] in (0, 1)
 
 
 def test_pingpong_rejects_wrong_team_size():
@@ -80,6 +85,105 @@ def test_pingpong_full_coverage_within_n_minus_1_after_bounce():
             assert window == set(range(n))
             return
     pytest.fail("agents never came within bouncing distance")
+
+
+# --- ping-pong's joint step against its per-agent form ------------------------
+
+PHASE_CW, PHASE_CCW = "CW", "CCW"
+
+
+def per_agent_pingpong_step(i, mem, snap):
+    """PingPong's step from when each agent kept its own phase (S0, "CW" or
+    "CCW"): the reference the joint step must reproduce."""
+    me = snap.positions[i]
+    other = snap.positions[1 - i]
+    if mem == S0:
+        nxt = S0
+        me_blocked = snap.blocks(me, CW)
+        other_blocked = snap.blocks(other, CW)
+        if me_blocked and other_blocked:
+            # co-located double block; lower slot takes counter-clockwise
+            nxt = PHASE_CCW if i == 0 else PHASE_CW
+        elif me_blocked:
+            nxt = PHASE_CCW
+        elif other_blocked:
+            nxt = PHASE_CW
+        return nxt, CW
+    phase = mem
+    cw_pos, ccw_pos = (me, other) if phase == PHASE_CW else (other, me)
+    if (ccw_pos - cw_pos) % snap.n <= 1:
+        phase = PHASE_CW if phase == PHASE_CCW else PHASE_CCW
+    return phase, (CW if phase == PHASE_CW else CCW)
+
+
+class PerAgentPingPong:
+    """PingPong stepped agent by agent with ``per_agent_pingpong_step``."""
+
+    validate = PingPong.validate
+
+    def initial_memory(self, n, k, i, positions):
+        return S0
+
+    def step(self, i, mem, snap):
+        return per_agent_pingpong_step(i, mem, snap)
+
+
+def as_agent_phases(team_memory):
+    """The per-agent memories a PingPong team memory stands for."""
+    if team_memory == S0:
+        return (S0, S0)
+    phases = [PHASE_CCW, PHASE_CCW]
+    phases[team_memory] = PHASE_CW
+    return tuple(phases)
+
+
+def _memories_and_csv(algorithm, driver, initial, rounds, n):
+    memories = []
+    tr = run(algorithm, driver, initial, rounds, n=n,
+             observer=lambda r, m, rec: memories.append(m))
+    return memories, trace_to_csv(tr)
+
+
+def _assert_same_as_per_agent(make_driver, initial, rounds, n):
+    team, joint_csv = _memories_and_csv(PingPong(), make_driver(), initial, rounds, n)
+    agents, csv = _memories_and_csv(PerAgentPingPong(), make_driver(), initial, rounds, n)
+    assert joint_csv == csv
+    assert [as_agent_phases(m) for m in team] == agents
+
+
+def test_pingpong_joint_step_matches_per_agent_steps_on_every_snapshot():
+    # co-located agents included: no run from distinct starts reaches a
+    # double block, so only a direct step can check that branch
+    for n in range(3, 9):
+        for p0, p1, missing in itertools.product(range(n), range(n), (None, *range(n))):
+            snap = GlobalSnapshot(n, missing, (p0, p1))
+            for mem in (S0, 0, 1):
+                new_mem, moves = PingPong().joint_step(mem, snap)
+                stepped = [
+                    per_agent_pingpong_step(i, phase, snap)
+                    for i, phase in enumerate(as_agent_phases(mem))
+                ]
+                assert as_agent_phases(new_mem) == tuple(m for m, _ in stepped)
+                assert moves == tuple(move for _, move in stepped)
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_pingpong_joint_step_reproduces_per_agent_traces(n):
+    for seed in range(6):
+        initial = random_positions(n, 2, seed)
+        _assert_same_as_per_agent(
+            lambda: make_random_schedule(n, 12 * n, 40 * n + seed), initial, 12 * n, n
+        )
+    _assert_same_as_per_agent(lambda: gate_adversary(n), uniform_positions(n, 2), 40 * n, n)
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_pingpong_joint_step_reproduces_per_agent_solves(n):
+    initial = uniform_positions(n, 2)
+    joint = solve_worst_case(PingPong(), n, 2, initial)
+    per_agent = solve_worst_case(PerAgentPingPong(), n, 2, initial)
+    assert joint.to_json() == per_agent.to_json()
+    assert joint.states_explored == per_agent.states_explored
 
 
 # --- swipe sets and target selection -------------------------------------------
@@ -313,7 +417,7 @@ def test_kpingpong_partition_alternates_from_blocked_agent():
     mems = []
     run(
         KPingPong(), sched, uniform_positions(n, k), 3, n=n,
-        observer=lambda r, m, rec: mems.append(m[0]),
+        observer=lambda r, m, rec: mems.append(m),
     )
     phases = mems[0].phases
     # blocked agent sits on node 0 = agent 0; clockwise ranks alternate C/CC
@@ -326,7 +430,7 @@ def test_kpingpong_membership_swap_at_cut():
     log = []
     run(
         KPingPong(), sched, uniform_positions(n, k), 30, n=n,
-        observer=lambda r, m, rec: log.append((m[0].phases, rec)),
+        observer=lambda r, m, rec: log.append((m.phases, rec)),
     )
     swaps = [
         (prev, cur) for (prev, _), (cur, _) in zip(log, log[1:]) if prev != cur
@@ -341,7 +445,7 @@ def test_kpingpong_same_group_never_crosses():
         mems = []
         tr = run(
             KPingPong(), sched, uniform_positions(n, k), 20 * n, n=n,
-            observer=lambda r, m, rec: mems.append(m[0]),
+            observer=lambda r, m, rec: mems.append(m),
         )
         for r in range(1, len(tr.records)):
             if mems[r].stage != "groups" or mems[r - 1].stage != "groups":
@@ -374,7 +478,7 @@ def test_kpingpong_odd_k_respreads_groups():
     mems = []
     tr = run(
         KPingPong(), sched, uniform_positions(n, k), 40 * n, n=n,
-        observer=lambda r, m, rec: mems.append(m[0]),
+        observer=lambda r, m, rec: mems.append(m),
     )
     settled = next(r for r, m in enumerate(mems) if m.stage == "groups")
     phases = mems[settled].phases

@@ -1,8 +1,11 @@
+import inspect
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
+import ringpatrol
 from ringpatrol.adversaries import wave_schedule
 from ringpatrol.cli import main
 
@@ -253,3 +256,74 @@ def test_bad_input_file_is_a_one_line_error(runner, tmp_path, command, bad):
     result = runner.invoke(main, command + [str(path)])
     assert result.exit_code == 1
     assert "Error: " in result.output
+
+
+# --- settable values: every knob a user can turn ---------------------------
+
+def _optional_click_options():
+    names = []
+    for command_name, command in sorted(main.commands.items()):
+        names += [
+            f"{command_name} {p.opts[0]}"
+            for p in command.params
+            if isinstance(p, click.Option) and not p.required
+        ]
+    return names
+
+
+def _defaulted(fn, label):
+    return [
+        f"{label}({p.name})"
+        for p in inspect.signature(fn).parameters.values()
+        if p.default is not p.empty
+    ]
+
+
+def _defaulted_api_parameters():
+    """Defaulted parameters of the functions, constructors and public
+    methods in ``ringpatrol.__all__`` (exception types excluded)."""
+    names = []
+    for name in ringpatrol.__all__:
+        obj = getattr(ringpatrol, name)
+        if inspect.isfunction(obj):
+            names += _defaulted(obj, name)
+        elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+            names += _defaulted(obj, name)
+            names += [
+                entry
+                for attr, member in vars(obj).items()
+                if inspect.isfunction(member) and not attr.startswith("_")
+                for entry in _defaulted(member, f"{name}.{attr}")
+            ]
+    return names
+
+
+def test_settable_value_count_is_pinned():
+    # a new option or default shows up here as a diff; ROADMAP tracks the sum
+    assert _optional_click_options() == [
+        "analyze --k", "analyze --memory-bits", "analyze --cross-validate",
+        "analyze --out",
+        "simulate --adversary", "simulate --schedule", "simulate --rounds",
+        "simulate --placement", "simulate --r-s", "simulate --assert-idle-max",
+        "simulate --assert-idle-min", "simulate --claim-tag", "simulate --out-trace",
+        "simulate --out-report",
+        "verify --out",
+        "worstcase --placement", "worstcase --static", "worstcase --schedule",
+        "worstcase --budget", "worstcase --out",
+    ]
+    assert sorted(_defaulted_api_parameters()) == [
+        "ExecutionTrace(records)",
+        "GameSolverResult(cycle_start)",
+        "GameSolverResult(states_explored)",
+        "IdleReport.stable_idle(r_s)",
+        "IdleReport.worst_gap(r_s)",
+        "ObliviousSchedule(missing)",
+        "ObliviousSchedule(period)",
+        "offline_opt_search(max_rounds)",
+        "run(n)",
+        "run(observer)",
+        "solve_worst_case(budget)",
+        "solve_worst_case(schedule)",
+        "uniform_positions(anchor)",
+    ]
+    assert len(_optional_click_options()) + len(_defaulted_api_parameters()) == 33

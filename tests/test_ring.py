@@ -29,9 +29,13 @@ from ringpatrol.agents import (
     SNAPSHOT_CLASSES,
     FsmAlgorithm,
     FsmSpec,
+    KPingPong,
     PingPong,
+    UniformSpread,
     fsm_of,
 )
+from ringpatrol.engine import run
+from ringpatrol.worstcase import solve_worst_case
 
 
 def ring_distance(n: int, u: int, v: int, direction: int = CW) -> int:
@@ -185,6 +189,53 @@ def test_decide_moves_shares_one_snapshot():
     assert first == GlobalSnapshot(n=8, missing_edge=2, positions=(0, 3, 5))
 
 
+@pytest.mark.parametrize(
+    "make,initial",
+    [
+        pytest.param(PingPong, (0, 5), id="pingpong"),
+        pytest.param(KPingPong, (0, 3, 6), id="kpingpong"),
+        pytest.param(UniformSpread, (0, 1, 3), id="spread"),
+    ],
+)
+def test_global_view_teams_plan_once_per_round(make, initial):
+    plans = []
+
+    class Counted(make):
+        def joint_step(self, mem, snap):
+            plans.append(snap)
+            return super().joint_step(mem, snap)
+
+    assert not hasattr(make(), "step")
+    run(Counted(), make_random_schedule(12, 40, 3), initial, 40)
+    assert len(plans) == 40
+
+
+class StepsAgentByAgent(PingPong):
+    """A PingPong subclass that overrides the per-agent ``step``, which a
+    joint team never calls."""
+
+    def step(self, i, mem, snap):
+        return mem, STAY
+
+
+class NoStep:
+    def validate(self, n, k):
+        pass
+
+    def initial_memory(self, n, k, positions):
+        return None
+
+
+@pytest.mark.parametrize("make", [StepsAgentByAgent, NoStep])
+def test_start_run_wants_exactly_one_step_protocol(make):
+    with pytest.raises(TypeError, match="exactly one of joint_step and step"):
+        start_run(make(), 8, 2, (0, 4))
+    with pytest.raises(TypeError, match="exactly one of joint_step and step"):
+        run(make(), None, (0, 4), 5, n=8)
+    with pytest.raises(TypeError, match="exactly one of joint_step and step"):
+        solve_worst_case(make(), 8, 2, (0, 4))
+
+
 # from any state, move to the state numbering the snapshot class just seen
 CLASS_ECHO = FsmSpec(
     states=len(SNAPSHOT_CLASSES),
@@ -234,6 +285,9 @@ class Team:
 
     def initial_memory(self, n, k, i, positions):
         return (i, positions[i])
+
+    def step(self, i, mem, snap):
+        return mem, STAY
 
 
 def test_initial_configuration_must_be_injective():

@@ -11,7 +11,10 @@ and cross-validation digests before the solver kept one edge per distinct
 successor; the symmetric-spread, place-and-swipe spread and kpingpong
 k=3 n=12 solve digests before the spread planner read positions from the
 round's snapshot; the pingpong n=40 and n=48 solve digests before the solver
-stopped after node 0 on rotation-symmetric games.  A refactor that changes any move, block flag, missing edge,
+stopped after node 0 on rotation-symmetric games; the kpingpong k=4, k=5 and
+gate traces and the ``rows_kpingpong`` report (checked by acceptance
+criterion 05 on the rows it builds) before global-view teams planned once
+per round.  A refactor that changes any move, block flag, missing edge,
 witness or report row changes a digest.
 The report cases cover the fast suites and the fast ``table1`` builders, so
 the default test run guards report bytes without the long ``table1`` rows.
@@ -53,6 +56,12 @@ def _pingpong_gate():
 def _kpingpong_random():
     sched = make_random_schedule(12, 360, 5)
     return trace_to_csv(run(KPingPong(), sched, uniform_positions(12, 3), 360))
+
+
+def _kpingpong_from(n, k, driver, rounds):
+    return lambda: trace_to_csv(
+        run(KPingPong(), driver(), uniform_positions(n, k), rounds, n=n)
+    )
 
 
 def _place_and_swipe():
@@ -131,6 +140,13 @@ def _report(rows):
     return "\n".join([suites.CSV_HEADER] + [r.as_csv() for r in rows]) + "\n"
 
 
+def report_digest(rows):
+    return hashlib.sha256(_report(rows).encode()).hexdigest()
+
+
+ROWS_KPINGPONG_DIGEST = "d618a2306308825b8ee5363727096dfe11711ed42827e1aecdee472a0772c4eb"
+
+
 def _suite(name):
     return lambda: _report(suites.run_suite(name))
 
@@ -147,6 +163,18 @@ CASES = {
     "kpingpong-k3-random": (
         _kpingpong_random,
         "98cf6ed22e09299446b74429ff3fe19b621b0e9c8ac10cb4713b44acbb2e37dc",
+    ),
+    "kpingpong-k4-n16-random": (
+        _kpingpong_from(16, 4, lambda: make_random_schedule(16, 480, 7), 480),
+        "3f6fa57b581a089e1ca93d922d73ffe5e260b774980bf0c6d659c410657377ea",
+    ),
+    "kpingpong-k5-n15-random": (
+        _kpingpong_from(15, 5, lambda: make_random_schedule(15, 450, 11), 450),
+        "f0dc3028303d375fc6d1a80e3845df176ef0e294a9cb0a5109eacc518a8db5ca",
+    ),
+    "kpingpong-k2-gate": (
+        _kpingpong_from(10, 2, lambda: gate_adversary(10), 600),
+        "bc3e7ba490601378055176f296d0368dac52413e884aeec43c4dcc3576cb6717",
     ),
     "place-and-swipe-k4-n16": (
         _place_and_swipe,

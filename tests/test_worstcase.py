@@ -31,6 +31,7 @@ from ringpatrol.ring import (
     decide_moves,
     make_random_schedule,
     random_positions,
+    start_run,
     uniform_positions,
 )
 from ringpatrol.worstcase import (
@@ -45,6 +46,8 @@ from ringpatrol.worstcase import (
     offline_opt_search,
     solve_worst_case,
 )
+
+from test_agents import per_agent_pingpong_step
 
 
 def clockwise():
@@ -214,7 +217,7 @@ def test_exploration_keeps_one_edge_per_distinct_successor():
 def full_fan_out(algorithm, n, k, initial):
     """Reference exploration: step the team once for every scheduler choice
     in every state; returns (masks, succs, parents) like ``_explore``."""
-    init = (tuple(initial), tuple(algorithm.initial_memory(n, k, i, initial) for i in range(k)))
+    init = (tuple(initial), start_run(algorithm, n, k, initial))
     index = {init: 0}
     states = [init]
     masks = [sum(1 << p for p in set(initial))]
@@ -476,16 +479,26 @@ def test_one_pass_matches_all_nodes_on_random_machines(seed, states, n, data):
 
 
 class PausesOnNodeZero(PingPong):
-    """PingPong, except that a patroller standing on node 0 waits there
-    one round: the step reads an absolute node id, so the game is not
-    rotation-symmetric."""
+    """PingPong stepped agent by agent (``per_agent_pingpong_step``),
+    except that a patroller standing on node 0 waits there one round: the
+    step reads an absolute node id, so the game is not rotation-symmetric.
+    A wait can leave both agents in one phase, so the team memory keeps
+    each agent's own."""
 
-    def step(self, i, mem, snap):
+    def initial_memory(self, n, k, positions):
+        return (S0, S0)
+
+    def joint_step(self, mem, snap):
+        stepped = [self._agent_step(i, m, snap) for i, m in enumerate(mem)]
+        return tuple(m for m, _ in stepped), tuple(move for _, move in stepped)
+
+    @staticmethod
+    def _agent_step(i, mem, snap):
         if isinstance(mem, tuple):  # waited last round
-            return super().step(i, mem[0], snap)
+            return per_agent_pingpong_step(i, mem[0], snap)
         if mem != S0 and snap.positions[i] == 0:
             return (mem, "waited"), STAY
-        return super().step(i, mem, snap)
+        return per_agent_pingpong_step(i, mem, snap)
 
 
 def test_node_dependent_step_runs_every_node_pass(caplog):
