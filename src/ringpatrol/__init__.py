@@ -14,7 +14,6 @@ from .ring import (
     random_positions,
     uniform_gaps,
     uniform_positions,
-    validate_schedule,
 )
 from .engine import (
     ExecutionTrace,

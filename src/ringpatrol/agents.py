@@ -31,6 +31,12 @@ this.  It steps the team once with no edge missing, notes which edges the
 team asked about, and steps it again only for those edges and the ones its
 moves cross.  A plan that needs the removed edge's location asks about
 every edge (``_removed_edge``).
+
+Spreading into a uniform configuration is one planner (``spread_init`` and
+``spread_step``) shared by ``UniformSpread``, odd-k ``KPingPong`` and
+``PlaceAndSwipe`` with k >= 3.  Its state is a tuple of placement plans
+stepped by one rule: one plan per symmetry segment for a rotation-symmetric
+fault-free start, one anchored plan otherwise.
 """
 
 from __future__ import annotations
@@ -49,7 +55,6 @@ from .ring import (
     arc_distance,
     is_uniform,
     json_int,
-    uniform_gaps,
     uniform_positions,
 )
 
@@ -174,7 +179,7 @@ class FsmSpec:
                 arcs[key] = (json_int(a["to"], "to"), json_int(a["move"], "move"))
             states = json_int(raw["states"], "states")
             initial = json_int(raw["initial"], "initial")
-        except (KeyError, TypeError, RecursionError) as exc:
+        except (KeyError, TypeError, RecursionError, json.JSONDecodeError) as exc:
             raise ValueError(f"malformed machine file: {exc!r}") from None
         return cls(states=states, initial=initial, arcs=arcs)
 
@@ -420,6 +425,12 @@ def placement_route(
 class SpreadState:
     """Joint plan moving a member set onto a uniform pattern.
 
+    ``plans`` holds placement plans, each (member slots in placement order,
+    their targets); together they cover every member.  A rotation-symmetric
+    fault-free start gets one plan per symmetry segment, every other start
+    one anchored plan over the whole set.  ``done`` is set once the members
+    stand uniformly.
+
     It lives in the team memory (place-and-swipe, which steps per agent,
     keeps an identical copy in every agent's).  The state holds no
     positions: ``spread_step`` reads member ``m`` at ``snap.positions[m]``
@@ -427,10 +438,8 @@ class SpreadState:
     """
 
     members: tuple[int, ...]
-    stage: str  # "segments" | "anchored" | "done"
-    order: tuple[int, ...] = ()  # member slots in placement order
-    targets: tuple[int, ...] = ()  # by placement-order slot
-    segments: tuple = ()  # per segment: (member slots, their targets)
+    plans: tuple  # per plan: (member slots in placement order, their targets)
+    done: bool = False
 
 
 def _removed_edge(snap: GlobalSnapshot) -> Optional[int]:
@@ -439,7 +448,11 @@ def _removed_edge(snap: GlobalSnapshot) -> Optional[int]:
 
 
 def _lexmin_rotation_slots(n: int, positions: Sequence[int]) -> list[int]:
-    """Member slots whose clockwise gap sequence is lexicographically least."""
+    """Member slots whose clockwise gap sequence is lexicographically least.
+
+    For distinct positions there is one such slot per rotation mapping the
+    occupied set to itself, so ``n // len(slots)`` is the smallest symmetry
+    shift (``n`` for an aperiodic set)."""
     m = len(positions)
     by_pos = sorted(range(m), key=lambda s: (positions[s], s))
     gaps = [
@@ -451,137 +464,95 @@ def _lexmin_rotation_slots(n: int, positions: Sequence[int]) -> list[int]:
     return [by_pos[j] for j in range(m) if rotations[j] == best]
 
 
-def _symmetry_shift(n: int, positions: Sequence[int]) -> int:
-    """Smallest rotation 0 < rho < n mapping the occupied set to itself,
-    or n when the configuration is aperiodic."""
-    occupied = set(p % n for p in positions)
-    for rho in range(1, n):
-        if n % rho == 0 and {(p + rho) % n for p in occupied} == occupied:
-            return rho
-    return n
-
-
 def spread_init(
     n: int, members: Sequence[int], positions: Sequence[int], missing: Optional[int]
 ) -> SpreadState:
-    state = SpreadState(members=tuple(members), stage="segments")
+    """Plan the spread of ``members`` (standing on ``positions``).  Each
+    leader anchors one plan: the members within ``span`` nodes clockwise of
+    it, bound for the uniform pattern of that span starting at its node.
+    With an edge missing the leader is the first member clockwise of it;
+    otherwise the leaders are the symmetry-equivalent lexmin members."""
+    members = tuple(members)
     if is_uniform(n, positions):
-        return replace(state, stage="done")
-    if missing is not None or _symmetry_shift(n, positions) == n:
-        return _plan_anchored(state, n, positions, missing)
-    return _plan_segments(state, n, positions)
-
-
-def _plan_segments(state: SpreadState, n: int, pos: Sequence[int]) -> SpreadState:
-    """Rotation-symmetric fault-free start: one independent placement plan
-    per symmetry segment, all executing the same relative moves."""
-    m = len(pos)
-    rho = _symmetry_shift(n, pos)
-    leaders = _lexmin_rotation_slots(n, pos)
+        return SpreadState(members, (), done=True)
+    if missing is None:
+        leaders = _lexmin_rotation_slots(n, positions)
+    else:
+        leaders = [
+            min(
+                range(len(positions)),
+                key=lambda s: ((positions[s] - missing - 1) % n, members[s]),
+            )
+        ]
+    span = n // len(leaders)
     plans = []
     for a0 in leaders:
-        segment = sorted(
-            (s for s in range(m) if (pos[s] - pos[a0]) % n < rho),
-            key=lambda s: ((pos[s] - pos[a0]) % n, state.members[s]),
+        offset = {s: (p - positions[a0]) % n for s, p in enumerate(positions)}
+        order = sorted(
+            (s for s in offset if offset[s] < span),
+            key=lambda s: (offset[s], members[s]),
         )
-        gaps = uniform_gaps(rho, len(segment))
-        targets = [pos[a0]]
-        for g in gaps[:-1]:
-            targets.append((targets[-1] + g) % n)
-        plans.append((tuple(segment), tuple(targets)))
-    return replace(state, segments=tuple(plans))
+        pattern = uniform_positions(span, len(order))
+        targets = tuple((positions[a0] + t) % n for t in pattern)
+        plans.append((tuple(order), targets))
+    return SpreadState(members, tuple(plans))
 
 
-def _plan_anchored(
-    state: SpreadState, n: int, positions: Sequence[int], missing: Optional[int]
-) -> SpreadState:
-    m = len(positions)
-    if missing is not None:
-        # reference agent: first occupied node walking clockwise from the
-        # clockwise endpoint of the removed edge
-        a0 = min(
-            range(m),
-            key=lambda s: ((positions[s] - missing - 1) % n, state.members[s]),
-        )
-    else:
-        a0 = min(
-            _lexmin_rotation_slots(n, positions), key=lambda s: state.members[s]
-        )
-    order = sorted(
-        range(m),
-        key=lambda s: ((positions[s] - positions[a0]) % n, state.members[s]),
-    )
-    targets = uniform_positions(n, m, positions[a0])
-    return replace(state, stage="anchored", order=tuple(order), targets=targets)
-
-
-def _anchored_step(state: SpreadState, snap: GlobalSnapshot, pos: Sequence[int]):
+def _walk(plan, snap: GlobalSnapshot, pos: Sequence[int], moves: list):
+    """Walk the plan's first unplaced member the short way (into ``moves``)
+    and return the plan, shifted when that member is walled off."""
     n = snap.n
-    order, targets = list(state.order), list(state.targets)
+    order, targets = plan
     j_star = next(
         (j for j in range(len(order)) if pos[order[j]] != targets[j]), None
     )
     if j_star is None:
-        return (STAY,) * len(pos), replace(state, stage="done")
+        return plan
     active = order[j_star]
     d_cw = (targets[j_star] - pos[active]) % n
     direction = CW if d_cw <= n - d_cw else CCW
-    moves = [STAY] * len(pos)
     if not snap.blocks(pos[active], direction):
         moves[active] = direction
-        return tuple(moves), state
+        return plan
     # active is walled off: shift the whole target pattern one step toward
     # it, carrying the already-placed prefix along
     shift = -direction
     conflict = next(
         (j for j in range(j_star) if snap.blocks(pos[order[j]], shift)), None
     )
-    targets = [(t + shift) % n for t in targets]
     for j in range(j_star):
         if j != conflict:
             moves[order[j]] = shift
+    order = list(order)
     if conflict is not None:
         # the placed agent across the missing edge cannot shift; it hands
         # its (shifted) slot to the active agent and takes over the chase,
         # which also advances the frontier by one node
         order[conflict], order[j_star] = order[j_star], order[conflict]
-    return tuple(moves), replace(state, order=tuple(order), targets=tuple(targets))
-
-
-def _segments_step(state: SpreadState, snap: GlobalSnapshot, pos: Sequence[int]):
-    n = snap.n
-    removed = _removed_edge(snap)
-    if removed is not None:
-        # the removal breaks the symmetry; replan around it from here on
-        replanned = _plan_anchored(state, n, pos, removed)
-        return _anchored_step(replanned, snap, pos)
-    moves = [STAY] * len(pos)
-    all_done = True
-    for segment, targets in state.segments:
-        j_star = next(
-            (j for j in range(len(segment)) if pos[segment[j]] != targets[j]), None
-        )
-        if j_star is None:
-            continue
-        all_done = False
-        active = segment[j_star]
-        d_cw = (targets[j_star] - pos[active]) % n
-        moves[active] = CW if d_cw <= n - d_cw else CCW
-    if all_done:
-        state = replace(state, stage="done")
-    return tuple(moves), state
+    return tuple(order), tuple((t + shift) % n for t in targets)
 
 
 def spread_step(state: SpreadState, snap: GlobalSnapshot):
     """Advance the joint spread plan one round on the round's snapshot:
-    (moves by member slot, state)."""
+    (moves by member slot, state).
+
+    Placed plans cover a uniform pattern, so the uniformity check also ends
+    a state whose plans are all placed.  Segment plans hold only while the
+    ring is fault-free: the first removal replans the team as one anchored
+    plan."""
+    n = snap.n
     pos = tuple(snap.positions[m] for m in state.members)
-    if state.stage == "done" or is_uniform(snap.n, pos):
-        done = state if state.stage == "done" else replace(state, stage="done")
-        return (STAY,) * len(pos), done
-    if state.stage == "segments":
-        return _segments_step(state, snap, pos)
-    return _anchored_step(state, snap, pos)
+    if state.done or is_uniform(n, pos):
+        return (STAY,) * len(pos), state if state.done else replace(state, done=True)
+    if len(state.plans) > 1:
+        removed = _removed_edge(snap)
+        if removed is not None:
+            state = spread_init(n, state.members, pos, removed)
+    moves = [STAY] * len(pos)
+    plans = tuple(_walk(plan, snap, pos, moves) for plan in state.plans)
+    if plans != state.plans:
+        state = replace(state, plans=plans)
+    return tuple(moves), state
 
 
 def _team_spread(state: Optional[SpreadState], snap: GlobalSnapshot):

@@ -99,16 +99,16 @@ class ObliviousSchedule:
                 missing[r] = json_int(m["edge"], "edge")
             n = json_int(raw["n"], "n")
             period = raw.get("period")
-        except (KeyError, TypeError, RecursionError) as exc:
+        except (KeyError, TypeError, RecursionError, json.JSONDecodeError) as exc:
             raise ScheduleError(f"malformed schedule file: {exc!r}") from None
         sched = cls(n=n, missing=missing, period=period)
         check_schedule(sched)
         return sched
 
 
-def validate_schedule(schedule: ObliviousSchedule) -> Optional[str]:
-    """Check every entry of a schedule in round order; return None or the
-    first violation.
+def check_schedule(schedule: ObliviousSchedule) -> None:
+    """Check every entry of a schedule in round order and raise
+    ``ScheduleError`` naming the first violation, if any.
 
     The encoding already forbids two missing edges in one round (one dict
     slot per round) and construction checks ``n`` and ``period``, so the
@@ -117,19 +117,13 @@ def validate_schedule(schedule: ObliviousSchedule) -> Optional[str]:
     """
     for r, e in sorted(schedule.missing.items()):
         if r < 0:
-            return f"negative round {r} in schedule"
+            raise ScheduleError(f"negative round {r} in schedule")
         if schedule.period is not None and r >= schedule.period:
-            return f"round {r} outside declared period {schedule.period}"
+            raise ScheduleError(f"round {r} outside declared period {schedule.period}")
         if not (0 <= e < schedule.n):
-            return f"round {r}: edge index {e} out of range for n={schedule.n}"
-    return None
-
-
-def check_schedule(schedule: ObliviousSchedule) -> None:
-    """Raise ``ScheduleError`` naming the first violation, if any."""
-    report = validate_schedule(schedule)
-    if report is not None:
-        raise ScheduleError(report)
+            raise ScheduleError(
+                f"round {r}: edge index {e} out of range for n={schedule.n}"
+            )
 
 
 def make_random_schedule(n: int, rounds: int, seed: int) -> ObliviousSchedule:

@@ -9,12 +9,12 @@ from ringpatrol.adversaries import (
 )
 from ringpatrol.agents import FsmAlgorithm, PingPong, fsm_of
 from ringpatrol.engine import distinct_nodes_visited, idle_time, run
-from ringpatrol.ring import uniform_positions, validate_schedule
+from ringpatrol.ring import check_schedule, uniform_positions
 
 
 def test_fixed_edge_schedule_validates():
     sched = fixed_edge_schedule(10, 9)
-    assert validate_schedule(sched) is None
+    check_schedule(sched)
     assert all(sched.missing_edge(r) == 9 for r in range(50))
 
 
@@ -132,7 +132,7 @@ def test_wave_parity_split():
             assert 0 <= e <= 12 // 2 - 2  # up side on even rounds
         else:
             assert e >= 12 // 2  # down side on odd rounds
-    assert validate_schedule(w) is None
+    check_schedule(w)
 
 
 @pytest.mark.parametrize("n", [10, 12])

@@ -17,12 +17,14 @@ from ringpatrol.agents import (
     SNAP_CW_MISSING,
     TargetSelectionError,
     UniformSpread,
+    _lexmin_rotation_slots,
     _order_preserving_assignment,
     _removed_edge,
     compute_swipe_set,
     fsm_of,
     placement_route,
     select_targets,
+    spread_init,
 )
 from ringpatrol.engine import idle_time, run, trace_to_csv, visit_log
 from ringpatrol.worstcase import solve_worst_case
@@ -536,6 +538,36 @@ def test_uniform_spread_symmetry_broken_mid_flight():
     sched = ObliviousSchedule(n=n, missing={2: 9})
     tr = run(UniformSpread(), sched, init, 2 * n)
     assert any(is_uniform(n, rec.after) for rec in tr.records)
+
+
+def test_spread_plans_one_per_segment_until_a_removal():
+    n, members, init = 12, (0, 1, 2, 3), (0, 1, 6, 7)
+    symmetric = spread_init(n, members, init, None)
+    assert symmetric.plans == (((0, 1), (0, 3)), ((2, 3), (6, 9)))
+    # a removal anchors one plan next to it: node 6 is first clockwise of edge 4
+    anchored = spread_init(n, members, init, 4)
+    assert anchored.plans == (((2, 3, 0, 1), (6, 9, 0, 3)),)
+    assert spread_init(n, members, (0, 3, 6, 9), None).done
+
+
+def symmetry_shift(n, positions):
+    """Reference: the smallest rotation 0 < rho < n mapping the occupied set
+    to itself, or n when the configuration is aperiodic."""
+    occupied = set(p % n for p in positions)
+    for rho in range(1, n):
+        if n % rho == 0 and {(p + rho) % n for p in occupied} == occupied:
+            return rho
+    return n
+
+
+def test_lexmin_slots_count_the_symmetries():
+    # every distinct position set, in two member orders
+    for n in range(3, 13):
+        for m in range(2, 6):
+            for nodes in itertools.combinations(range(n), m):
+                expected = symmetry_shift(n, nodes)
+                for pos in (nodes, nodes[::-1]):
+                    assert n // len(_lexmin_rotation_slots(n, pos)) == expected, (n, pos)
 
 
 # --- machine table -----------------------------------------------------------------------

@@ -18,8 +18,8 @@ from ringpatrol.ring import (
     make_random_schedule,
     start_run,
     uniform_gaps,
+    check_schedule,
     uniform_positions,
-    validate_schedule,
 )
 from ringpatrol.adversaries import wave_schedule
 from ringpatrol.agents import (
@@ -74,7 +74,7 @@ def test_ring_distance_directions_sum_to_n(n, data):
 
 
 def test_validate_schedule_static_ok():
-    assert validate_schedule(ObliviousSchedule(n=10)) is None
+    check_schedule(ObliviousSchedule(n=10))
 
 
 def test_schedule_file_with_two_edges_in_one_round_rejected():
@@ -91,12 +91,12 @@ def test_schedule_file_with_two_edges_in_one_round_rejected():
 
 def test_validate_schedule_flags_bad_edge_index():
     sched = ObliviousSchedule(n=6, missing={4: 6})
-    report = validate_schedule(sched)
-    assert report is not None and "round 4" in report
+    with pytest.raises(ScheduleError, match="round 4"):
+        check_schedule(sched)
 
 
 def test_wave_schedule_validates():
-    assert validate_schedule(wave_schedule(10)) is None
+    check_schedule(wave_schedule(10))
 
 
 def test_schedule_json_round_trip():
@@ -411,11 +411,24 @@ def _machine_text(arc=None, **fields):
             lambda: FsmSpec.from_json(_machine_text({"from": 0.5, "to": 0.0})),
             ValueError, id="machine-float-arc-states",
         ),
+        pytest.param(
+            lambda: ObliviousSchedule.from_json("not json"), ScheduleError, id="json-syntax",
+        ),
+        pytest.param(
+            lambda: FsmSpec.from_json("not json"), ValueError, id="machine-json-syntax",
+        ),
     ],
 )
 def test_malformed_inputs_raise_typed_errors(load, error):
     with pytest.raises(error):
         load()
+
+
+def test_machine_json_syntax_error_names_the_file_kind():
+    # json.JSONDecodeError is itself a ValueError, so the row above cannot
+    # tell a wrapped syntax error from a bare one
+    with pytest.raises(ValueError, match="malformed machine file"):
+        FsmSpec.from_json('{"states": 1,')
 
 
 def test_loaders_work_in_proportion_to_the_file():

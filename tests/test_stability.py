@@ -14,7 +14,8 @@ round's snapshot; the pingpong n=40 and n=48 solve digests before the solver
 stopped after node 0 on rotation-symmetric games; the kpingpong k=4, k=5 and
 gate traces and the ``rows_kpingpong`` report (checked by acceptance
 criterion 05 on the rows it builds) before global-view teams planned once
-per round.  A refactor that changes any move, block flag, missing edge,
+per round; the symmetric spread solve digests before spread plans took one
+shape for symmetric and anchored starts.  A refactor that changes any move, block flag, missing edge,
 witness or report row changes a digest.
 The report cases cover the fast suites and the fast ``table1`` builders, so
 the default test run guards report bytes without the long ``table1`` rows.
@@ -121,6 +122,10 @@ def _solve(make, n, k, schedule=None):
     return lambda: solve_worst_case(
         make(), n, k, uniform_positions(n, k), schedule=schedule
     ).to_json()
+
+
+def _solve_spread(n, start):
+    return solve_worst_case(UniformSpread(), n, len(start), start)
 
 
 def _cross_validate_random_machine():
@@ -260,6 +265,18 @@ CASES = {
         _solve(KPingPong, 12, 4, wave_schedule(12)),
         "9bc1579f79d0057df5fd969403ab02ace76193fedcde4a6db78655a6190778f5",
     ),
+    "solve-spread-n8-symmetric": (
+        lambda: _solve_spread(8, (0, 1, 4, 5)).to_json(),
+        "e261bfe67b7002dc57f5ebf89ba1173b11289099b7fa38eace90ec7016befeae",
+    ),
+    "solve-spread-n12-symmetric": (
+        lambda: _solve_spread(12, (0, 1, 6, 7)).to_json(),
+        "2ff781a43c692810931ea58d6ca71a8a33069d68b730f35f8438cb474ffc0bce",
+    ),
+    "solve-spread-n12-symmetric-k6": (
+        lambda: _solve_spread(12, (0, 1, 2, 6, 7, 8)).to_json(),
+        "0d36c687daa49affb22cca6a2533cd626c23373002cca10335236c173ef6c8ce",
+    ),
     "cross-validate-random-machine": (
         _cross_validate_random_machine,
         "65bc4a991b948e5795de60262b3d8a04876c12a8419358d2982090c250a605a2",
@@ -303,3 +320,13 @@ CASES = {
 def test_output_bytes_are_stable(name):
     render, digest = CASES[name]
     assert hashlib.sha256(render().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "n,start,states",
+    [(8, (0, 1, 4, 5), 23), (12, (0, 1, 6, 7), 48), (12, (0, 1, 2, 6, 7, 8), 115)],
+)
+def test_symmetric_spread_state_counts(n, start, states):
+    # 23, 68 and 165 before plans dropped on replanning stopped telling
+    # otherwise equal states apart
+    assert _solve_spread(n, start).states_explored == states
