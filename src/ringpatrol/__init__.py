@@ -1,6 +1,8 @@
 """Patrolling on 1-interval-connected dynamic rings: simulation, adversaries,
 exact worst-case search and bounded-memory machine analysis."""
 
+from types import ModuleType as _ModuleType
+
 from .ring import (
     CCW,
     CW,
@@ -66,4 +68,9 @@ from .fsm import (
     initial_fault_free_cycle,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above also bind the submodules; they are not public symbols
+__all__ = sorted(
+    name
+    for name, value in vars().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

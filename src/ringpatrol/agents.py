@@ -14,6 +14,16 @@ the one ``GlobalSnapshot`` of the pre-move state; agent ``i`` stands on
   ``initial_memory(n, k, i, positions)`` and
   ``step(i, mem, snap) -> (new_mem, move)``
 
+* optional, ``rotate_memory(mem, shift, n)``: the memory the team would hold
+  (for a per-agent team, the tuple of the agents' memories) if the ring
+  were turned ``shift`` nodes clockwise.  Defining it promises that the
+  step commutes with turning the ring: on the turned memory and snapshot
+  it makes the same moves, asks ``blocks`` about the turned edges and
+  returns the turned new memory.  The exact solver then answers a state
+  from the expansion of any state in its rotation class.  A step that
+  reads absolute node ids must not claim the hook; a subclass of a hooked
+  algorithm opts out with ``rotate_memory = None``.
+
 ``ring.start_run`` rejects a team with both steps or neither.  Steps are
 pure: coordination happens through the snapshot plus the memory.  The
 bounded-memory machines read only the two edges at their own node, so they
@@ -96,6 +106,10 @@ class PingPong:
 
     def initial_memory(self, n, k, positions):
         return S0
+
+    @staticmethod
+    def rotate_memory(mem, shift, n):
+        return mem  # S0 or a slot: no node ids
 
     def joint_step(self, mem, snap: GlobalSnapshot):
         if mem == S0:
@@ -196,6 +210,10 @@ class FsmAlgorithm:
 
     def initial_memory(self, n, k, i, positions):
         return self.spec.initial
+
+    @staticmethod
+    def rotate_memory(mem, shift, n):
+        return mem  # machine states: no node ids
 
     def step(self, i, mem, snap: GlobalSnapshot):
         u = snap.positions[i]
@@ -442,6 +460,16 @@ class SpreadState:
     done: bool = False
 
 
+def _turn_spread(state: SpreadState, shift: int, n: int) -> SpreadState:
+    """``state`` on the ring turned ``shift`` nodes clockwise: only the
+    targets name nodes."""
+    plans = tuple(
+        (order, tuple((t + shift) % n for t in targets))
+        for order, targets in state.plans
+    )
+    return replace(state, plans=plans)
+
+
 def _removed_edge(snap: GlobalSnapshot) -> Optional[int]:
     """The round's missing edge, found by asking ``blocks`` about every edge."""
     return next((e for e in range(snap.n) if snap.blocks(e, CW)), None)
@@ -574,6 +602,10 @@ class UniformSpread:
     nearest clockwise to the removed edge anchors the target pattern.
     The team memory is None until the first round, then the team's
     ``SpreadState``.
+
+    It defines no ``rotate_memory``: ``_lexmin_rotation_slots`` orders a
+    symmetric start's leaders, and so its segment plans, by absolute node,
+    so turning the ring can reorder the plans in the memory.
     """
 
     def validate(self, n, k):
@@ -609,6 +641,9 @@ class PlaceAndSwipe:
     With a non-uniform start the agents first spread out (two agents widen
     their gap by at least one node per round; larger teams run the general
     spread plan), then anchor the epoch clock at the first uniform round.
+
+    It defines no ``rotate_memory``: its plans read the schedule at the
+    absolute round, and the schedule names absolute edges.
     """
 
     def __init__(self, schedule: ObliviousSchedule):
@@ -730,6 +765,14 @@ class KPingPong:
 
     def initial_memory(self, n, k, positions):
         return KPingPongMemory(stage=KP_S0)
+
+    @staticmethod
+    def rotate_memory(mem: KPingPongMemory, shift, n):
+        """Phases are by slot; only the respread targets name nodes."""
+        if not mem.spreads:
+            return mem
+        spreads = tuple(_turn_spread(spread, shift, n) for spread in mem.spreads)
+        return replace(mem, spreads=spreads)
 
     def _partition(self, n, k, positions, blocked_index):
         ranks = sorted(

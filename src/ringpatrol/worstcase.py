@@ -22,15 +22,31 @@ no move, and gives that same successor; the team is stepped again only for
 the other edges, in choice order.  The probe refuses ``missing_edge``
 reads: steps must ask ``blocks``.
 
-Most games are symmetric under rotating the ring: positions shift, while
-the memory and the schedule clock do not name nodes.  When node 0 is bounded
-and the explored graph is checked to be invariant under that rotation, no
-other node can force a longer gap (see ``_analyse``), so the analysis stops
-after node 0 with the result the all-nodes loop would return.  Graphs that
-fail the check (memory that holds node ids, a schedule restriction that
-removes particular edges, steps that read absolute node ids) get one pass
-per node.  Each solve logs its counts, node passes, state budget use and
-phase times at DEBUG level to the ``ringpatrol.worstcase`` logger.
+Most games are symmetric under rotating the ring: positions shift, the
+memory turns by the algorithm's ``rotate_memory`` hook (see ``agents``) or,
+without one, is kept, and the schedule clock does not name nodes.
+
+* Exploration: a hooked team steps the same on a turned state, so each
+  solve keeps a cache keyed on the state turned until agent 0 stands on
+  node 0 (positions relative to agent 0, the turned memory and, under a
+  schedule restriction, the scheduled edge relative to agent 0).  Its value
+  is the expansion of the first state of that rotation class, one (choice,
+  positions after, new memory) per team step in visit order, turned the
+  same way.  A hit turns the entries back and sorts the removed edges into
+  edge order again, so every successor, first choice, discovery order and
+  witness is the one stepping the team gives.  The cache lives only inside
+  one exploration.
+* Analysis: when node 0 is bounded and the explored graph is checked to be
+  invariant under turning the ring one node, no other node can force a
+  longer gap (see ``_analyse``), so the analysis stops after node 0 with
+  the result the all-nodes loop would return.  Graphs that fail the check
+  (node ids in a memory without the hook, a schedule restriction that
+  removes particular edges, steps that read absolute node ids) get one
+  pass per node.
+
+Each solve logs its counts (team steps include cache hits), node passes,
+state budget use and phase times at DEBUG level to the
+``ringpatrol.worstcase`` logger.
 """
 
 from __future__ import annotations
@@ -132,15 +148,17 @@ class _ProbeSnapshot(GlobalSnapshot):
 
 def _explore(algorithm, n, k, initial, schedule, budget):
     """BFS the reachable game graph; returns (occupancy masks, successor
-    lists, BFS parents, rotation map, team steps), the first three indexed
-    by state in discovery order.
+    lists, BFS parents, rotation map, (team steps, cache hits)), the first
+    three indexed by state in discovery order.
 
     ``masks[t]`` has bit ``v`` set when state ``t`` occupies node ``v``.
     ``succs[s]`` keeps one ``(t, choice)`` per distinct successor ``t``, with
     the first scheduler choice that reaches it.  ``parents[t]`` is the
     (state, choice) that first discovered ``t``, so following it back gives
     a shortest path from the initial state.  The rotation map is
-    ``_rotation_map``'s.  A team step is one call of the round kernel."""
+    ``_rotation_map``'s.  A team step is one successor computed for one
+    choice, by the round kernel or, for a cache hit, from the expansion of
+    a turned state (see the module docstring)."""
     init_memory = start_run(algorithm, n, k, initial)
     modulus = 1
     if schedule is not None:
@@ -152,6 +170,8 @@ def _explore(algorithm, n, k, initial, schedule, budget):
         if schedule.period is None and schedule.missing:
             raise ValueError("schedule restriction must be periodic")
         modulus = schedule.period or 1
+    rotate = getattr(algorithm, "rotate_memory", None)
+    cache = None if rotate is None else {}  # per solve: key -> turned steps
 
     init_state = (tuple(initial), init_memory, 0)
 
@@ -161,61 +181,98 @@ def _explore(algorithm, n, k, initial, schedule, budget):
     parents: list[Optional[tuple[int, Optional[int]]]] = [None]
     succs: list[list[tuple[int, Optional[int]]]] = []
     queue = deque([0])
-    team_steps = 0
+    team_steps = cache_hits = 0
 
-    def visit(si, out, choice, snap):
-        """Step the team on ``snap`` (whose missing edge is ``choice``) and
-        record the successor; returns the moves."""
-        nonlocal team_steps
-        team_steps += 1
-        positions, memory, clock = states[si]
-        new_memory, moves = decide_moves(algorithm, snap, memory)
-        after, _ = apply_round(positions, moves, n, choice)
-        succ = (after, new_memory, (clock + 1) % modulus)
-        ti = index.get(succ)
-        if ti is None:
-            ti = len(states)
-            index[succ] = ti
-            states.append(succ)
-            masks.append(_occupancy(after))
-            parents.append((si, choice))
-            queue.append(ti)
-            if len(states) > budget:
-                raise BudgetExceeded(
-                    f"game graph exceeds state budget {budget}: "
-                    f"{len(states)} states discovered, BFS depth "
-                    f"{len(_path_from_init(parents, ti))} reached, "
-                    f"{len(queue)} states still queued"
-                )
-        out.setdefault(ti, choice)
-        return moves
+    def expand(positions, memory, clock):
+        """The state's team steps in visit order, one (choice, positions
+        after, new memory) each: the probe, then the edges in edge order."""
+        steps = []
 
-    while queue:
-        si = queue.popleft()
-        positions, _, clock = states[si]
-        out: dict[int, Optional[int]] = {}
+        def step(choice, snap):
+            new_memory, moves = decide_moves(algorithm, snap, memory)
+            after, _ = apply_round(positions, moves, n, choice)
+            steps.append((choice, after, new_memory))
+            return moves
+
         if schedule is None:
             probe = _ProbeSnapshot(n, positions)
-            moves = visit(si, out, None, probe)
+            moves = step(None, probe)
             edges = probe.asked.union(
                 crossed_edge(n, p, m) for p, m in zip(positions, moves) if m != STAY
             )
             for edge in sorted(edges):
-                visit(si, out, edge, GlobalSnapshot(n, edge, positions))
+                step(edge, GlobalSnapshot(n, edge, positions))
         else:
             choice = schedule.missing_edge(clock)
-            visit(si, out, choice, GlobalSnapshot(n, choice, positions))
+            step(choice, GlobalSnapshot(n, choice, positions))
+        return steps
+
+    def turned(steps, shift):
+        """``steps`` as seen on the ring turned ``shift`` nodes clockwise."""
+        return [
+            (
+                None if choice is None else (choice + shift) % n,
+                tuple((p + shift) % n for p in after),
+                rotate(new_memory, shift, n),
+            )
+            for choice, after, new_memory in steps
+        ]
+
+    while queue:
+        si = queue.popleft()
+        positions, memory, clock = states[si]
+        if cache is None:
+            steps = expand(positions, memory, clock)
+        else:
+            # the expansion of a state turned so that agent 0 stands on node 0
+            p0 = positions[0]
+            key = (tuple((p - p0) % n for p in positions), rotate(memory, -p0, n))
+            if schedule is not None:
+                edge = schedule.missing_edge(clock)
+                key += (None if edge is None else (edge - p0) % n,)
+            canonical = cache.get(key)
+            if canonical is None:
+                steps = expand(positions, memory, clock)
+                cache[key] = turned(steps, -p0)
+            else:
+                cache_hits += len(canonical)
+                steps = turned(canonical, p0)
+                steps[1:] = sorted(steps[1:], key=lambda step: step[0])
+        team_steps += len(steps)
+        out: dict[int, Optional[int]] = {}
+        for choice, after, new_memory in steps:
+            succ = (after, new_memory, (clock + 1) % modulus)
+            ti = index.get(succ)
+            if ti is None:
+                ti = len(states)
+                index[succ] = ti
+                states.append(succ)
+                masks.append(_occupancy(after))
+                parents.append((si, choice))
+                queue.append(ti)
+                if len(states) > budget:
+                    raise BudgetExceeded(
+                        f"game graph exceeds state budget {budget}: "
+                        f"{len(states)} states discovered, BFS depth "
+                        f"{len(_path_from_init(parents, ti))} reached, "
+                        f"{len(queue)} states still queued"
+                    )
+            out.setdefault(ti, choice)
         succs.append(list(out.items()))
-    return masks, succs, parents, _rotation_map(n, states, index), team_steps
+    rotated = _rotation_map(n, states, index, rotate)
+    return masks, succs, parents, rotated, (team_steps, cache_hits)
 
 
-def _rotation_map(n, states, index):
+def _rotation_map(n, states, index, rotate):
     """``rotated[s]``, the number of state ``s`` turned one node clockwise
-    (positions shifted, memory and clock kept), or None when some turned
-    state was never reached.  Built before the index is dropped, so the
-    analysis holds one list, not every explored state."""
+    (positions shifted, memory turned by ``rotate`` when the algorithm has
+    the hook, else kept, and clock kept), or None when some turned state was
+    never reached.  Built before the index is dropped, so the analysis holds
+    one list, not every explored state."""
     rotated = []
     for positions, memory, clock in states:
+        if rotate is not None:
+            memory = rotate(memory, 1, n)
         image = index.get((tuple((p + 1) % n for p in positions), memory, clock))
         if image is None:
             return None
@@ -258,16 +315,16 @@ def solve_worst_case(
     """
     t0 = perf_counter()
     budget = _state_budget(budget)
-    masks, succs, parent, rotated, team_steps = _explore(
+    masks, succs, parent, rotated, (team_steps, cache_hits) = _explore(
         algorithm, n, k, tuple(initial), schedule, budget
     )
     t1 = perf_counter()
     result, node_passes = _analyse(n, masks, succs, parent, rotated)
     log.debug(
-        "solve n=%d k=%d: states=%d edges=%d team_steps=%d node_passes=%d "
-        "budget_used=%.6f explore_s=%.4f analysis_s=%.4f",
+        "solve n=%d k=%d: states=%d edges=%d team_steps=%d cache_hits=%d "
+        "node_passes=%d budget_used=%.6f explore_s=%.4f analysis_s=%.4f",
         n, k, len(masks), sum(len(out) for out in succs), team_steps,
-        node_passes, len(masks) / budget, t1 - t0, perf_counter() - t1,
+        cache_hits, node_passes, len(masks) / budget, t1 - t0, perf_counter() - t1,
     )
     return result
 
@@ -292,10 +349,11 @@ def _analyse(n, masks, succs, parent, rotated) -> tuple[GameSolverResult, int]:
     skipped, because none of them could win:
 
     Let rho map a state (positions, memory, clock) to ((p + 1) % n ...,
-    memory, clock).  If rho maps the reachable states onto themselves and
-    each state's successor set onto its image's successor set, then rho^-v
-    turns node v's avoiding paths into node 0's, so longest_v(s) =
-    longest_0(rho^-v s), and node v is unbounded exactly when node 0 is.
+    the memory turned one node, clock), as ``_rotation_map`` does.  If rho
+    maps the reachable states onto themselves and each state's successor
+    set onto its image's successor set, then rho^-v turns node v's avoiding
+    paths into node 0's, so longest_v(s) = longest_0(rho^-v s), and node v
+    is unbounded exactly when node 0 is.
 
     * A gap start on v maps to a gap start on 0.
     * The start from round -1 maps to u = rho^-v(init), which BFS reached

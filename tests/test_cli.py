@@ -337,14 +337,14 @@ def test_public_symbols_are_pinned():
         "GameSolverResult", "IdleReport", "KPingPong", "ObliviousSchedule",
         "PingPong", "PlaceAndSwipe", "PlacementInfeasibleError", "RoundRecord",
         "STAY", "TargetSelectionError", "TransitionGraph", "UNBOUNDED",
-        "UniformSpread", "adversaries", "agents", "apply_round", "arc_distance",
+        "UniformSpread", "apply_round", "arc_distance",
         "build_transition_graph", "classify", "compute_swipe_set",
         "consecutive_positions", "cross_validate", "distinct_nodes_visited",
-        "engine", "fault_free_cycles", "fixed_edge_schedule", "fsm", "fsm_of",
+        "fault_free_cycles", "fixed_edge_schedule", "fsm_of",
         "gate_adversary", "idle_time", "initial_fault_free_cycle", "is_uniform",
         "make_random_schedule", "offline_opt_search", "placement_route",
-        "random_positions", "ring", "run", "select_targets", "solve_worst_case",
+        "random_positions", "run", "select_targets", "solve_worst_case",
         "trace_to_csv", "trap_adversary", "uniform_gaps", "uniform_positions",
         "verify_unblocked_sweep", "visit_log", "wave_schedule",
-        "wave_start_positions", "worstcase",
+        "wave_start_positions",
     ]

@@ -325,6 +325,8 @@ def test_solve_logs_its_counts_at_debug(caplog):
     stats = solve_record(caplog, PingPong(), 24, 2, uniform_positions(24, 2))
     assert stats["states"] == 1176 and stats["edges"] == 3528
     assert stats["team_steps"] == 3528
+    # hits are team steps answered from a turned state's cached expansion
+    assert 0 < stats["cache_hits"] < stats["team_steps"]
     assert stats["explore_s"] >= 0 and stats["analysis_s"] >= 0
     # the game is rotation-symmetric, so node 0's pass answers for all 24
     assert stats["node_passes"] == 1
@@ -336,12 +338,14 @@ def test_solve_logs_its_counts_at_debug(caplog):
     # the spread planner asks about every edge when it anchors
     stats = solve_record(caplog, UniformSpread(), 8, 3, (0, 1, 3))
     assert stats["team_steps"] == 35
+    assert stats["cache_hits"] == 0  # no rotate_memory, no cache
     # kpingpong's group spreads ask about blocked moves only
     stats = solve_record(caplog, KPingPong(), 12, 3, uniform_positions(12, 3))
     assert stats["states"] == 804 and stats["edges"] == 2208
     assert stats["team_steps"] == 2712
-    # odd-k respreads keep node ids in memory: no symmetry, one pass per node
-    assert stats["node_passes"] == 12
+    # odd-k respread targets are node ids, which rotate_memory turns, so the
+    # rotation check passes and node 0's pass answers for every node
+    assert stats["node_passes"] == 1
     # an unbounded solve stops at node 0 either way
     stats = solve_record(caplog, clockwise(), 6, 1, (0,))
     assert stats["node_passes"] == 1
@@ -485,6 +489,10 @@ class PausesOnNodeZero(PingPong):
     A wait can leave both agents in one phase, so the team memory keeps
     each agent's own."""
 
+    # the step reads node 0, so it must not inherit PingPong's identity hook:
+    # the solver would answer a state from a turned state's expansion
+    rotate_memory = None
+
     def initial_memory(self, n, k, positions):
         return (S0, S0)
 
@@ -509,6 +517,7 @@ def test_node_dependent_step_runs_every_node_pass(caplog):
     assert not _rotation_invariant(succs, rotated)
     stats = solve_record(caplog, PausesOnNodeZero(), n, 2, initial)
     assert stats["node_passes"] == n
+    assert stats["cache_hits"] == 0
     res = solve_worst_case(PausesOnNodeZero(), n, 2, initial)
     assert res.worst_idle == 32 and res.target_node == 1  # node 0's gap is smaller
     assert_matches_all_nodes(PausesOnNodeZero(), n, initial)
@@ -522,6 +531,120 @@ def test_rotation_check_compares_successor_sets():
     succs[2] = [(0, None)]
     assert _rotation_invariant(succs, [1, 2, 0])
     assert not _rotation_invariant(succs, None)
+
+
+# --- rotate_memory: a hooked step commutes with turning the ring ----------------
+
+def reachable_states(algorithm, n, initial, limit):
+    """The first ``limit`` (positions, memory) pairs in BFS order from
+    ``initial``, stepping the team on every scheduler choice."""
+    first = (tuple(initial), start_run(algorithm, n, len(initial), initial))
+    seen, queue, found = {first}, deque([first]), []
+    while queue and len(found) < limit:
+        positions, memory = state = queue.popleft()
+        found.append(state)
+        for choice in [None, *range(n)]:
+            snap = GlobalSnapshot(n, choice, positions)
+            new_memory, moves = decide_moves(algorithm, snap, memory)
+            succ = (apply_round(positions, moves, n, choice)[0], new_memory)
+            if succ not in seen:
+                seen.add(succ)
+                queue.append(succ)
+    return found
+
+
+def assert_step_commutes(algorithm, n, positions, memory, shift):
+    """Stepping the turned state on the turned probe and on each turned edge
+    makes the same moves, asks about the turned edges and returns the turned
+    memory."""
+    rotate = algorithm.rotate_memory
+    turned_positions = tuple((p + shift) % n for p in positions)
+    turned_memory = rotate(memory, shift, n)
+    assert rotate(turned_memory, n - shift, n) == memory
+    probe = _ProbeSnapshot(n, positions)
+    turned_probe = _ProbeSnapshot(n, turned_positions)
+    pairs = [(probe, turned_probe)] + [
+        (
+            GlobalSnapshot(n, e, positions),
+            GlobalSnapshot(n, (e + shift) % n, turned_positions),
+        )
+        for e in range(n)
+    ]
+    for snap, turned_snap in pairs:
+        new_memory, moves = decide_moves(algorithm, snap, memory)
+        turned_new, turned_moves = decide_moves(algorithm, turned_snap, turned_memory)
+        assert turned_moves == moves
+        assert turned_new == rotate(new_memory, shift, n)
+    assert turned_probe.asked == {(e + shift) % n for e in probe.asked}
+
+
+HOOKED_TEAMS = (
+    [pytest.param(PingPong, 2, id="pingpong")]
+    + [pytest.param(KPingPong, k, id=f"kpingpong-k{k}") for k in (2, 3, 4, 5)]
+    + [
+        pytest.param(lambda name=name: FsmAlgorithm(fsm_of(name)), 3, id=name)
+        for name in BUILTIN_FSM_NAMES
+    ]
+)
+
+
+@pytest.mark.parametrize("make,k", HOOKED_TEAMS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_rotate_memory_commutes_with_the_step(make, k, data):
+    n = data.draw(st.integers(max(3, k + 1), 12), label="n")
+    seed = data.draw(st.none() | st.integers(0, 10**6), label="random start seed")
+    initial = uniform_positions(n, k) if seed is None else random_positions(n, k, seed)
+    states = reachable_states(make(), n, initial, 60)
+    sample = data.draw(st.lists(st.sampled_from(states), min_size=1, max_size=20))
+    for positions, memory in sample:
+        shift = data.draw(st.integers(1, n - 1), label="shift")
+        assert_step_commutes(make(), n, positions, memory, shift)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    states=st.integers(1, 4),
+    n=st.integers(3, 8),
+    data=st.data(),
+)
+def test_rotate_memory_commutes_with_random_machines(seed, states, n, data):
+    algorithm = FsmAlgorithm(random_machine(seed, states))
+    k = data.draw(st.integers(1, min(3, n)), label="k")
+    initial = data.draw(
+        st.sampled_from([uniform_positions(n, k), random_positions(n, k, seed)])
+    )
+    for positions, memory in reachable_states(algorithm, n, initial, 30):
+        shift = data.draw(st.integers(1, n - 1), label="shift")
+        assert_step_commutes(algorithm, n, positions, memory, shift)
+
+
+def test_odd_kpingpong_respread_turns_its_targets():
+    # a block on the first round splits k=3 into respreading groups whose
+    # plans name target nodes; the hook turns those and nothing else
+    algorithm = KPingPong()
+    mem, _ = algorithm.joint_step(
+        algorithm.initial_memory(12, 3, (0, 4, 8)), GlobalSnapshot(12, 4, (0, 4, 8))
+    )
+    assert mem.stage == "respread"
+    turned = algorithm.rotate_memory(mem, 5, 12)
+    assert turned.phases == mem.phases
+    for spread, turned_spread in zip(mem.spreads, turned.spreads):
+        assert turned_spread.members == spread.members
+        for (order, targets), (turned_order, turned_targets) in zip(
+            spread.plans, turned_spread.plans
+        ):
+            assert turned_order == order
+            assert turned_targets == tuple((t + 5) % 12 for t in targets)
+    assert algorithm.rotate_memory(mem, 12, 12) == mem
+
+
+def test_odd_kpingpong_one_pass_matches_all_nodes():
+    # rotate_memory lets the rotation check pass on odd-k kpingpong, so
+    # node 0's pass must give the all-nodes loop's bytes; k=3 at n=9 and
+    # n=12 run above as a probe case and a bench solve
+    assert_matches_all_nodes(KPingPong(), 15, uniform_positions(15, 5))
 
 
 # --- differential: the engine against the solver ------------------------------
