@@ -417,10 +417,10 @@ def placement_route(
 ):
     """Moves bringing uniformly placed agents onto ``targets`` within the window.
 
-    Tries the clockwise order-preserving plan first and falls back to the
-    counter-clockwise one; for uniform current and target patterns one of the
-    two always completes, because rounds that stall one direction leave the
-    other direction's (disjoint) path edges available.
+    Tries the clockwise order-preserving plan first, then the counter-clockwise
+    one.  Both can fail for uniform patterns whose gaps come in another order
+    (one overruns the window, the other has no round to spare), e.g. n=10 from
+    (6, 9, 2, 4) onto (1, 4, 7, 9) in rounds [4, 7) of make_random_schedule(10, 80, 0).
 
     Returns (per-round move tuples, direction, assignment).
     """

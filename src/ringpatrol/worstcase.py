@@ -51,14 +51,14 @@ state budget use and phase times at DEBUG level to the
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, product
 from time import perf_counter
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .ring import (
     CCW,
@@ -476,71 +476,9 @@ class SearchBudgetError(RuntimeError):
     pass
 
 
-class _AgentArc(NamedTuple):
-    """Reach state of one agent: offset from start plus ccw/cw sweep extents.
-
-    Once the sweep spans the whole ring the extents stop mattering, so the
-    state collapses to position only (extents pinned to n, offset reduced).
-    """
-
-    offset: int
-    ccw: int
-    cw: int
-
-
-def _canon_arc(o: int, ccw: int, cw: int, n: int) -> _AgentArc:
-    if ccw + cw >= n - 1:
-        return _AgentArc(o % n, n, n)
-    return _AgentArc(o, ccw, cw)
-
-
-def _advance_agent(states, start, n, missing):
-    """One DP layer: every (offset, ccw, cw) reach state after one more round."""
-    nxt = set()
-    for st in states:
-        nxt.add(st)  # waiting (or being blocked) wastes the round
-        pos = (start + st.offset) % n
-        for move in (CW, CCW):
-            if crossed_edge(n, pos, move) != missing:
-                # an extent already covers the current offset, so only the
-                # one on the side of the move can grow
-                o = st.offset + move
-                nxt.add(_canon_arc(o, max(st.ccw, -o), max(st.cw, o), n))
-    return _prune_arcs(nxt)
-
-
-def _prune_arcs(states):
-    """Keep only Pareto-maximal sweep extents per offset."""
-    by_offset: dict[int, list[_AgentArc]] = {}
-    for st in states:
-        by_offset.setdefault(st.offset, []).append(st)
-    kept = []
-    for group in by_offset.values():
-        group.sort(key=lambda s: (-s.ccw, -s.cw))
-        best_cw = -1
-        for st in group:
-            if st.cw > best_cw:
-                kept.append(st)
-                best_cw = st.cw
-    return kept
-
-
-def _arcs_of(states, start, n):
-    """Maximal covered arcs as (first node, length), deduplicated."""
-    best: dict[int, int] = {}
-    for st in states:
-        lo = (start - st.ccw) % n
-        length = min(n, st.ccw + st.cw + 1)
-        if best.get(lo, 0) < length:
-            best[lo] = length
-    return sorted(best.items())
-
-
 def _covers_union(arcs, need_first, need_len, n):
     """Can the given arcs jointly cover the needed stretch?  The stretch is
     contiguous, so a small interval-merge over offsets suffices."""
-    if need_len <= 0:
-        return True
     spans = []
     for lo, length in arcs:
         if length >= n:
@@ -562,6 +500,83 @@ def _covers_union(arcs, need_first, need_len, n):
     return reach >= need_len
 
 
+def _covers_arc(arcs, need_first, need_len, n):
+    """``_covers_union`` for one helper arc."""
+    ((lo, length),) = arcs
+    return length >= n or (need_first - lo) % n + need_len <= length
+
+
+def _advance(front, fresh, held, start, n, missing):
+    """Advance one agent's reach states a round in place; return the new ones.
+
+    ``front`` maps an offset from the start node to its Pareto-maximal (ccw, cw)
+    extents; ``fresh`` maps each new state to the move back to its parent (None
+    if its sweep grew), which reaches nothing new.  Blocked moves wait in ``held``.
+    """
+    moves = [m for m in held if m[0] != missing]
+    held[:] = [m for m in held if m[0] == missing]
+    for (o, ccw, cw), back in fresh.items():
+        for move in (CW, CCW) if back is None else (-back,):
+            edge = crossed_edge(n, (start + o) % n, move)
+            (held if edge == missing else moves).append((edge, move, o + move, ccw, cw))
+    new = {}
+    for _, move, o, ccw, cw in moves:
+        back = -move
+        if -o > ccw:
+            ccw, back = -o, None
+        elif o > cw:
+            cw, back = o, None
+        if ccw + cw >= n - 1:  # the sweep spans the ring: only the node matters
+            o, ccw, cw = o % n, n, n
+        kept = [(ccw, cw)]
+        for a, b in front.get(o, ()):
+            if a >= ccw and b >= cw:
+                break
+            if a > ccw or b > cw:
+                kept.append((a, b))
+        else:
+            front[o] = kept
+            new[o, ccw, cw] = back
+    return {st: back for st, back in new.items() if st[1:] in front[st[0]]}
+
+
+def _home_covered(fronts, fresh, arcs, start, home, n):
+    """Is an agent on ``home`` while its sweep and one arc of each other agent
+    cover the ring?  Grows ``arcs[a]`` (first node -> longest arc swept from it);
+    tests only combinations holding a new state or arc (older ones failed)."""
+    k = len(fronts)
+    split = []  # per agent: (all arcs, arcs new this round, older arcs)
+    for a in range(k):
+        grown = {}
+        for (_, ccw, cw), back in fresh[a].items():
+            if back is None:  # only a grown sweep adds an arc
+                lo, length = (start[a] - ccw) % n, min(n, ccw + cw + 1)
+                if arcs[a].get(lo, 0) < length:
+                    arcs[a][lo] = grown[lo] = length
+        old = [arc for arc in arcs[a].items() if arc[0] not in grown]
+        split.append((list(arcs[a].items()), list(grown.items()), old))
+    covers = _covers_arc if k == 2 else _covers_union
+    for a in range(k):
+        helpers = [split[b] for b in range(k) if b != a]
+        every = [[h[0] for h in helpers]]
+        newer = [  # helper i holds the first new arc
+            [h[2] for h in helpers[:i]] + [h[1]] + [h[0] for h in helpers[i + 1:]]
+            for i, h in enumerate(helpers)
+        ]
+        d = (home - start[a]) % n
+        for o in (d, d - n):
+            for ccw, cw in fronts[a].get(o, ()):
+                own_len = ccw + cw + 1
+                if own_len >= n:
+                    return True
+                need_first = ((start[a] - ccw) % n + own_len) % n
+                parts = every if (o, ccw, cw) in fresh[a] else newer
+                combos = chain.from_iterable(product(*p) for p in parts)
+                if any(covers(c, need_first, n - own_len, n) for c in combos):
+                    return True
+    return False
+
+
 def offline_opt_search(
     schedule: ObliviousSchedule,
     k: int,
@@ -569,12 +584,17 @@ def offline_opt_search(
     home: int,
     max_rounds: Optional[int] = None,
 ) -> int:
-    """Exact minimum number of rounds for ``k`` agents to visit every node
-    and then stand on ``home`` again, moving any way they like against the
-    known schedule (blocked moves waste the round).
+    """Exact minimum number of rounds for ``k`` agents (1 to 3) to visit every
+    node and then stand on ``home`` again, moving any way they like against the
+    known schedule (blocked moves waste the round); ``max_rounds`` (default 8n)
+    must be an integer >= 0.
 
-    Agents do not interact, so each agent's reachable sweep extents are
-    tracked independently and combined per round.  Supports 1 <= k <= 3.
+    Each agent's reach states (offset from its start, ccw and cw sweep extents)
+    are tracked on their own and combined per round.  Waiting keeps every state,
+    so the reach set only grows and an old state made its moves in an earlier
+    round unless the missing edge blocked them.  A round therefore moves only new
+    states and blocked moves whose edge is back, and tests cover only for
+    combinations holding a new state or arc: the answer of a full re-advance.
     """
     check_schedule(schedule)
     n = schedule.n
@@ -586,40 +606,20 @@ def offline_opt_search(
         raise ValueError(f"start {tuple(start)} or home {home} is off the ring n={n}")
     if max_rounds is None:
         max_rounds = 8 * n
+    elif type(max_rounds) is not int or max_rounds < 0:
+        raise ValueError(f"max_rounds must be an integer >= 0, got {max_rounds!r}")
 
-    per_agent = [[_AgentArc(0, 0, 0)] for _ in range(k)]
+    fronts = [{0: [(0, 0)]} for _ in range(k)]
+    fresh = [{(0, 0, 0): None} for _ in range(k)]
+    held, arcs = [[] for _ in range(k)], [{} for _ in range(k)]
     for t in range(max_rounds + 1):
-        arcs = [_arcs_of(per_agent[a], start[a], n) for a in range(k)]
-        at_home = [
-            [
-                st
-                for st in per_agent[a]
-                if (start[a] + st.offset) % n == home
-            ]
-            for a in range(k)
-        ]
-        for a in range(k):
-            others = [arcs[b] for b in range(k) if b != a]
-            for st in at_home[a]:
-                own_len = min(n, st.ccw + st.cw + 1)
-                if own_len >= n:
-                    return t
-                lo = (start[a] - st.ccw) % n
-                need_first = (lo + own_len) % n
-                need_len = n - own_len
-                # the helpers may each contribute one simultaneously
-                # reachable arc; alternatives of one agent are exclusive
-                if any(
-                    _covers_union(combo, need_first, need_len, n)
-                    for combo in itertools.product(*others)
-                ):
-                    return t
+        if any(fresh) and _home_covered(fronts, fresh, arcs, start, home, n):
+            return t
         if t == max_rounds:
             break
         missing = schedule.missing_edge(t)
-        per_agent = [
-            _advance_agent(per_agent[a], start[a], n, missing) for a in range(k)
+        fresh = [
+            _advance(fronts[a], fresh[a], held[a], start[a], n, missing)
+            for a in range(k)
         ]
-    raise SearchBudgetError(
-        f"no covering strategy found within {max_rounds} rounds"
-    )
+    raise SearchBudgetError(f"no covering strategy found within {max_rounds} rounds")

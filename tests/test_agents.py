@@ -11,6 +11,7 @@ from ringpatrol.agents import (
     KPingPong,
     PingPong,
     PlaceAndSwipe,
+    PlacementInfeasibleError,
     S0,
     SNAP_BOTH,
     SNAP_CCW_MISSING,
@@ -310,6 +311,19 @@ def test_placement_dichotomy_holds(k):
             placement_route(agents, targets, sched, 0, L)  # must not raise
             count += 1
     assert count > 200
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=PlacementInfeasibleError,
+    reason="one of the two directions is not always in time for uniform "
+    "patterns whose gaps come in a different order; this case comes from "
+    "a seeded place-and-swipe run (n=10, k=4, seed 0)",
+)
+def test_placement_completes_for_uniform_patterns():
+    current, targets = (6, 9, 2, 4), (1, 4, 7, 9)
+    assert is_uniform(10, current) and is_uniform(10, targets)
+    placement_route(current, targets, make_random_schedule(10, 80, 0), 4, 3)
 
 
 # --- place-and-swipe -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import random
 import re
@@ -28,6 +29,7 @@ from ringpatrol.ring import (
     ScheduleError,
     apply_round,
     consecutive_positions,
+    crossed_edge,
     decide_moves,
     make_random_schedule,
     random_positions,
@@ -39,6 +41,7 @@ from ringpatrol.worstcase import (
     BudgetExceeded,
     GameSolverResult,
     SearchBudgetError,
+    _covers_union,
     _explore,
     _path_from_init,
     _ProbeSnapshot,
@@ -736,6 +739,94 @@ def brute_force_cover_and_rehome(schedule, start, home, cap=40):
     raise AssertionError("oracle cap exceeded")
 
 
+def reference_offline_search(schedule, k, start, home, max_rounds=None):
+    """Reference offline search on valid input: every round re-advances every
+    Pareto-maximal (offset, ccw, cw) reach state of every agent and tests
+    every home state against every combination of helper arcs."""
+    n = schedule.n
+    if max_rounds is None:
+        max_rounds = 8 * n
+
+    def canon(o, ccw, cw):
+        return (o % n, n, n) if ccw + cw >= n - 1 else (o, ccw, cw)
+
+    def advance(states, s0, missing):
+        nxt = set(states)  # waiting (or being blocked) wastes the round
+        for o, ccw, cw in states:
+            for move in (CW, CCW):
+                if crossed_edge(n, (s0 + o) % n, move) != missing:
+                    p = o + move
+                    nxt.add(canon(p, max(ccw, -p), max(cw, p)))
+        by_offset = {}
+        for st in nxt:
+            by_offset.setdefault(st[0], []).append(st)
+        kept = []  # Pareto-maximal (ccw, cw) per offset
+        for group in by_offset.values():
+            best_cw = -1
+            for st in sorted(group, key=lambda st: (-st[1], -st[2])):
+                if st[2] > best_cw:
+                    kept.append(st)
+                    best_cw = st[2]
+        return kept
+
+    def arcs_of(states, s0):
+        best = {}
+        for _, ccw, cw in states:
+            lo, length = (s0 - ccw) % n, min(n, ccw + cw + 1)
+            best[lo] = max(best.get(lo, 0), length)
+        return sorted(best.items())
+
+    per_agent = [[(0, 0, 0)] for _ in range(k)]
+    for t in range(max_rounds + 1):
+        arcs = [arcs_of(per_agent[a], start[a]) for a in range(k)]
+        for a in range(k):
+            others = [arcs[b] for b in range(k) if b != a]
+            for o, ccw, cw in per_agent[a]:
+                if (start[a] + o) % n != home:
+                    continue
+                own_len = min(n, ccw + cw + 1)
+                if own_len >= n:
+                    return t
+                need_first = ((start[a] - ccw) % n + own_len) % n
+                if any(
+                    _covers_union(combo, need_first, n - own_len, n)
+                    for combo in itertools.product(*others)
+                ):
+                    return t
+        if t == max_rounds:
+            break
+        missing = schedule.missing_edge(t)
+        per_agent = [advance(per_agent[a], start[a], missing) for a in range(k)]
+    raise SearchBudgetError(f"no covering strategy found within {max_rounds} rounds")
+
+
+def search_outcome(search, *args):
+    try:
+        return search(*args)
+    except SearchBudgetError as exc:
+        return ("SearchBudgetError", str(exc))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_offline_matches_reference_search(seed):
+    rng = random.Random(f"offline-reference/{seed}")
+    budget_errors = 0
+    for _ in range(250):
+        k, n = rng.randint(1, 3), rng.randint(3, 16)
+        period = rng.choice((1, rng.randint(2, n)))
+        share = rng.choice((0.0, 0.5, 1.0))  # 0.0: no edge is ever missing
+        missing = {r: rng.randrange(n) for r in range(period) if rng.random() < share}
+        sched = ObliviousSchedule(n=n, missing=missing, period=period)
+        start = tuple(rng.randrange(n) for _ in range(k))
+        home = rng.randrange(n)
+        max_rounds = rng.choice((None, rng.randrange(2 * n)))
+        args = (sched, k, start, home, max_rounds)
+        expected = search_outcome(reference_offline_search, *args)
+        assert search_outcome(offline_opt_search, *args) == expected, args
+        budget_errors += isinstance(expected, tuple)
+    assert 0 < budget_errors < 250
+
+
 def test_offline_static_antipodal_split():
     value = offline_opt_search(ObliviousSchedule(n=10), 2, (0, 5), 0)
     assert value <= 10
@@ -750,6 +841,22 @@ def test_offline_static_antipodal_split():
         (lambda: fixed_edge_schedule(8, 7), (0, 4), 0),
         (lambda: fixed_edge_schedule(8, 3), (0, 4), 2),
         (lambda: wave_schedule(10), (0, 9), 0),
+        # one agent has swept the whole ring by the round the other stands
+        # on home with a partial sweep: the helper arc of length n covers
+        (
+            lambda: ObliviousSchedule(
+                n=6, missing={0: 2, 1: 2, 2: 2, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1}, period=8
+            ),
+            (4, 3),
+            5,
+        ),
+        # an old home state, an older arc of one helper and a new arc of the other
+        (lambda: fixed_edge_schedule(8, 4), (7, 1, 3), 7),
+        (
+            lambda: ObliviousSchedule(n=7, missing={0: 1, 1: 4, 2: 6}, period=3),
+            (0, 1, 4),
+            3,
+        ),
     ],
 )
 def test_offline_matches_brute_force_oracle(make, start, home):
@@ -774,6 +881,19 @@ def test_offline_wave_exact_values(n, exact):
 def test_offline_respects_round_cap():
     with pytest.raises(SearchBudgetError):
         offline_opt_search(ObliviousSchedule(n=10), 2, (0, 5), 0, max_rounds=2)
+
+
+@pytest.mark.parametrize("max_rounds", [-1, 2.5, "3", True])
+def test_offline_rejects_bad_round_caps(max_rounds):
+    with pytest.raises(ValueError, match="max_rounds"):
+        offline_opt_search(wave_schedule(10), 2, (0, 9), 0, max_rounds=max_rounds)
+
+
+def test_offline_round_cap_zero_checks_the_start():
+    still = ObliviousSchedule(n=3)
+    assert offline_opt_search(still, 3, (0, 1, 2), 0, max_rounds=0) == 0
+    with pytest.raises(SearchBudgetError, match="within 0 rounds"):
+        offline_opt_search(still, 2, (0, 1), 0, max_rounds=0)
 
 
 def test_offline_rejects_large_teams():
