@@ -25,7 +25,6 @@ from .engine import (
     idle_time,
     run,
     trace_to_csv,
-    verify_unblocked_sweep,
     visit_log,
 )
 from .agents import (

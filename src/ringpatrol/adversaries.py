@@ -1,17 +1,18 @@
 """Lower-bound schedule constructions and adaptive adversaries.
 
-Adaptive adversaries implement ``decide(round, positions, memory)`` and may
-dry-run a round of the team's memory through the kernel
-``ring.decide_moves`` (the engine hands them the algorithm via ``bind``,
-which also resets any per-run state).  They remove at most one edge per
-round and are deterministic, so runs against them replay exactly.
+An adaptive adversary knows the algorithm, so it knows the moves the team
+is about to make: the engine calls ``decide(round, look, moves)`` with the
+round's snapshot ``look`` (no edge removed) and the team's plan on it, and
+the adversary answers with the edge to remove, or None.  Each adversary
+resets its per-run state at round 0.  They remove at most one edge per round
+and are deterministic, so runs against them replay exactly.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .ring import STAY, GlobalSnapshot, ObliviousSchedule, crossed_edge, decide_moves
+from .ring import STAY, ObliviousSchedule, crossed_edge
 
 
 def fixed_edge_schedule(n: int, e: int) -> ObliviousSchedule:
@@ -67,29 +68,19 @@ class TrapAdversary:
     """Confine agent 0 to its starting node and that node's clockwise
     neighbour by removing whichever edge would let it leave.
 
-    The prediction dry-runs the round with no edge removed; removing the
-    predicted escape edge can change the agent's decision, but both
-    remaining choices stay inside the two-node prison.
+    It reads the team's plan with no edge removed; removing the planned
+    escape edge can change the agent's decision, but both remaining choices
+    stay inside the two-node prison.
     """
 
     def __init__(self):
         self.prison: Optional[tuple[int, int]] = None
-        self._algorithm = None
-        self._n = None
 
-    def bind(self, algorithm, n: int, k: int) -> None:
-        self._algorithm = algorithm
-        self._n = n
-        self.prison = None
-
-    def decide(self, r: int, positions, memory) -> Optional[int]:
-        n = self._n
-        pos = positions[0]
-        if self.prison is None:
+    def decide(self, r: int, look, moves) -> Optional[int]:
+        n = look.n
+        pos = look.positions[0]
+        if r == 0:
             self.prison = (pos, (pos + 1) % n)
-        _, moves = decide_moves(
-            self._algorithm, GlobalSnapshot(n, None, tuple(positions)), memory
-        )
         move = moves[0]
         if move != STAY and (pos + move) % n not in self.prison:
             return crossed_edge(n, pos, move)
@@ -115,27 +106,17 @@ class GateAdversary:
         self.n = n
         self.pair = ((n - 1) % n, (n - 2) % n)
         self.trapped: Optional[int] = None
-        self._algorithm = None
 
-    def bind(self, algorithm, n: int, k: int) -> None:
-        if k != 2:
-            raise ValueError("gate adversary drives exactly 2 agents")
-        if n != self.n:
-            raise ValueError(f"gate built for n={self.n}, run has n={n}")
-        self._algorithm = algorithm
-        self.trapped = None
-
-    def decide(self, r: int, positions, memory) -> Optional[int]:
-        if self.trapped is None:
+    def decide(self, r: int, look, moves) -> Optional[int]:
+        positions = look.positions
+        if r == 0:
+            if len(positions) != 2:
+                raise ValueError("gate adversary drives exactly 2 agents")
             # the agent starting counter-clockwise-closer to node n-1 is penned
             self.trapped = min(range(2), key=lambda i: ((positions[i] + 1) % self.n, i))
         free = 1 - self.trapped
         if positions[self.trapped] not in self.pair and positions[free] in self.pair:
             self.trapped, free = free, self.trapped
-
-        _, moves = decide_moves(
-            self._algorithm, GlobalSnapshot(self.n, None, tuple(positions)), memory
-        )
 
         t_pos, t_move = positions[self.trapped], moves[self.trapped]
         if (

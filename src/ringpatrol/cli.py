@@ -189,11 +189,6 @@ def simulate(algo, n, k, adversary, schedule_spec, rounds, placement, r_s,
 @click.option("--out", type=click.Path(), default=None)
 def worstcase(algo, n, k, placement, static_only, schedule_spec, budget, out):
     """Exact worst-case idle over all schedulers (or a restricted one)."""
-    if algo == "place-and-swipe":
-        raise click.ClickException(
-            "place-and-swipe plans from the future schedule; the adaptive-game "
-            "solver applies to schedule-oblivious algorithms"
-        )
     if static_only and schedule_spec:
         raise click.ClickException("give either --static or --schedule, not both")
     restriction = None
@@ -201,7 +196,7 @@ def worstcase(algo, n, k, placement, static_only, schedule_spec, budget, out):
         restriction = ObliviousSchedule(n=n, period=1)
     elif schedule_spec:
         restriction = _load_schedule(schedule_spec, n, 10 * n)
-    algorithm = _make_algorithm(algo, None)
+    algorithm = _make_algorithm(algo, restriction)
     initial = _initial_positions(placement, n, k)
     result = solve_worst_case(algorithm, n, k, initial, schedule=restriction, budget=budget)
 

@@ -1,7 +1,8 @@
 """Synchronous Look-Compute-Move round loop, traces, visit logs and idle time.
 
 A run starts through ``ring.start_run``.  A round proceeds as: resolve the
-missing edge (schedule lookup or adversary decision), let the round kernel
+missing edge (schedule lookup, or an adaptive adversary's decision on the
+team's plan for the round with no edge removed), let the round kernel
 ``ring.decide_moves`` step the team (once for a global-view team, once per
 agent otherwise) on the one snapshot of the pre-move state, then apply all
 moves simultaneously with ``ring.apply_round``.
@@ -17,7 +18,6 @@ import io
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .agents import compute_swipe_set
 from .ring import (
     GlobalSnapshot,
     ObliviousSchedule,
@@ -60,9 +60,12 @@ def run(
 ) -> ExecutionTrace:
     """Execute ``horizon`` rounds of ``algorithm`` against ``driver``.
 
-    ``driver`` is an ObliviousSchedule, an adaptive adversary exposing
-    ``decide(round, positions, memory)``, or None for a static ring.  A
-    schedule is checked first: an invalid one raises ``ScheduleError``.
+    ``driver`` is an ObliviousSchedule, an adaptive adversary, or None for
+    a static ring.  A schedule is checked first: an invalid one raises
+    ``ScheduleError``.  An adversary is called as ``decide(round, look,
+    moves)``, where ``look`` is the round's snapshot with no edge removed
+    and ``moves`` is the team's plan on it (one dry run of the kernel); it
+    returns the edge to remove, or None.
     ``observer``, if given, is called as ``observer(round, memory, record)``
     after each round with the team's post-round memory: the team memory of
     a global-view team, a tuple of agent memories otherwise (see
@@ -80,8 +83,6 @@ def run(
     positions = tuple(initial)
     k = len(positions)
     memory = start_run(algorithm, n, k, positions)
-    if driver is not None and hasattr(driver, "bind"):
-        driver.bind(algorithm, n, k)
 
     trace = ExecutionTrace(n=n, k=k, horizon=horizon, initial=positions)
     for r in range(horizon):
@@ -90,7 +91,9 @@ def run(
         elif hasattr(driver, "missing_edge"):
             missing = driver.missing_edge(r)
         else:
-            missing = driver.decide(r, positions, memory)
+            look = GlobalSnapshot(n, None, positions)
+            _, planned = decide_moves(algorithm, look, memory)
+            missing = driver.decide(r, look, planned)
         if missing is not None and not (0 <= missing < n):
             raise SimulationError(f"round {r}: driver removed invalid edge {missing}")
 
@@ -132,7 +135,7 @@ class IdleReport:
     open_gaps: dict[int, int]
     open_gap_flags: list[int]
 
-    def stable_idle(self, r_s: int = 0) -> int:
+    def stable_idle(self, r_s: int) -> int:
         """Max closed gap over the execution suffix starting at round r_s.
 
         The suffix re-seeds every node with a virtual visit at r_s - 1, so
@@ -148,7 +151,7 @@ class IdleReport:
                 last = r
         return worst
 
-    def worst_gap(self, r_s: int = 0) -> int:
+    def worst_gap(self, r_s: int) -> int:
         """Like stable_idle but also counts still-open trailing gaps, so an
         upper-bound check cannot be fooled by a node going stale right
         before the horizon."""
@@ -190,32 +193,6 @@ def distinct_nodes_visited(trace: ExecutionTrace, agent: int) -> int:
     for rec in trace.records:
         seen.add(rec.after[agent])
     return len(seen)
-
-
-# --- sweep property check -----------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepCheck:
-    passed: bool
-    never_blocked: int
-    required: int
-
-
-def verify_unblocked_sweep(schedule, r: int, h: int) -> SweepCheck:
-    """Check the guaranteed-sweep property of a schedule window.
-
-    A clockwise walker started over rounds ``[r, r+h)`` is never blocked
-    exactly when its start is in ``compute_swipe_set``; such a walker moves
-    every round, so for ``h <= n - 1`` it visits ``h + 1`` distinct nodes.
-    Passes iff at least ``n - h`` walkers are never blocked.
-    """
-    never_blocked = len(compute_swipe_set(schedule, r, h))
-    required = schedule.n - h
-    return SweepCheck(
-        passed=never_blocked >= required,
-        never_blocked=never_blocked,
-        required=required,
-    )
 
 
 # --- exports ------------------------------------------------------------------

@@ -231,8 +231,8 @@ def decide_moves(algorithm, snap: GlobalSnapshot, memory) -> tuple:
     the snapshot of the pre-move state, a per-agent team steps each agent
     with its own memory on that same snapshot.  Returns (new memory, moves).
 
-    The engine, the exact solver and the adaptive adversaries' dry runs all
-    compute rounds through this one kernel.
+    The engine (also for the dry run it makes for an adaptive adversary) and
+    the exact solver compute rounds through this one kernel.
     """
     joint_step = getattr(algorithm, "joint_step", None)
     if joint_step is not None:

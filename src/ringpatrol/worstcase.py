@@ -60,6 +60,7 @@ from itertools import chain, product
 from time import perf_counter
 from typing import Optional, Sequence
 
+from .agents import PlaceAndSwipe
 from .ring import (
     CCW,
     CW,
@@ -103,8 +104,8 @@ class GameSolverResult:
     worst_idle: object  # int or UNBOUNDED
     target_node: int
     witness: list  # entry r is the edge removed at round r (or None)
+    states_explored: int
     cycle_start: Optional[int] = None  # set when unbounded: witness loops here
-    states_explored: int = 0
 
     @property
     def unbounded(self) -> bool:
@@ -312,7 +313,14 @@ def solve_worst_case(
     (periodic) schedule; otherwise it may remove any edge, or none, each
     round.  The returned witness replays through the engine to exactly
     ``worst_idle`` (finite case) or demonstrates a starvation loop.
+    ``PlaceAndSwipe`` is refused with ``ValueError``: its memory counts
+    rounds, so its game graph never closes.
     """
+    if isinstance(algorithm, PlaceAndSwipe):
+        raise ValueError(
+            "place-and-swipe plans from the future schedule; the adaptive-game "
+            "solver applies to schedule-oblivious algorithms"
+        )
     t0 = perf_counter()
     budget = _state_budget(budget)
     masks, succs, parent, rotated, (team_steps, cache_hits) = _explore(

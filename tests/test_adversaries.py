@@ -99,6 +99,11 @@ def test_gate_requires_two_agents():
         run(FsmAlgorithm(fsm_of("clockwise")), gate_adversary(8), (0,), 5, n=8)
 
 
+def test_gate_rejects_a_run_on_another_ring():
+    with pytest.raises(ValueError, match="n=8"):
+        run(PingPong(), gate_adversary(8), (0, 4), 5, n=6)
+
+
 def test_wave_schedule_parameters():
     with pytest.raises(ValueError):
         wave_schedule(9)

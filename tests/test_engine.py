@@ -1,12 +1,11 @@
 import pytest
 
-from ringpatrol.agents import FsmAlgorithm, PingPong, fsm_of
+from ringpatrol.agents import FsmAlgorithm, PingPong, compute_swipe_set, fsm_of
 from ringpatrol.engine import (
     distinct_nodes_visited,
     idle_time,
     run,
     trace_to_csv,
-    verify_unblocked_sweep,
     visit_log,
 )
 from ringpatrol.ring import (
@@ -154,15 +153,15 @@ def test_distinct_nodes_visited_counts_start():
 
 
 def test_sweep_check_static():
-    check = verify_unblocked_sweep(ObliviousSchedule(n=10), 0, 3)
-    assert check.passed and check.never_blocked == 10
+    assert len(compute_swipe_set(ObliviousSchedule(n=10), 0, 3)) == 10
 
 
 def test_sweep_check_random_schedules():
+    # at least n - h clockwise walkers are never blocked over rounds [0, h)
     for seed in range(50):
         sched = make_random_schedule(10, 40, seed)
         for h in range(1, 10):
-            assert verify_unblocked_sweep(sched, 0, h).passed
+            assert len(compute_swipe_set(sched, 0, h)) >= 10 - h
 
 
 def test_trace_csv_shape():
@@ -177,8 +176,40 @@ def test_adversary_removing_invalid_edge_rejected():
     class Bad:
         n = 6
 
-        def decide(self, r, positions, memories):
+        def decide(self, r, look, moves):
             return 17
 
     with pytest.raises(Exception):
         run(PingPong(), Bad(), uniform_positions(6, 2), 5)
+
+
+class Recorder:
+    """Adaptive driver that removes edge ``r % n`` every third round and
+    records what the engine hands it."""
+
+    def __init__(self, n):
+        self.n = n
+        self.calls = []
+
+    def decide(self, r, look, moves):
+        self.calls.append((r, look, moves))
+        return r % self.n if r % 3 == 0 else None
+
+
+@pytest.mark.parametrize(
+    "algorithm,initial",
+    [
+        (PingPong(), (0, 4)),
+        (FsmAlgorithm(fsm_of("reverse-on-block")), (1, 5)),
+    ],
+    ids=["pingpong", "fsm"],
+)
+def test_adaptive_driver_gets_the_plan_on_the_unblocked_round(algorithm, initial):
+    driver = Recorder(8)
+    tr = run(algorithm, driver, initial, 30)
+    assert [r for r, _, _ in driver.calls] == list(range(30))
+    for (r, look, moves), rec in zip(driver.calls, tr.records):
+        assert look.missing_edge is None
+        assert look.positions == rec.before
+        if rec.missing_edge is None:
+            assert moves == rec.moves

@@ -16,6 +16,7 @@ from ringpatrol.agents import (
     KPingPong,
     S0,
     PingPong,
+    PlaceAndSwipe,
     UniformSpread,
     fsm_of,
 )
@@ -182,6 +183,13 @@ def test_solver_rejects_schedule_for_another_ring():
     sched = ObliviousSchedule(n=8, missing={0: 7}, period=1)
     with pytest.raises(ValueError, match="n=8"):
         solve_worst_case(PingPong(), 6, 2, (0, 3), schedule=sched)
+
+
+def test_solver_refuses_place_and_swipe():
+    # its memory counts rounds, so the game graph would grow until memory ran out
+    s = ObliviousSchedule(8, {0: 2, 2: 5}, period=4)
+    with pytest.raises(ValueError, match="schedule-oblivious algorithms"):
+        solve_worst_case(PlaceAndSwipe(s), 8, 3, (0, 1, 3), s)
 
 
 INVALID_SCHEDULES = [
