@@ -14,7 +14,6 @@ from .ring import (
     is_uniform,
     make_random_schedule,
     random_positions,
-    uniform_gaps,
     uniform_positions,
 )
 from .engine import (
@@ -25,7 +24,6 @@ from .engine import (
     idle_time,
     run,
     trace_to_csv,
-    visit_log,
 )
 from .agents import (
     BUILTIN_FSM_NAMES,
@@ -39,8 +37,6 @@ from .agents import (
     UniformSpread,
     compute_swipe_set,
     fsm_of,
-    placement_route,
-    select_targets,
 )
 from .adversaries import (
     fixed_edge_schedule,
@@ -58,13 +54,9 @@ from .worstcase import (
 )
 from .fsm import (
     Classification,
-    CycleInfo,
-    TransitionGraph,
     build_transition_graph,
     classify,
     cross_validate,
-    fault_free_cycles,
-    initial_fault_free_cycle,
 )
 
 # the imports above also bind the submodules; they are not public symbols

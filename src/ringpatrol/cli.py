@@ -20,7 +20,7 @@ from .agents import (
     fsm_of,
 )
 from .engine import idle_time, run, trace_to_csv
-from .fsm import build_transition_graph, classify, cross_validate
+from .fsm import classify, cross_validate
 from .ring import (
     ObliviousSchedule,
     consecutive_positions,
@@ -222,12 +222,10 @@ def worstcase(algo, n, k, placement, static_only, schedule_spec, budget, out):
 @main.command()
 @click.argument("machine")
 @click.option("--k", type=int, default=2, show_default=True)
-@click.option("--memory-bits", "-c", "memory_bits", type=int, default=None,
-              help="memory budget in bits (default: fewest bits fitting the states)")
 @click.option("--cross-validate", "cross_n", type=int, default=None,
               help="confirm the verdict with the game solver at this ring size")
 @click.option("--out", type=click.Path(), default=None)
-def analyze(machine, k, memory_bits, cross_n, out):
+def analyze(machine, k, cross_n, out):
     """Classify a local-visibility machine (built-in name or JSON file)."""
     try:
         if machine in BUILTIN_FSM_NAMES:
@@ -236,10 +234,7 @@ def analyze(machine, k, memory_bits, cross_n, out):
             spec = FsmSpec.from_json(Path(machine).read_text())
     except OSError as exc:
         raise click.ClickException(str(exc))
-    if memory_bits is None:
-        memory_bits = max(1, (spec.states - 1).bit_length())
-    graph = build_transition_graph(spec)
-    classification = classify(graph, k, memory_bits)
+    classification = classify(spec, k, max(1, (spec.states - 1).bit_length()))
     text = classification.to_json()
     if out:
         Path(out).write_text(text + "\n")

@@ -5,7 +5,8 @@ missing edge (schedule lookup, or an adaptive adversary's decision on the
 team's plan for the round with no edge removed), let the round kernel
 ``ring.decide_moves`` step the team (once for a global-view team, once per
 agent otherwise) on the one snapshot of the pre-move state, then apply all
-moves simultaneously with ``ring.apply_round``.
+moves simultaneously with ``ring.apply_round``.  When the adversary removes
+nothing, its dry run is the round's step.
 
 Visits are recorded on post-move positions: the configuration reached at the
 end of round ``r`` is the round-``r`` configuration, and every node counts
@@ -65,7 +66,9 @@ def run(
     ``ScheduleError``.  An adversary is called as ``decide(round, look,
     moves)``, where ``look`` is the round's snapshot with no edge removed
     and ``moves`` is the team's plan on it (one dry run of the kernel); it
-    returns the edge to remove, or None.
+    returns the edge to remove, or None.  When it removes nothing, the dry
+    run is the round's step: steps are pure, so a second step on the same
+    snapshot and memory would only repeat it.
     ``observer``, if given, is called as ``observer(round, memory, record)``
     after each round with the team's post-round memory: the team memory of
     a global-view team, a tuple of agent memories otherwise (see
@@ -86,20 +89,24 @@ def run(
 
     trace = ExecutionTrace(n=n, k=k, horizon=horizon, initial=positions)
     for r in range(horizon):
+        dry_run = None
         if driver is None:
             missing = None
         elif hasattr(driver, "missing_edge"):
             missing = driver.missing_edge(r)
         else:
             look = GlobalSnapshot(n, None, positions)
-            _, planned = decide_moves(algorithm, look, memory)
-            missing = driver.decide(r, look, planned)
+            dry_run = decide_moves(algorithm, look, memory)
+            missing = driver.decide(r, look, dry_run[1])
         if missing is not None and not (0 <= missing < n):
             raise SimulationError(f"round {r}: driver removed invalid edge {missing}")
 
-        memory, moves = decide_moves(
-            algorithm, GlobalSnapshot(n, missing, positions), memory
-        )
+        if missing is None and dry_run is not None:
+            memory, moves = dry_run
+        else:
+            memory, moves = decide_moves(
+                algorithm, GlobalSnapshot(n, missing, positions), memory
+            )
         after, blocked = apply_round(positions, moves, n, missing)
         record = RoundRecord(
             before=positions,
@@ -140,7 +147,13 @@ class IdleReport:
 
         The suffix re-seeds every node with a virtual visit at r_s - 1, so
         the wait until the first visit at or after r_s counts as a gap.
+        ``r_s`` must be a round of the trace: ``0 <= r_s < horizon``.
         """
+        if not 0 <= r_s < self.horizon:
+            raise ValueError(
+                f"r_s must be a round of the trace (0 <= r_s < {self.horizon}), "
+                f"got {r_s}"
+            )
         worst = 0
         for rounds in self.visits.values():
             last = r_s - 1

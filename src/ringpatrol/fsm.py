@@ -1,11 +1,13 @@
 """Lower-bound analysis of local-visibility machines.
 
-The analysis runs on the machine's full transition graph.  Every state has
-exactly one fault-free arc (the both-edges-present one), so the fault-free
-sub-graph is functional: following it from any state enters a cycle within
-|S| steps, and the set of fault-free cycles is exactly the set of cycles of
-that successor function.  A scheduler can steer a solitary agent along any
-arc path, so:
+The analysis reads the machine's transition table, ``FsmSpec.arcs``, as its
+full transition graph: a state's arcs are its entries, one per snapshot
+class.  The table is total (``FsmSpec`` rejects any other), so every state
+has exactly one fault-free arc (the both-edges-present one) and the
+fault-free sub-graph is functional: following it from any state enters a
+cycle within |S| steps, and the set of fault-free cycles is exactly the set
+of cycles of that successor function.  A scheduler can steer a solitary
+agent along any arc path, so:
 
 * a reachable fault-free cycle with zero displacement lets the scheduler
   park every agent on a handful of nodes forever (patrolling fails);
@@ -40,46 +42,20 @@ MEETING_NOTE = (
 
 
 @dataclass(frozen=True)
-class TransitionGraph:
-    spec: FsmSpec
-
-    @property
-    def states(self) -> int:
-        return self.spec.states
-
-    @property
-    def initial(self) -> int:
-        return self.spec.initial
-
-    def arc(self, state: int, label: str) -> tuple[int, int]:
-        return self.spec.arcs[(state, label)]
-
-    def fault_free_successor(self, state: int) -> tuple[int, int]:
-        return self.spec.arcs[(state, SNAP_BOTH)]
-
-    def successors(self, state: int):
-        for label in SNAPSHOT_CLASSES:
-            to, move = self.spec.arcs[(state, label)]
-            yield label, to, move
-
-
-@dataclass(frozen=True)
 class CycleInfo:
     vertices: tuple[int, ...]  # arc i runs vertices[i] -> vertices[(i+1) % m]
     fault_free: bool
     displacement: int
 
 
-def build_transition_graph(spec: FsmSpec) -> TransitionGraph:
-    """Wrap a total machine; FsmSpec construction already rejects partial
-    tables, which is the only way a fault-free sink could arise."""
-    for s in range(spec.states):
-        if (s, SNAP_BOTH) not in spec.arcs:
-            raise ValueError(f"state {s} has no fault-free arc")
-    return TransitionGraph(spec)
+def build_transition_graph(spec: FsmSpec) -> FsmSpec:
+    """Return ``spec`` unchanged: the analysis reads the table itself.
+    Kept only because the benchmark (perfbench) still calls it; new code
+    passes the spec to ``classify``, and ROADMAP item 1 deletes this."""
+    return spec
 
 
-def _fault_free_walk(graph: TransitionGraph, start: int):
+def _fault_free_walk(spec: FsmSpec, start: int):
     """Follow fault-free arcs until a state repeats: (prefix path, cycle)."""
     seen = {}
     path = []
@@ -87,45 +63,46 @@ def _fault_free_walk(graph: TransitionGraph, start: int):
     while s not in seen:
         seen[s] = len(path)
         path.append(s)
-        s, _ = graph.fault_free_successor(s)
+        s, _ = spec.arcs[(s, SNAP_BOTH)]
     cut = seen[s]
     return path[:cut], path[cut:]
 
 
-def _cycle_of(graph: TransitionGraph, cycle_vertices: list[int]) -> CycleInfo:
+def _cycle_of(spec: FsmSpec, cycle_vertices: list[int]) -> CycleInfo:
     disp = 0
     for v in cycle_vertices:
-        _, move = graph.fault_free_successor(v)
+        _, move = spec.arcs[(v, SNAP_BOTH)]
         disp += move
     return CycleInfo(tuple(cycle_vertices), fault_free=True, displacement=disp)
 
 
-def initial_fault_free_cycle(graph: TransitionGraph):
+def initial_fault_free_cycle(spec: FsmSpec):
     """The cycle the machine settles into when no edge ever disappears,
     together with the fault-free prefix path that reaches it."""
-    prefix, cycle = _fault_free_walk(graph, graph.initial)
-    return _cycle_of(graph, cycle), prefix
+    prefix, cycle = _fault_free_walk(spec, spec.initial)
+    return _cycle_of(spec, cycle), prefix
 
 
-def fault_free_cycles(graph: TransitionGraph) -> list[CycleInfo]:
+def fault_free_cycles(spec: FsmSpec) -> list[CycleInfo]:
     """All cycles of the fault-free successor function."""
     cycles = []
     claimed = set()
-    for s in range(graph.states):
-        _, cycle = _fault_free_walk(graph, s)
+    for s in range(spec.states):
+        _, cycle = _fault_free_walk(spec, s)
         if cycle[0] not in claimed:
             claimed.update(cycle)
-            cycles.append(_cycle_of(graph, cycle))
+            cycles.append(_cycle_of(spec, cycle))
     return cycles
 
 
-def _reachable_from(graph: TransitionGraph, sources) -> dict[int, Optional[tuple]]:
+def _reachable_from(spec: FsmSpec, sources) -> dict[int, Optional[tuple]]:
     """BFS over all arcs; returns parent map {state: (prev, label)}."""
     parents: dict[int, Optional[tuple]] = {s: None for s in sources}
     dq = deque(sources)
     while dq:
         s = dq.popleft()
-        for label, to, _ in graph.successors(s):
+        for label in SNAPSHOT_CLASSES:
+            to, _ = spec.arcs[(s, label)]
             if to not in parents:
                 parents[to] = (s, label)
                 dq.append(to)
@@ -137,7 +114,6 @@ class Classification:
     verdict: str
     states: int
     k: int
-    memory_bits: int
     certificate: dict
 
     def bound_value(self, n: int) -> int:
@@ -158,20 +134,20 @@ class Classification:
         )
 
 
-def classify(graph: TransitionGraph, k: int, memory_bits: int) -> Classification:
+def classify(spec: FsmSpec, k: int, memory_bits: int) -> Classification:
     """Classify a machine: either it provably fails patrolling, or every
     fault-free cycle it can be driven into drifts and the drift-herding
-    bound applies."""
+    bound applies.  ``memory_bits`` only checks that the states fit."""
     if k < 1:
         raise ValueError(f"a team needs at least one agent, got k={k}")
-    if graph.states > 2 ** memory_bits:
+    if spec.states > 2 ** memory_bits:
         raise ValueError(
-            f"{graph.states} states do not fit in {memory_bits} memory bits"
+            f"{spec.states} states do not fit in {memory_bits} memory bits"
         )
-    start_cycle, prefix = initial_fault_free_cycle(graph)
-    parents = _reachable_from(graph, list(start_cycle.vertices))
+    start_cycle, prefix = initial_fault_free_cycle(spec)
+    parents = _reachable_from(spec, list(start_cycle.vertices))
     candidates = [
-        c for c in fault_free_cycles(graph) if any(v in parents for v in c.vertices)
+        c for c in fault_free_cycles(spec) if any(v in parents for v in c.vertices)
     ]
     zero = next((c for c in candidates if c.displacement == 0), None)
     chosen = zero if zero is not None else candidates[0]
@@ -186,9 +162,8 @@ def classify(graph: TransitionGraph, k: int, memory_bits: int) -> Classification
     verdict = NOT_PATROLLING if zero is not None else LOWER_BOUND
     return Classification(
         verdict=verdict,
-        states=graph.states,
+        states=spec.states,
         k=k,
-        memory_bits=memory_bits,
         certificate=certificate,
     )
 

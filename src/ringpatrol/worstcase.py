@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, product
@@ -77,7 +76,6 @@ from .ring import (
 UNBOUNDED = "unbounded"
 
 DEFAULT_STATE_BUDGET = 10_000_000
-BUDGET_ENV_VAR = "PATROLCTL_STATE_BUDGET"
 
 log = logging.getLogger(__name__)
 
@@ -87,16 +85,13 @@ class BudgetExceeded(RuntimeError):
 
 
 def _state_budget(budget: Optional[int]) -> int:
-    """``budget``, else the environment variable, else the default; anything
-    but an integer >= 1 raises ``ValueError`` naming its source."""
-    source, value = "budget", budget
+    """``budget``, or the default for None; anything but an int >= 1 raises
+    ``ValueError``."""
     if budget is None:
-        source = BUDGET_ENV_VAR
-        value = os.environ.get(BUDGET_ENV_VAR) or DEFAULT_STATE_BUDGET
-    digits = str(value).strip()
-    if not digits.isdecimal() or int(digits) < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
-    return int(digits)
+        return DEFAULT_STATE_BUDGET
+    if type(budget) is not int or budget < 1:
+        raise ValueError(f"budget must be an integer >= 1, got {budget!r}")
+    return budget
 
 
 @dataclass

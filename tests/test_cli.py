@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import ringpatrol
-from ringpatrol import adversaries, engine
+from ringpatrol import adversaries, engine, worstcase
 from ringpatrol.adversaries import wave_schedule
 from ringpatrol.cli import main
 
@@ -36,6 +36,20 @@ def test_simulate_static_kpingpong_upper(runner):
         "--adversary", "none", "--rounds", "120", "--assert-idle-max", "4",
     ])
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("r_s", ["1000", "10", "-50"])
+def test_simulate_rejects_a_stabilization_round_outside_the_trace(runner, r_s):
+    # a round outside the run would read a gap of 0 (or one counted from
+    # before the run) and let the idle assertions pass
+    result = runner.invoke(main, [
+        "simulate", "--algo", "pingpong", "--n", "8", "--k", "2", "--rounds", "10",
+        "--r-s", r_s, "--assert-idle-max", "0",
+    ])
+    assert result.exit_code == 1
+    assert result.output == (
+        f"Error: r_s must be a round of the trace (0 <= r_s < 10), got {r_s}\n"
+    )
 
 
 def test_simulate_place_and_swipe_with_wave_file(runner, tmp_path):
@@ -214,17 +228,6 @@ def test_worstcase_refuses_place_and_swipe(runner):
     )
 
 
-def test_bad_state_budget_variable_is_a_one_line_error(runner, monkeypatch):
-    monkeypatch.setenv("PATROLCTL_STATE_BUDGET", "abc")
-    result = runner.invoke(
-        main, ["worstcase", "--algo", "pingpong", "--n", "6", "--k", "2"]
-    )
-    assert result.exit_code == 1
-    assert result.output == (
-        "Error: PATROLCTL_STATE_BUDGET must be an integer >= 1, got 'abc'\n"
-    )
-
-
 def test_exhausted_budget_is_a_one_line_error(runner):
     result = runner.invoke(main, [
         "worstcase", "--algo", "pingpong", "--n", "10", "--k", "2", "--budget", "10",
@@ -236,7 +239,7 @@ def test_exhausted_budget_is_a_one_line_error(runner):
 
 
 def test_cross_validation_budget_is_a_one_line_error(runner, monkeypatch):
-    monkeypatch.setenv("PATROLCTL_STATE_BUDGET", "10")
+    monkeypatch.setattr(worstcase, "DEFAULT_STATE_BUDGET", 10)
     result = runner.invoke(main, [
         "analyze", "oscillator", "--k", "2", "--cross-validate", "8",
     ])
@@ -316,8 +319,7 @@ def _defaulted_api_parameters():
 def test_settable_value_count_is_pinned():
     # a new option or default shows up here as a diff; ROADMAP tracks the sum
     assert _optional_click_options() == [
-        "analyze --k", "analyze --memory-bits", "analyze --cross-validate",
-        "analyze --out",
+        "analyze --k", "analyze --cross-validate", "analyze --out",
         "simulate --adversary", "simulate --schedule", "simulate --rounds",
         "simulate --placement", "simulate --r-s", "simulate --assert-idle-max",
         "simulate --assert-idle-min", "simulate --claim-tag", "simulate --out-trace",
@@ -338,28 +340,47 @@ def test_settable_value_count_is_pinned():
         "solve_worst_case(schedule)",
         "uniform_positions(anchor)",
     ]
-    assert len(_optional_click_options()) + len(_defaulted_api_parameters()) == 30
+    assert len(_optional_click_options()) + len(_defaulted_api_parameters()) == 29
 
 
 def test_public_symbols_are_pinned():
     # adding or deleting a public symbol shows up here as a diff
     assert sorted(ringpatrol.__all__) == [
         "BUILTIN_FSM_NAMES", "BudgetExceeded", "CCW", "CW", "Classification",
-        "CycleInfo", "ExecutionTrace", "FsmAlgorithm", "FsmSpec",
-        "GameSolverResult", "IdleReport", "KPingPong", "ObliviousSchedule",
-        "PingPong", "PlaceAndSwipe", "PlacementInfeasibleError", "RoundRecord",
-        "STAY", "TargetSelectionError", "TransitionGraph", "UNBOUNDED",
-        "UniformSpread", "apply_round", "arc_distance",
-        "build_transition_graph", "classify", "compute_swipe_set",
-        "consecutive_positions", "cross_validate", "distinct_nodes_visited",
-        "fault_free_cycles", "fixed_edge_schedule", "fsm_of",
-        "gate_adversary", "idle_time", "initial_fault_free_cycle", "is_uniform",
-        "make_random_schedule", "offline_opt_search", "placement_route",
-        "random_positions", "run", "select_targets", "solve_worst_case",
-        "trace_to_csv", "trap_adversary", "uniform_gaps", "uniform_positions",
-        "visit_log", "wave_schedule",
+        "ExecutionTrace", "FsmAlgorithm", "FsmSpec", "GameSolverResult",
+        "IdleReport", "KPingPong", "ObliviousSchedule", "PingPong",
+        "PlaceAndSwipe", "PlacementInfeasibleError", "RoundRecord", "STAY",
+        "TargetSelectionError", "UNBOUNDED", "UniformSpread", "apply_round",
+        "arc_distance", "build_transition_graph", "classify",
+        "compute_swipe_set", "consecutive_positions", "cross_validate",
+        "distinct_nodes_visited", "fixed_edge_schedule", "fsm_of",
+        "gate_adversary", "idle_time", "is_uniform", "make_random_schedule",
+        "offline_opt_search", "random_positions", "run", "solve_worst_case",
+        "trace_to_csv", "trap_adversary", "uniform_positions", "wave_schedule",
         "wave_start_positions",
     ]
+
+
+def _package_names_read_by_benchmark():
+    """Every non-dunder ``rp.<name>`` or ``<...>.rp.<name>`` read under
+    ``perfbench/``, where ``rp`` is the imported package."""
+    names = set()
+    for path in (Path(__file__).parents[1] / "perfbench").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute) or node.attr.startswith("__"):
+                continue
+            owner = node.value
+            if getattr(owner, "id", None) == "rp" or getattr(owner, "attr", None) == "rp":
+                names.add(node.attr)
+    return names
+
+
+def test_benchmark_reads_only_public_symbols():
+    # the benchmark's own tests run only some of its operations, so a symbol
+    # dropped from the package would otherwise break an untested operation
+    names = _package_names_read_by_benchmark()
+    assert "run" in names and "classify" in names
+    assert sorted(names - set(ringpatrol.__all__)) == []
 
 
 def _syntax_tree(module):

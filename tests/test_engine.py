@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from ringpatrol.adversaries import gate_adversary, trap_adversary
 from ringpatrol.agents import FsmAlgorithm, PingPong, compute_swipe_set, fsm_of
 from ringpatrol.engine import (
     distinct_nodes_visited,
@@ -213,3 +216,64 @@ def test_adaptive_driver_gets_the_plan_on_the_unblocked_round(algorithm, initial
         assert look.positions == rec.before
         if rec.missing_edge is None:
             assert moves == rec.moves
+
+
+class CountingPingPong(PingPong):
+    def __init__(self):
+        self.team_steps = 0
+
+    def joint_step(self, mem, snap):
+        self.team_steps += 1
+        return super().joint_step(mem, snap)
+
+
+class CountingFsm(FsmAlgorithm):
+    """Per-agent team that counts team steps (agent 0's steps)."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.team_steps = 0
+
+    def step(self, i, mem, snap):
+        self.team_steps += i == 0
+        return super().step(i, mem, snap)
+
+
+@pytest.mark.parametrize(
+    "make_algorithm,make_driver,initial,horizon,n,digest",
+    [
+        (
+            CountingPingPong, lambda: gate_adversary(8), (0, 4), 200, 8,
+            "d7c2ec3f1fa2433f71f651cc04ca0273bb9effa816b7a0c7a74826b6523fb397",
+        ),
+        (
+            lambda: CountingFsm(fsm_of("reverse-on-block")), trap_adversary,
+            (3, 7), 100, 10,
+            "b0f5bb84278140cf26a7516dfec9e3be57e2d851293a4b846ab3bd2c7ea8702d",
+        ),
+    ],
+    ids=["pingpong-gate", "fsm-trap"],
+)
+def test_adaptive_round_without_removal_steps_the_team_once(
+    make_algorithm, make_driver, initial, horizon, n, digest
+):
+    # the dry run the adversary decides on is the round's step when it
+    # removes nothing; only a removal needs a second step
+    algorithm = make_algorithm()
+    tr = run(algorithm, make_driver(), initial, horizon, n=n)
+    removals = sum(rec.missing_edge is not None for rec in tr.records)
+    assert 0 < removals < horizon
+    assert algorithm.team_steps == horizon + removals
+    # the digests were recorded when every round stepped the team twice
+    assert hashlib.sha256(trace_to_csv(tr).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("r_s", [-50, -1, 20, 1000])
+def test_idle_figures_reject_a_round_outside_the_trace(r_s):
+    rep = idle_time(run(PingPong(), None, (0, 4), 20, n=8))
+    message = rf"^r_s must be a round of the trace \(0 <= r_s < 20\), got {r_s}$"
+    with pytest.raises(ValueError, match=message):
+        rep.stable_idle(r_s)
+    with pytest.raises(ValueError, match=message):
+        rep.worst_gap(r_s)
+    assert rep.stable_idle(19) >= 0 and rep.worst_gap(19) >= 1

@@ -7,6 +7,7 @@ from ringpatrol.agents import (
     SNAP_BOTH,
     SNAP_CCW_MISSING,
     SNAP_CW_MISSING,
+    SNAPSHOT_CLASSES,
     FsmSpec,
     fsm_of,
 )
@@ -16,7 +17,6 @@ from ringpatrol.fsm import (
     build_transition_graph,
     classify,
     CycleInfo,
-    TransitionGraph,
     cross_validate,
     fault_free_cycles,
     initial_fault_free_cycle,
@@ -24,27 +24,27 @@ from ringpatrol.fsm import (
 
 
 def path_displacement(
-    graph: TransitionGraph, start: int, labels: Sequence[str]
+    spec: FsmSpec, start: int, labels: Sequence[str]
 ) -> tuple[int, int]:
     """Follow arcs by label from ``start``; returns (end state, move sum)."""
     s, disp = start, 0
     for label in labels:
-        s, move = graph.arc(s, label)
+        s, move = spec.arcs[(s, label)]
         disp += move
     return s, disp
 
 
 def cycle_info(
-    graph: TransitionGraph, start: int, labels: Sequence[str]
+    spec: FsmSpec, start: int, labels: Sequence[str]
 ) -> CycleInfo:
     """Validate that the labelled arc walk from ``start`` closes into a cycle
     and report its displacement."""
     vertices = [start]
     s = start
     for label in labels[:-1]:
-        s, _ = graph.arc(s, label)
+        s, _ = spec.arcs[(s, label)]
         vertices.append(s)
-    end, disp = path_displacement(graph, start, labels)
+    end, disp = path_displacement(spec, start, labels)
     if end != start:
         raise ValueError(f"walk from {start} via {list(labels)} ends at {end}")
     return CycleInfo(
@@ -77,16 +77,21 @@ def four_state_fixture():
     )
 
 
+def test_build_transition_graph_returns_the_spec():
+    spec = fsm_of("reverse-on-block")
+    assert build_transition_graph(spec) is spec
+
+
 def test_build_graph_reverse_on_block():
-    g = build_transition_graph(fsm_of("reverse-on-block"))
-    assert g.states == 2
-    assert sum(1 for s in range(g.states) for _ in g.successors(s)) == 6
+    spec = fsm_of("reverse-on-block")
+    assert spec.states == 2
+    assert len(spec.arcs) == 6
 
 
 def test_build_graph_clockwise_self_loops():
-    g = build_transition_graph(fsm_of("clockwise"))
-    assert g.states == 1
-    assert all(to == 0 for _, to, _ in g.successors(0))
+    spec = fsm_of("clockwise")
+    assert spec.states == 1
+    assert all(spec.arcs[(0, label)][0] == 0 for label in SNAPSHOT_CLASSES)
 
 
 def test_fixture_cycle_displacements():
@@ -153,15 +158,14 @@ def test_classify_rejects_empty_team():
 
 def test_certificate_replays():
     spec = four_state_fixture()
-    g = build_transition_graph(spec)
-    cls = classify(g, 2, 2)
+    cls = classify(spec, 2, 2)
     assert cls.verdict == NOT_PATROLLING
     cert = cls.certificate
     # the reach path walks arc-by-arc from a vertex of the starting cycle
     starts = set(cert["initial_cycle"])
     landed = None
     for s in starts:
-        end, _ = path_displacement(g, s, cert["reach_labels"])
+        end, _ = path_displacement(spec, s, cert["reach_labels"])
         if end in cert["cycle"]:
             landed = end
     assert landed is not None
@@ -169,7 +173,7 @@ def test_certificate_replays():
     verts = cert["cycle"]
     disp = 0
     for v in verts:
-        to, move = g.fault_free_successor(v)
+        to, move = spec.arcs[(v, SNAP_BOTH)]
         disp += move
     assert disp == cert["cycle_displacement"]
 

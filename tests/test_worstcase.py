@@ -132,23 +132,16 @@ def test_budget_error_says_how_far_the_search_got():
     )
 
 
-def test_state_budget_env_override(monkeypatch):
+def test_state_budget_ignores_the_environment(monkeypatch):
+    # the budget is set by the argument (or `worstcase --budget`) alone
     monkeypatch.setenv("PATROLCTL_STATE_BUDGET", "10")
-    with pytest.raises(BudgetExceeded):
-        solve_worst_case(PingPong(), 10, 2, uniform_positions(10, 2))
+    result = solve_worst_case(PingPong(), 10, 2, uniform_positions(10, 2))
+    assert result.states_explored > 10
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-def test_state_budget_env_must_be_a_positive_integer(monkeypatch, value):
-    monkeypatch.setenv("PATROLCTL_STATE_BUDGET", value)
-    message = f"PATROLCTL_STATE_BUDGET must be an integer >= 1, got '{value}'"
-    with pytest.raises(ValueError, match=message):
-        solve_worst_case(PingPong(), 10, 2, uniform_positions(10, 2))
-
-
-@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("budget", [0, -5, True, 2.5, "12"])
 def test_state_budget_argument_must_be_positive(budget):
-    message = f"^budget must be an integer >= 1, got {budget}$"
+    message = f"^budget must be an integer >= 1, got {re.escape(repr(budget))}$"
     with pytest.raises(ValueError, match=message):
         solve_worst_case(PingPong(), 10, 2, uniform_positions(10, 2), budget=budget)
 
