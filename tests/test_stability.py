@@ -15,7 +15,10 @@ stopped after node 0 on rotation-symmetric games; the kpingpong k=4, k=5 and
 gate traces and the ``rows_kpingpong`` report (checked by acceptance
 criterion 05 on the rows it builds) before global-view teams planned once
 per round; the symmetric spread solve digests before spread plans took one
-shape for symmetric and anchored starts.  A refactor that changes any move, block flag, missing edge,
+shape for symmetric and anchored starts; the place-and-swipe k=2,
+two-agent spread, fixed-edge and mixed-direction traces before
+place-and-swipe's placement plan became one (direction, target) pair per
+agent.  A refactor that changes any move, block flag, missing edge,
 witness or report row changes a digest.
 The report cases cover the fast suites and the fast ``table1`` builders, so
 the default test run guards report bytes without the long ``table1`` rows.
@@ -27,7 +30,12 @@ import random
 import pytest
 
 from ringpatrol import suites
-from ringpatrol.adversaries import gate_adversary, trap_adversary, wave_schedule
+from ringpatrol.adversaries import (
+    fixed_edge_schedule,
+    gate_adversary,
+    trap_adversary,
+    wave_schedule,
+)
 from ringpatrol.agents import (
     SNAPSHOT_CLASSES,
     FsmAlgorithm,
@@ -68,6 +76,16 @@ def _kpingpong_from(n, k, driver, rounds):
 def _place_and_swipe():
     sched = make_random_schedule(16, 320, 3)
     return trace_to_csv(run(PlaceAndSwipe(sched), sched, uniform_positions(16, 4), 224))
+
+
+def _place_and_swipe_under(make_sched, k, rounds):
+    def render():
+        sched = make_sched()
+        return trace_to_csv(
+            run(PlaceAndSwipe(sched), sched, uniform_positions(sched.n, k), rounds)
+        )
+
+    return render
 
 
 def _spread():
@@ -185,6 +203,20 @@ CASES = {
         _place_and_swipe,
         "97cbfcd87b94f6e944bca467aaa7e4c947a503dd44b53eb9fb149d7cc52dc3ea",
     ),
+    "place-and-swipe-k2-n10": (
+        _place_and_swipe_under(lambda: make_random_schedule(10, 200, 0), 2, 140),
+        "2d897e3afb1f36ff894ec6d1acd681c9445782051a1532d914afef6c0eb1edcc",
+    ),
+    # one epoch of this run places counter-clockwise, the rest clockwise
+    "place-and-swipe-k3-n12-mixed": (
+        _place_and_swipe_under(lambda: make_random_schedule(12, 240, 4), 3, 168),
+        "5e4baa20b62ae14413ecb524ed4dc458c83f70cb094b017fb6684e9b9dd14867",
+    ),
+    # every epoch falls back to the counter-clockwise plan
+    "place-and-swipe-k3-n12-fixed-edge": (
+        _place_and_swipe_under(lambda: fixed_edge_schedule(12, 0), 3, 168),
+        "3e174334e597eb0ed12c3e1e22896e90b4789857a7f43059931ca9abbfdfd96a",
+    ),
     "spread-k3": (
         _spread,
         "cdc76297f3b2f7ce3dad973adb3bf9f87fd74fb366b308242faccb557161bb3c",
@@ -204,6 +236,14 @@ CASES = {
     "place-and-swipe-spread-k3-n12": (
         _place_and_swipe_spread(12, 3, 239),
         "4846d617b8af4e5f195023411af1e5e36370a083d3a533c6cb9e943154db8734",
+    ),
+    "place-and-swipe-spread-k2-n12-near-antipodal": (
+        _place_and_swipe_spread(12, 2, 0),
+        "eb0ca7781b3c395d97b59d30fa76b1761fed47f08868300404b00d83059ba712",
+    ),
+    "place-and-swipe-spread-k2-n12-adjacent": (
+        _place_and_swipe_spread(12, 2, 2),
+        "0e3492715d7025cb210d9c92c02837a797fcb3ec045ad71160f51348eda4f521",
     ),
     "place-and-swipe-spread-k4-n16": (
         _place_and_swipe_spread(16, 4, 128),
