@@ -28,12 +28,13 @@ the one ``GlobalSnapshot`` of the pre-move state; agent ``i`` stands on
 pure: coordination happens through the snapshot plus the memory.  The
 bounded-memory machines read only the two edges at their own node, so they
 keep a per-agent view by design.  Place-and-swipe computes each epoch's
-plan once per team: the plan is a pure function of the schedule, the round
-and the positions, so the first agent to step keeps it on the instance
-under the key (round, positions) and the rest of the team reuse it.  A
-reused plan is the one the agent would have computed itself, so the memo
-cannot change a result; ``validate`` (called at every run start) drops it
-and pins the ring size to the schedule's.
+plan once per team: one (direction, target) pair per agent, a pure
+function of the schedule, the round and the positions.  The first agent to
+step keeps it on the instance under the key (round, positions), the rest
+of the team reuse it, and each agent keeps its own pair in its memory for
+the placement phase.  A reused plan is the one the agent would have
+computed itself, so the memo cannot change a result; ``validate`` (called
+at every run start) drops it and pins the ring size to the schedule's.
 
 A step reads the missing edge only through ``snap.blocks(p, move)``: would
 a move from node ``p`` be blocked this round?  The exact solver relies on
@@ -61,7 +62,6 @@ from .ring import (
     STAY,
     GlobalSnapshot,
     ObliviousSchedule,
-    apply_round,
     arc_distance,
     is_uniform,
     json_int,
@@ -74,8 +74,8 @@ class TargetSelectionError(RuntimeError):
 
 
 class PlacementInfeasibleError(RuntimeError):
-    """Neither the clockwise nor the counter-clockwise placement plan
-    completes inside the window.  Treated as an invariant violation."""
+    """No assignment of agents to targets arrives inside the placement
+    window.  Treated as an invariant violation."""
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +343,9 @@ def select_targets(candidates: set[int], n: int, k: int) -> tuple[int, ...]:
     The pattern anchored at offset ``rho`` places its larger gaps first.
     Raises TargetSelectionError when no rotation fits.
     """
+    base = uniform_positions(n, k)
     for rho in range(n):
-        pattern = uniform_positions(n, k, rho)
+        pattern = [(p + rho) % n for p in base]
         if all(p in candidates for p in pattern):
             return tuple(sorted(pattern))
     raise TargetSelectionError(
@@ -378,34 +379,37 @@ def _order_preserving_assignment(
     return {order[i]: tsorted[(shift + i) % k] for i in range(k)}
 
 
-def _simulate_plan(
-    positions: Sequence[int],
-    assignment: dict[int, int],
-    schedule: ObliviousSchedule,
-    start_round: int,
-    window: int,
-    direction: int,
-) -> Optional[list[tuple[int, ...]]]:
-    """Drive every agent toward its target in one direction, waiting on
-    blocks; returns the per-round move lists or None if someone is late."""
-    n = schedule.n
-    k = len(positions)
-    pos = list(positions)
-    plan: list[tuple[int, ...]] = []
-    for t in range(start_round, start_round + window):
-        missing = schedule.missing_edge(t)
-        moves = []
-        for i in range(k):
-            if pos[i] == assignment[i]:
-                moves.append(STAY)
-            else:
-                moves.append(direction)
-        stepped, _ = apply_round(pos, moves, n, missing)
-        pos = list(stepped)
-        plan.append(tuple(moves))
-    if all(pos[i] == assignment[i] for i in range(k)):
-        return plan
-    return None
+def _greedy_reach(start: int, direction: int, missing: Sequence, n: int) -> int:
+    """Steps made by a walker that leaves ``start`` in ``direction`` and
+    moves every round of the window (``missing``: each round's missing edge)
+    in which it is not blocked.  No path gets further in that direction, and
+    an agent bound for a node that close arrives on this walk and holds."""
+    pos, steps = start, 0
+    for e in missing:
+        if (pos if direction == CW else (pos - 1) % n) != e:
+            pos = (pos + direction) % n
+            steps += 1
+    return steps
+
+
+def _match(k: int, targets: Sequence[int], reaches) -> Optional[dict[int, int]]:
+    """An agent-to-target matching under ``reaches(i, target)``, by
+    augmenting paths (agents in slot order, targets in the given order), or
+    None when none covers every agent."""
+    owner: dict[int, int] = {}
+
+    def augment(i, seen):
+        for t in targets:
+            if t not in seen and reaches(i, t):
+                seen.add(t)
+                if t not in owner or augment(owner[t], seen):
+                    owner[t] = i
+                    return True
+        return False
+
+    if not all(augment(i, set()) for i in range(k)):
+        return None
+    return {i: t for t, i in owner.items()}
 
 
 def placement_route(
@@ -414,24 +418,46 @@ def placement_route(
     schedule: ObliviousSchedule,
     start_round: int,
     window: int,
-):
-    """Moves bringing uniformly placed agents onto ``targets`` within the window.
+) -> tuple[tuple[int, int], ...]:
+    """Bring the agents standing on ``current`` onto ``targets`` within the
+    window: one ``(direction, target)`` pair per agent.
 
-    Tries the clockwise order-preserving plan first, then the counter-clockwise
-    one.  Both can fail for uniform patterns whose gaps come in another order
-    (one overruns the window, the other has no round to spare), e.g. n=10 from
-    (6, 9, 2, 4) onto (1, 4, 7, 9) in rounds [4, 7) of make_random_schedule(10, 80, 0).
+    An agent walks toward its target in its direction, waiting on blocks,
+    and holds once it is there, so it arrives in time exactly when its
+    greedy walk under the schedule covers the target (``_greedy_reach``).
 
-    Returns (per-round move tuples, direction, assignment).
+    The clockwise order-preserving plan is tried first, then the
+    counter-clockwise one.  Both can be late for uniform patterns whose gaps
+    come in another order (one overruns the window, the other has no round
+    to spare), e.g. n=10 from (6, 9, 2, 4) onto (1, 4, 7, 9) in rounds
+    [4, 7) of make_random_schedule(10, 80, 0).  Then every agent gets a
+    target inside its clockwise or counter-clockwise reach by a bipartite
+    matching, clockwise where both reach it.  PlacementInfeasibleError means
+    that no agent-to-target assignment arrives in time.
     """
+    n, k = schedule.n, len(current)
+    missing = [schedule.missing_edge(t) for t in range(start_round, start_round + window)]
+    reach: dict[tuple[int, int], int] = {}
+
+    def arrives(i, target, direction):
+        if (i, direction) not in reach:
+            reach[i, direction] = _greedy_reach(current[i], direction, missing, n)
+        return (direction * (target - current[i])) % n <= reach[i, direction]
+
     for direction in (CW, CCW):
-        assignment = _order_preserving_assignment(current, targets, schedule.n, direction)
-        plan = _simulate_plan(current, assignment, schedule, start_round, window, direction)
-        if plan is not None:
-            return plan, direction, assignment
-    raise PlacementInfeasibleError(
-        f"no placement plan reaches {tuple(targets)} from {tuple(current)} "
-        f"in rounds [{start_round}, {start_round + window})"
+        assignment = _order_preserving_assignment(current, targets, n, direction)
+        if all(arrives(i, assignment[i], direction) for i in range(k)):
+            return tuple((direction, assignment[i]) for i in range(k))
+    matching = _match(
+        k, targets, lambda i, t: arrives(i, t, CW) or arrives(i, t, CCW)
+    )
+    if matching is None:
+        raise PlacementInfeasibleError(
+            f"no placement plan reaches {tuple(targets)} from {tuple(current)} "
+            f"in rounds [{start_round}, {start_round + window})"
+        )
+    return tuple(
+        (CW if arrives(i, matching[i], CW) else CCW, matching[i]) for i in range(k)
     )
 
 
@@ -625,7 +651,7 @@ class PlaceAndSwipeMemory(NamedTuple):
     round: int
     stage: str  # "spread" | "epochs"
     epoch_anchor: int = 0
-    plan: tuple = ()  # per-round move tuples for the current placement phase
+    plan: tuple = ()  # (direction, target) of the agent's current placement phase
     spread: Optional[SpreadState] = None
 
 
@@ -688,45 +714,45 @@ class PlaceAndSwipe:
         return CCW if cw_gap < ccw_gap else CW
 
     def _spread_step(self, i, mem, snap: GlobalSnapshot):
-        k = len(snap.positions)
-        if k == 2:
-            return mem._replace(round=mem.round + 1), self._spread_move_two(i, snap)
+        if len(snap.positions) == 2:
+            move = self._spread_move_two(i, snap)
+            return PlaceAndSwipeMemory(mem.round + 1, "spread"), move
         state, moves = _team_spread(mem.spread, snap)
-        return mem._replace(round=mem.round + 1, spread=state), moves[i]
+        return PlaceAndSwipeMemory(mem.round + 1, "spread", spread=state), moves[i]
 
     # -- epochs --
 
-    def _plan_epoch(self, mem, snap: GlobalSnapshot):
-        key = (mem.round, snap.positions)
+    def _plan_epoch(self, r, positions):
+        """The team's placement plan for the epoch starting at round ``r``,
+        one (direction, target) pair per agent."""
+        key = (r, positions)
         if self._epoch is None or self._epoch[0] != key:
-            n, k = snap.n, len(snap.positions)
+            n, k = self.schedule.n, len(positions)
             L = self.phase_len(n, k)
-            swipe_start = mem.round + L
-            candidates = compute_swipe_set(self.schedule, swipe_start, L - 1)
+            candidates = compute_swipe_set(self.schedule, r + L, L - 1)
             targets = select_targets(candidates, n, k)
-            plan, _, _ = placement_route(
-                snap.positions, targets, self.schedule, mem.round, L
-            )
-            self._epoch = (key, tuple(plan))
-        return mem._replace(plan=self._epoch[1])
+            self._epoch = (key, placement_route(positions, targets, self.schedule, r, L))
+        return self._epoch[1]
 
     def step(self, i, mem: PlaceAndSwipeMemory, snap: GlobalSnapshot):
-        if mem.stage == "spread":
-            if not is_uniform(snap.n, snap.positions):
-                return self._spread_step(i, mem, snap)
-            mem = mem._replace(stage="epochs", epoch_anchor=mem.round, spread=None)
-        n, k = snap.n, len(snap.positions)
-        L = self.phase_len(n, k)
-        t = (mem.round - mem.epoch_anchor) % (2 * L)
-        if t == 0:
-            mem = self._plan_epoch(mem, snap)
+        positions = snap.positions
+        if mem.stage == "epochs":
+            anchor = mem.epoch_anchor
+        elif is_uniform(snap.n, positions):
+            anchor = mem.round
+        else:
+            return self._spread_step(i, mem, snap)
+        L = self.phase_len(snap.n, len(positions))
+        t = (mem.round - anchor) % (2 * L)
+        plan = self._plan_epoch(mem.round, positions)[i] if t == 0 else mem.plan
         if t < L:
-            move = mem.plan[t][i]
+            direction, target = plan
+            move = STAY if positions[i] == target else direction
         elif t < 2 * L - 1:
             move = CW
         else:
             move = STAY
-        return mem._replace(round=mem.round + 1), move
+        return PlaceAndSwipeMemory(mem.round + 1, "epochs", anchor, plan), move
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from .agents import (
     KPingPong,
     PingPong,
     PlaceAndSwipe,
+    PlacementInfeasibleError,
+    TargetSelectionError,
     UniformSpread,
     fsm_of,
 )
@@ -85,13 +87,16 @@ def _initial_positions(placement: str, n: int, k: int) -> tuple[int, ...]:
 
 
 class _Commands(click.Group):
-    """Every command reports a ValueError (bad ring, team, start or horizon)
-    or an exhausted solver state budget as a one-line error with exit code 1."""
+    """Every command reports a ValueError (bad ring, team, start or horizon),
+    an exhausted solver state budget or a place-and-swipe epoch that cannot
+    be planned as a one-line error with exit code 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, BudgetExceeded) as exc:
+        except (
+            ValueError, BudgetExceeded, PlacementInfeasibleError, TargetSelectionError
+        ) as exc:
             raise click.ClickException(str(exc)) from None
 
 

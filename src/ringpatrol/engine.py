@@ -33,7 +33,7 @@ class SimulationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     before: tuple[int, ...]
     missing_edge: Optional[int]
@@ -87,17 +87,24 @@ def run(
     k = len(positions)
     memory = start_run(algorithm, n, k, positions)
 
+    # the driver's kind: a static ring, a schedule, or an adaptive adversary
+    missing_edge = decide = None
+    if driver is not None:
+        missing_edge = getattr(driver, "missing_edge", None)
+        if missing_edge is None:
+            decide = driver.decide
+
     trace = ExecutionTrace(n=n, k=k, horizon=horizon, initial=positions)
     for r in range(horizon):
         dry_run = None
-        if driver is None:
+        if missing_edge is not None:
+            missing = missing_edge(r)
+        elif decide is None:
             missing = None
-        elif hasattr(driver, "missing_edge"):
-            missing = driver.missing_edge(r)
         else:
             look = GlobalSnapshot(n, None, positions)
             dry_run = decide_moves(algorithm, look, memory)
-            missing = driver.decide(r, look, dry_run[1])
+            missing = decide(r, look, dry_run[1])
         if missing is not None and not (0 <= missing < n):
             raise SimulationError(f"round {r}: driver removed invalid edge {missing}")
 

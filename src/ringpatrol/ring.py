@@ -14,9 +14,10 @@ Conventions used throughout the package:
   ``u`` is edge ``u``; its counter-clockwise edge is edge ``(u-1) % n``.
 * At most one edge may be missing per round (removing two edges would
   disconnect the ring).
-* A move is blocked exactly when it would cross the missing edge; every
-  layer asks ``crossed_edge`` which edge that is, and algorithms ask the
-  round's snapshot (``GlobalSnapshot.blocks``).
+* A move is blocked exactly when it would cross the missing edge
+  (``crossed_edge`` names that edge); algorithms ask the round's snapshot
+  (``GlobalSnapshot.blocks``).  The snapshot and ``apply_round`` test the
+  same rule inline, as they run once per agent and round.
 """
 
 from __future__ import annotations
@@ -222,8 +223,13 @@ class GlobalSnapshot(NamedTuple):
     def blocks(self, p: int, move: int) -> bool:
         """True when a move from node ``p`` crosses the missing edge (never
         for STAY)."""
-        edge = crossed_edge(self.n, p, move)
-        return edge is not None and edge == self.missing_edge
+        if move == CW:
+            return p == self.missing_edge
+        if move == CCW:
+            return (p - 1) % self.n == self.missing_edge
+        if move == STAY:
+            return False
+        raise ValueError(f"invalid move {move}")
 
 
 def decide_moves(algorithm, snap: GlobalSnapshot, memory) -> tuple:
@@ -237,13 +243,9 @@ def decide_moves(algorithm, snap: GlobalSnapshot, memory) -> tuple:
     joint_step = getattr(algorithm, "joint_step", None)
     if joint_step is not None:
         return joint_step(memory, snap)
-    new_memories = []
-    moves = []
-    for i, mem in enumerate(memory):
-        mem, move = algorithm.step(i, mem, snap)
-        new_memories.append(mem)
-        moves.append(move)
-    return tuple(new_memories), tuple(moves)
+    step = algorithm.step
+    new_memories, moves = zip(*[step(i, mem, snap) for i, mem in enumerate(memory)])
+    return new_memories, moves
 
 
 def crossed_edge(n: int, p: int, move: int) -> Optional[int]:
@@ -276,8 +278,14 @@ def apply_round(
     new_positions = []
     blocked = []
     for p, m in zip(positions, moves):
-        edge = crossed_edge(n, p, m)
-        stuck = edge == missing_edge and edge is not None
+        if m == CW:
+            stuck = p == missing_edge
+        elif m == CCW:
+            stuck = (p - 1) % n == missing_edge
+        elif m == STAY:
+            stuck = False
+        else:
+            raise ValueError(f"invalid move {m}")
         new_positions.append(p if stuck else (p + m) % n)
         blocked.append(stuck)
     return tuple(new_positions), tuple(blocked)

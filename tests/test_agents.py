@@ -32,8 +32,10 @@ from ringpatrol.worstcase import solve_worst_case
 from ringpatrol.ring import (
     CCW,
     CW,
+    STAY,
     GlobalSnapshot,
     ObliviousSchedule,
+    apply_round,
     crossed_edge,
     is_uniform,
     make_random_schedule,
@@ -262,23 +264,30 @@ def test_select_targets_never_fails_on_real_windows(n, k):
 
 # --- placement routing ------------------------------------------------------------
 
+def _play_route(current, route, schedule, start_round, window):
+    """Positions after the window when every agent walks as the step does:
+    toward its target in its direction, holding once it is there."""
+    pos = tuple(current)
+    for t in range(start_round, start_round + window):
+        moves = [STAY if p == target else d for p, (d, target) in zip(pos, route)]
+        pos, _ = apply_round(pos, moves, schedule.n, schedule.missing_edge(t))
+    return pos
+
+
 def test_placement_route_static_two_agents():
     sched = ObliviousSchedule(n=10)
-    plan, direction, assignment = placement_route((0, 5), (2, 7), sched, 0, 5)
-    assert direction == CW
-    assert assignment == {0: 2, 1: 7}
-    # both arrive after two moves, then hold
-    assert plan[0] == (CW, CW) and plan[1] == (CW, CW)
-    assert all(m == (0, 0) for m in plan[2:])
+    route = placement_route((0, 5), (2, 7), sched, 0, 5)
+    assert route == ((CW, 2), (CW, 7))
+    assert _play_route((0, 5), route, sched, 0, 5) == (2, 7)
 
 
 def test_placement_route_falls_back_counter_clockwise():
     n = 10
     # wall off the first agent's clockwise exit for the whole window
     sched = fixed_edge_schedule(n, 0)
-    plan, direction, assignment = placement_route((0, 5), (2, 7), sched, 0, 5)
-    assert direction == CCW
-    assert assignment == {0: 7, 1: 2}
+    route = placement_route((0, 5), (2, 7), sched, 0, 5)
+    assert route == ((CCW, 7), (CCW, 2))
+    assert _play_route((0, 5), route, sched, 0, 5) == (7, 2)
 
 
 def test_assignment_shift_pairing():
@@ -308,22 +317,132 @@ def test_placement_dichotomy_holds(k):
                 targets = select_targets(survivors, n, k)
             except TargetSelectionError:
                 continue
-            placement_route(agents, targets, sched, 0, L)  # must not raise
+            route = placement_route(agents, targets, sched, 0, L)  # must not raise
+            assert len({d for d, _ in route}) == 1  # an order-preserving plan
             count += 1
     assert count > 200
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=PlacementInfeasibleError,
-    reason="one of the two directions is not always in time for uniform "
-    "patterns whose gaps come in a different order; this case comes from "
-    "a seeded place-and-swipe run (n=10, k=4, seed 0)",
-)
 def test_placement_completes_for_uniform_patterns():
+    # both order-preserving plans are late here; a matching lands
     current, targets = (6, 9, 2, 4), (1, 4, 7, 9)
+    sched = make_random_schedule(10, 80, 0)
     assert is_uniform(10, current) and is_uniform(10, targets)
-    placement_route(current, targets, make_random_schedule(10, 80, 0), 4, 3)
+    route = placement_route(current, targets, sched, 4, 3)
+    assert sorted(_play_route(current, route, sched, 4, 3)) == sorted(targets)
+
+
+# --- placement routing against the round-by-round reference ------------------------
+
+def reference_simulate_plan(positions, assignment, schedule, start_round, window, direction):
+    """Place-and-swipe's per-round plan from before the route kept one
+    (direction, target) pair per agent: drive every agent toward its target,
+    waiting on blocks; the per-round move tuples, or None if someone is late."""
+    n = schedule.n
+    k = len(positions)
+    pos = list(positions)
+    plan = []
+    for t in range(start_round, start_round + window):
+        missing = schedule.missing_edge(t)
+        moves = [STAY if pos[i] == assignment[i] else direction for i in range(k)]
+        stepped, _ = apply_round(pos, moves, n, missing)
+        pos = list(stepped)
+        plan.append(tuple(moves))
+    if all(pos[i] == assignment[i] for i in range(k)):
+        return plan
+    return None
+
+
+def reference_placement_route(current, targets, schedule, start_round, window):
+    """(per-round moves, direction, assignment) of the first order-preserving
+    plan that lands, or None when both are late."""
+    for direction in (CW, CCW):
+        assignment = _order_preserving_assignment(current, targets, schedule.n, direction)
+        plan = reference_simulate_plan(
+            current, assignment, schedule, start_round, window, direction
+        )
+        if plan is not None:
+            return plan, direction, assignment
+    return None
+
+
+def _route_moves(current, route, schedule, start_round, window):
+    """The per-round move tuples a route makes."""
+    pos, plan = tuple(current), []
+    for t in range(start_round, start_round + window):
+        moves = tuple(STAY if p == target else d for p, (d, target) in zip(pos, route))
+        pos, _ = apply_round(pos, moves, schedule.n, schedule.missing_edge(t))
+        plan.append(moves)
+    return plan
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_placement_route_matches_round_by_round_reference(n):
+    found = 0
+    for k in range(2, min(5, n - 1) + 1):
+        L = -(-n // k)
+        for seed in range(40):
+            sched = make_random_schedule(n, 6 * n, 1000 * n + 10 * k + seed)
+            start_round = seed % (4 * n)
+            current = random_positions(n, k, seed)
+            targets = uniform_positions(n, k, seed * 7 % n)
+            window = L if seed % 2 else 1 + seed % (2 * L)
+            ref = reference_placement_route(current, targets, sched, start_round, window)
+            if ref is None:
+                continue
+            found += 1
+            plan, direction, assignment = ref
+            route = placement_route(current, targets, sched, start_round, window)
+            assert route == tuple((direction, assignment[i]) for i in range(k))
+            assert _route_moves(current, route, sched, start_round, window) == plan
+    assert found > 40
+
+
+def _assignment_exists(current, targets, schedule, start_round, window):
+    """Brute force: some agent-to-target bijection and per-agent direction
+    lands every agent by the end of the window."""
+    n = schedule.n
+    k = len(current)
+    lands = {
+        (i, t): any(
+            _play_route((current[i],), ((d, t),), schedule, start_round, window) == (t,)
+            for d in (CW, CCW)
+        )
+        for i in range(k)
+        for t in targets
+    }
+    return any(
+        all(lands[i, t] for i, t in enumerate(perm))
+        for perm in itertools.permutations(targets)
+    )
+
+
+def test_placement_route_is_exact():
+    """placement_route lands exactly when some assignment lands, and its
+    route lands."""
+    outcomes = {"ordered": 0, "matched": 0, "infeasible": 0}
+    for n in range(5, 11):
+        for k in range(2, min(5, n - 1) + 1):
+            L = -(-n // k)
+            for seed in range(60):
+                sched = make_random_schedule(n, 4 * n, 100 * n + 10 * k + seed)
+                current = uniform_positions(n, k, seed % n)
+                targets = uniform_positions(n, k, seed * 3 % n)
+                window = max(1, L - seed % 3)
+                exists = _assignment_exists(current, targets, sched, seed, window)
+                try:
+                    route = placement_route(current, targets, sched, seed, window)
+                except PlacementInfeasibleError:
+                    assert not exists
+                    outcomes["infeasible"] += 1
+                    continue
+                assert exists
+                landed = _play_route(current, route, sched, seed, window)
+                assert landed == tuple(t for _, t in route)
+                assert sorted(landed) == sorted(targets)
+                ordered = reference_placement_route(current, targets, sched, seed, window)
+                outcomes["matched" if ordered is None else "ordered"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 # --- place-and-swipe -----------------------------------------------------------------

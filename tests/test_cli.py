@@ -228,6 +228,19 @@ def test_worstcase_refuses_place_and_swipe(runner):
     )
 
 
+def test_unplaceable_epoch_is_a_one_line_error(runner):
+    # rounds [38, 40) give no agent-to-target assignment that arrives in time
+    result = runner.invoke(main, [
+        "simulate", "--algo", "place-and-swipe", "--n", "10", "--k", "6",
+        "--schedule", "random:28", "--placement", "random:28", "--rounds", "60",
+    ])
+    assert result.exit_code == 1
+    assert result.output == (
+        "Error: no placement plan reaches (0, 2, 4, 6, 8, 9) from "
+        "(3, 5, 1, 2, 9, 7) in rounds [38, 40)\n"
+    )
+
+
 def test_exhausted_budget_is_a_one_line_error(runner):
     result = runner.invoke(main, [
         "worstcase", "--algo", "pingpong", "--n", "10", "--k", "2", "--budget", "10",
