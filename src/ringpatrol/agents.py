@@ -374,7 +374,7 @@ def _order_preserving_assignment(
             (tsorted[(shift + i) % k] - positions[order[i]]) % n for i in range(k)
         )
 
-    s_cw = min(range(k), key=lambda s: (max_cw_dist(s), s))
+    s_cw = min(range(k), key=max_cw_dist)  # the first shift on ties
     shift = s_cw if direction == CW else (s_cw - 1) % k
     return {order[i]: tsorted[(shift + i) % k] for i in range(k)}
 
@@ -688,9 +688,6 @@ class PlaceAndSwipe:
             )
         self._epoch = None  # every run starts here: no plan outlives its run
 
-    def phase_len(self, n, k):
-        return -(-n // k)
-
     def initial_memory(self, n, k, i, positions):
         if is_uniform(n, positions):
             return PlaceAndSwipeMemory(round=0, stage="epochs", epoch_anchor=0)
@@ -722,29 +719,28 @@ class PlaceAndSwipe:
 
     # -- epochs --
 
-    def _plan_epoch(self, r, positions):
-        """The team's placement plan for the epoch starting at round ``r``,
-        one (direction, target) pair per agent."""
+    def _plan_epoch(self, r, positions, L):
+        """The team's placement plan for the epoch starting at round ``r``
+        with phases of ``L`` rounds, one (direction, target) pair per agent."""
         key = (r, positions)
         if self._epoch is None or self._epoch[0] != key:
             n, k = self.schedule.n, len(positions)
-            L = self.phase_len(n, k)
             candidates = compute_swipe_set(self.schedule, r + L, L - 1)
             targets = select_targets(candidates, n, k)
             self._epoch = (key, placement_route(positions, targets, self.schedule, r, L))
         return self._epoch[1]
 
     def step(self, i, mem: PlaceAndSwipeMemory, snap: GlobalSnapshot):
+        r, stage, anchor, plan, _ = mem
         positions = snap.positions
-        if mem.stage == "epochs":
-            anchor = mem.epoch_anchor
-        elif is_uniform(snap.n, positions):
-            anchor = mem.round
-        else:
-            return self._spread_step(i, mem, snap)
-        L = self.phase_len(snap.n, len(positions))
-        t = (mem.round - anchor) % (2 * L)
-        plan = self._plan_epoch(mem.round, positions)[i] if t == 0 else mem.plan
+        if stage == "spread":
+            if not is_uniform(snap.n, positions):
+                return self._spread_step(i, mem, snap)
+            anchor = r
+        L = -(-snap.n // len(positions))  # phase length, ceil(n/k)
+        t = (r - anchor) % (2 * L)
+        if t == 0:
+            plan = self._plan_epoch(r, positions, L)[i]
         if t < L:
             direction, target = plan
             move = STAY if positions[i] == target else direction
@@ -752,7 +748,7 @@ class PlaceAndSwipe:
             move = CW
         else:
             move = STAY
-        return PlaceAndSwipeMemory(mem.round + 1, "epochs", anchor, plan), move
+        return PlaceAndSwipeMemory(r + 1, "epochs", anchor, plan), move
 
 
 # ---------------------------------------------------------------------------

@@ -87,12 +87,9 @@ def run(
     k = len(positions)
     memory = start_run(algorithm, n, k, positions)
 
-    # the driver's kind: a static ring, a schedule, or an adaptive adversary
-    missing_edge = decide = None
-    if driver is not None:
-        missing_edge = getattr(driver, "missing_edge", None)
-        if missing_edge is None:
-            decide = driver.decide
+    # a schedule answers by round, an adaptive adversary from the team's plan
+    missing_edge = getattr(driver, "missing_edge", None)
+    decide = driver.decide if driver is not None and missing_edge is None else None
 
     trace = ExecutionTrace(n=n, k=k, horizon=horizon, initial=positions)
     for r in range(horizon):

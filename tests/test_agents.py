@@ -265,20 +265,22 @@ def test_select_targets_never_fails_on_real_windows(n, k):
 # --- placement routing ------------------------------------------------------------
 
 def _play_route(current, route, schedule, start_round, window):
-    """Positions after the window when every agent walks as the step does:
-    toward its target in its direction, holding once it is there."""
-    pos = tuple(current)
+    """(positions after the window, per-round move tuples) when every agent
+    walks as the step does: toward its target in its direction, holding
+    once it is there."""
+    pos, plan = tuple(current), []
     for t in range(start_round, start_round + window):
-        moves = [STAY if p == target else d for p, (d, target) in zip(pos, route)]
+        moves = tuple(STAY if p == target else d for p, (d, target) in zip(pos, route))
         pos, _ = apply_round(pos, moves, schedule.n, schedule.missing_edge(t))
-    return pos
+        plan.append(moves)
+    return pos, plan
 
 
 def test_placement_route_static_two_agents():
     sched = ObliviousSchedule(n=10)
     route = placement_route((0, 5), (2, 7), sched, 0, 5)
     assert route == ((CW, 2), (CW, 7))
-    assert _play_route((0, 5), route, sched, 0, 5) == (2, 7)
+    assert _play_route((0, 5), route, sched, 0, 5)[0] == (2, 7)
 
 
 def test_placement_route_falls_back_counter_clockwise():
@@ -287,7 +289,7 @@ def test_placement_route_falls_back_counter_clockwise():
     sched = fixed_edge_schedule(n, 0)
     route = placement_route((0, 5), (2, 7), sched, 0, 5)
     assert route == ((CCW, 7), (CCW, 2))
-    assert _play_route((0, 5), route, sched, 0, 5) == (7, 2)
+    assert _play_route((0, 5), route, sched, 0, 5)[0] == (7, 2)
 
 
 def test_assignment_shift_pairing():
@@ -317,8 +319,11 @@ def test_placement_dichotomy_holds(k):
                 targets = select_targets(survivors, n, k)
             except TargetSelectionError:
                 continue
-            route = placement_route(agents, targets, sched, 0, L)  # must not raise
-            assert len({d for d, _ in route}) == 1  # an order-preserving plan
+            ref = reference_placement_route(agents, targets, sched, 0, L)
+            assert ref is not None
+            _, direction, assignment = ref
+            route = placement_route(agents, targets, sched, 0, L)
+            assert route == tuple((direction, assignment[i]) for i in range(k))
             count += 1
     assert count > 200
 
@@ -329,7 +334,7 @@ def test_placement_completes_for_uniform_patterns():
     sched = make_random_schedule(10, 80, 0)
     assert is_uniform(10, current) and is_uniform(10, targets)
     route = placement_route(current, targets, sched, 4, 3)
-    assert sorted(_play_route(current, route, sched, 4, 3)) == sorted(targets)
+    assert sorted(_play_route(current, route, sched, 4, 3)[0]) == sorted(targets)
 
 
 # --- placement routing against the round-by-round reference ------------------------
@@ -366,16 +371,6 @@ def reference_placement_route(current, targets, schedule, start_round, window):
     return None
 
 
-def _route_moves(current, route, schedule, start_round, window):
-    """The per-round move tuples a route makes."""
-    pos, plan = tuple(current), []
-    for t in range(start_round, start_round + window):
-        moves = tuple(STAY if p == target else d for p, (d, target) in zip(pos, route))
-        pos, _ = apply_round(pos, moves, schedule.n, schedule.missing_edge(t))
-        plan.append(moves)
-    return plan
-
-
 @pytest.mark.parametrize("n", range(5, 17))
 def test_placement_route_matches_round_by_round_reference(n):
     found = 0
@@ -394,7 +389,7 @@ def test_placement_route_matches_round_by_round_reference(n):
             plan, direction, assignment = ref
             route = placement_route(current, targets, sched, start_round, window)
             assert route == tuple((direction, assignment[i]) for i in range(k))
-            assert _route_moves(current, route, sched, start_round, window) == plan
+            assert _play_route(current, route, sched, start_round, window)[1] == plan
     assert found > 40
 
 
@@ -405,7 +400,7 @@ def _assignment_exists(current, targets, schedule, start_round, window):
     k = len(current)
     lands = {
         (i, t): any(
-            _play_route((current[i],), ((d, t),), schedule, start_round, window) == (t,)
+            _play_route((current[i],), ((d, t),), schedule, start_round, window)[0] == (t,)
             for d in (CW, CCW)
         )
         for i in range(k)
@@ -437,7 +432,7 @@ def test_placement_route_is_exact():
                     outcomes["infeasible"] += 1
                     continue
                 assert exists
-                landed = _play_route(current, route, sched, seed, window)
+                landed, _ = _play_route(current, route, sched, seed, window)
                 assert landed == tuple(t for _, t in route)
                 assert sorted(landed) == sorted(targets)
                 ordered = reference_placement_route(current, targets, sched, seed, window)
