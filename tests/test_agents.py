@@ -396,7 +396,6 @@ def test_placement_route_matches_round_by_round_reference(n):
 def _assignment_exists(current, targets, schedule, start_round, window):
     """Brute force: some agent-to-target bijection and per-agent direction
     lands every agent by the end of the window."""
-    n = schedule.n
     k = len(current)
     lands = {
         (i, t): any(

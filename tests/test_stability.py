@@ -73,11 +73,6 @@ def _kpingpong_from(n, k, driver, rounds):
     )
 
 
-def _place_and_swipe():
-    sched = make_random_schedule(16, 320, 3)
-    return trace_to_csv(run(PlaceAndSwipe(sched), sched, uniform_positions(16, 4), 224))
-
-
 def _place_and_swipe_under(make_sched, k, rounds):
     def render():
         sched = make_sched()
@@ -200,7 +195,7 @@ CASES = {
         "bc3e7ba490601378055176f296d0368dac52413e884aeec43c4dcc3576cb6717",
     ),
     "place-and-swipe-k4-n16": (
-        _place_and_swipe,
+        _place_and_swipe_under(lambda: make_random_schedule(16, 320, 3), 4, 224),
         "97cbfcd87b94f6e944bca467aaa7e4c947a503dd44b53eb9fb149d7cc52dc3ea",
     ),
     "place-and-swipe-k2-n10": (
