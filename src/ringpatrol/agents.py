@@ -27,14 +27,14 @@ the one ``GlobalSnapshot`` of the pre-move state; agent ``i`` stands on
 ``ring.start_run`` rejects a team with both steps or neither.  Steps are
 pure: coordination happens through the snapshot plus the memory.  The
 bounded-memory machines read only the two edges at their own node, so they
-keep a per-agent view by design.  Place-and-swipe computes each epoch's
-plan once per team: one (direction, target) pair per agent, a pure
-function of the schedule, the round and the positions.  The first agent to
-step keeps it on the instance under the key (round, positions), the rest
-of the team reuse it, and each agent keeps its own pair in its memory for
-the placement phase.  A reused plan is the one the agent would have
-computed itself, so the memo cannot change a result; ``validate`` (called
-at every run start) drops it and pins the ring size to the schedule's.
+keep a per-agent view by design.  Place-and-swipe is one team planner
+behind ``step``: every agent holds the one team memory, ``_team_step(mem,
+snap)`` makes the whole round's moves and ``step`` returns agent ``i``'s.
+The first agent to step keeps the result under its whole input ``(mem,
+snap)`` and the rest find it there, so a reused result is by construction
+the one the agent would compute; ``validate`` (called at every run start)
+drops it.  Once the benchmark counts ``joint_step`` calls (ROADMAP item 1),
+``_team_step`` becomes ``joint_step``, and ``step`` and its memo go.
 
 A step reads the missing edge only through ``snap.blocks(p, move)``: would
 a move from node ``p`` be blocked this round?  The exact solver relies on
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .ring import (
     CCW,
@@ -74,8 +74,8 @@ class TargetSelectionError(RuntimeError):
 
 
 class PlacementInfeasibleError(RuntimeError):
-    """No assignment of agents to targets arrives inside the placement
-    window.  Treated as an invariant violation."""
+    """No assignment of agents to targets (for place-and-swipe: to any fitting
+    rotation) arrives inside the placement window.  An invariant violation."""
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +337,24 @@ def compute_swipe_set(schedule: ObliviousSchedule, r: int, h: int) -> set[int]:
     return survivors
 
 
-def select_targets(candidates: set[int], n: int, k: int) -> tuple[int, ...]:
-    """Smallest rotation of the uniform pattern lying inside ``candidates``.
+def select_targets(candidates: set[int], n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Yield every rotation of the uniform pattern lying inside
+    ``candidates`` once, sorted, smallest anchor offset first.
 
     The pattern anchored at offset ``rho`` places its larger gaps first.
-    Raises TargetSelectionError when no rotation fits.
+    Raises TargetSelectionError, once exhausted, when no rotation fits.
     """
     base = uniform_positions(n, k)
+    fitting = set()
     for rho in range(n):
-        pattern = [(p + rho) % n for p in base]
-        if all(p in candidates for p in pattern):
-            return tuple(sorted(pattern))
-    raise TargetSelectionError(
-        f"no uniform {k}-pattern fits inside candidate set of size {len(candidates)}"
-    )
+        pattern = tuple(sorted((p + rho) % n for p in base))
+        if pattern not in fitting and candidates.issuperset(pattern):
+            fitting.add(pattern)
+            yield pattern
+    if not fitting:
+        raise TargetSelectionError(
+            f"no uniform {k}-pattern fits inside candidate set of size {len(candidates)}"
+        )
 
 
 def _order_preserving_assignment(
@@ -475,10 +479,9 @@ class SpreadState:
     one anchored plan over the whole set.  ``done`` is set once the members
     stand uniformly.
 
-    It lives in the team memory (place-and-swipe, which steps per agent,
-    keeps an identical copy in every agent's).  The state holds no
-    positions: ``spread_step`` reads member ``m`` at ``snap.positions[m]``
-    and asks ``snap.blocks`` about its moves, so copies never diverge.
+    It lives in the team memory.  The state holds no positions:
+    ``spread_step`` reads member ``m`` at ``snap.positions[m]`` and asks
+    ``snap.blocks`` about its moves.
     """
 
     members: tuple[int, ...]
@@ -647,12 +650,28 @@ class UniformSpread:
 # Place-&-Swipe: known schedule, epochs of placement then a clockwise swipe
 # ---------------------------------------------------------------------------
 
-class PlaceAndSwipeMemory(NamedTuple):
+class PlaceAndSwipeMemory(NamedTuple):  # the team memory, held by every agent
     round: int
-    stage: str  # "spread" | "epochs"
-    epoch_anchor: int = 0
-    plan: tuple = ()  # (direction, target) of the agent's current placement phase
+    anchor: Optional[int]  # round the epoch clock starts at; None while spreading
+    plan: tuple = ()  # every agent's (direction, target) in the placement phase
     spread: Optional[SpreadState] = None
+
+
+def _spread_move_two(i, snap: GlobalSnapshot):
+    """Agent ``i``'s move while a two-agent team widens its short arc."""
+    n = snap.n
+    me = snap.positions[i]
+    other = snap.positions[1 - i]
+    cw_gap = (other - me) % n
+    ccw_gap = n - cw_gap
+    if n % 2 == 0 and arc_distance(n, me, other) == n // 2 - 1:
+        # one step from antipodal: widening on both ends would overshoot,
+        # so only the clockwise end of the short arc advances (the other
+        # agent covers for it when that step is blocked)
+        if ccw_gap < cw_gap:  # I am the clockwise end
+            return STAY if snap.blocks(me, CW) else CW
+        return CCW if snap.blocks(other, CW) else STAY
+    return CCW if cw_gap < ccw_gap else CW
 
 
 class PlaceAndSwipe:
@@ -674,7 +693,7 @@ class PlaceAndSwipe:
 
     def __init__(self, schedule: ObliviousSchedule):
         self.schedule = schedule
-        self._epoch = None  # ((round, positions), plan) of the last epoch planned
+        self._last = None  # ((mem, snap), (new_mem, moves)) of the last team step
 
     def validate(self, n, k):
         if k < 2:
@@ -686,69 +705,55 @@ class PlaceAndSwipe:
                 f"place-and-swipe planned on a ring of {self.schedule.n} nodes, "
                 f"run on {n}"
             )
-        self._epoch = None  # every run starts here: no plan outlives its run
+        self._last = None  # every run starts here: no step outlives its run
 
     def initial_memory(self, n, k, i, positions):
-        if is_uniform(n, positions):
-            return PlaceAndSwipeMemory(round=0, stage="epochs", epoch_anchor=0)
-        return PlaceAndSwipeMemory(round=0, stage="spread")
-
-    # -- spreading (arbitrary initial placement) --
-
-    def _spread_move_two(self, i, snap: GlobalSnapshot):
-        n = snap.n
-        me = snap.positions[i]
-        other = snap.positions[1 - i]
-        cw_gap = (other - me) % n
-        ccw_gap = n - cw_gap
-        if n % 2 == 0 and arc_distance(n, me, other) == n // 2 - 1:
-            # one step from antipodal: widening on both ends would overshoot,
-            # so only the clockwise end of the short arc advances (the other
-            # agent covers for it when that step is blocked)
-            if ccw_gap < cw_gap:  # I am the clockwise end
-                return STAY if snap.blocks(me, CW) else CW
-            return CCW if snap.blocks(other, CW) else STAY
-        return CCW if cw_gap < ccw_gap else CW
-
-    def _spread_step(self, i, mem, snap: GlobalSnapshot):
-        if len(snap.positions) == 2:
-            move = self._spread_move_two(i, snap)
-            return PlaceAndSwipeMemory(mem.round + 1, "spread"), move
-        state, moves = _team_spread(mem.spread, snap)
-        return PlaceAndSwipeMemory(mem.round + 1, "spread", spread=state), moves[i]
-
-    # -- epochs --
+        return PlaceAndSwipeMemory(round=0, anchor=0 if is_uniform(n, positions) else None)
 
     def _plan_epoch(self, r, positions, L):
         """The team's placement plan for the epoch starting at round ``r``
-        with phases of ``L`` rounds, one (direction, target) pair per agent."""
-        key = (r, positions)
-        if self._epoch is None or self._epoch[0] != key:
-            n, k = self.schedule.n, len(positions)
-            candidates = compute_swipe_set(self.schedule, r + L, L - 1)
-            targets = select_targets(candidates, n, k)
-            self._epoch = (key, placement_route(positions, targets, self.schedule, r, L))
-        return self._epoch[1]
+        with phases of ``L`` rounds, one (direction, target) pair per agent:
+        the first rotation inside the swipe set, in ``select_targets``'
+        order, that ``placement_route`` lands.  When none lands, the first
+        rotation's PlacementInfeasibleError is raised."""
+        candidates = compute_swipe_set(self.schedule, r + L, L - 1)
+        errors = []
+        for targets in select_targets(candidates, self.schedule.n, len(positions)):
+            try:
+                return placement_route(positions, targets, self.schedule, r, L)
+            except PlacementInfeasibleError as exc:
+                errors.append(exc)
+        raise errors[0]
 
-    def step(self, i, mem: PlaceAndSwipeMemory, snap: GlobalSnapshot):
-        r, stage, anchor, plan, _ = mem
+    def _team_step(self, mem: PlaceAndSwipeMemory, snap: GlobalSnapshot):
+        """One round of the whole team: (new team memory, moves)."""
+        r, anchor, plan, spread = mem
         positions = snap.positions
-        if stage == "spread":
-            if not is_uniform(snap.n, positions):
-                return self._spread_step(i, mem, snap)
+        n, k = snap.n, len(positions)
+        if anchor is None:
+            if not is_uniform(n, positions):
+                if k == 2:
+                    moves = (_spread_move_two(0, snap), _spread_move_two(1, snap))
+                else:
+                    spread, moves = _team_spread(spread, snap)
+                return PlaceAndSwipeMemory(r + 1, None, (), spread), moves
             anchor = r
-        L = -(-snap.n // len(positions))  # phase length, ceil(n/k)
+        L = -(-n // k)  # phase length, ceil(n/k)
         t = (r - anchor) % (2 * L)
         if t == 0:
-            plan = self._plan_epoch(r, positions, L)[i]
+            plan = self._plan_epoch(r, positions, L)
         if t < L:
-            direction, target = plan
-            move = STAY if positions[i] == target else direction
-        elif t < 2 * L - 1:
-            move = CW
+            moves = tuple(STAY if p == to else d for p, (d, to) in zip(positions, plan))
         else:
-            move = STAY
-        return PlaceAndSwipeMemory(r + 1, "epochs", anchor, plan), move
+            moves = (CW if t < 2 * L - 1 else STAY,) * k
+        return PlaceAndSwipeMemory(r + 1, anchor, plan), moves
+
+    def step(self, i, mem: PlaceAndSwipeMemory, snap: GlobalSnapshot):
+        key = (mem, snap)
+        if self._last is None or self._last[0] != key:
+            self._last = (key, self._team_step(mem, snap))
+        new_mem, moves = self._last[1]
+        return new_mem, moves[i]
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ ALGO_CHOICES = GLOBAL_ALGOS + BUILTIN_FSM_NAMES + ("consecutive-sweep",)
 
 def _load_schedule(spec: str, n: int, rounds: int) -> ObliviousSchedule:
     try:
+        if spec == "static":
+            return ObliviousSchedule(n=n, period=1)
         if spec == "wave":
             return wave_schedule(n)
         if spec.startswith("fixed:"):
@@ -116,7 +118,7 @@ def main():
     show_default=True,
 )
 @click.option("--schedule", "schedule_spec", default=None,
-              help="JSON file path, or wave | fixed:E | random:SEED")
+              help="JSON file path, or static | wave | fixed:E | random:SEED")
 @click.option("--rounds", type=int, default=None, help="horizon (default 10*n)")
 @click.option("--placement", default="uniform", show_default=True,
               help="uniform | consecutive | random:SEED | explicit:p0,p1,...")
@@ -186,21 +188,14 @@ def simulate(algo, n, k, adversary, schedule_spec, rounds, placement, r_s,
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--placement", default="uniform", show_default=True)
-@click.option("--static", "static_only", is_flag=True,
-              help="restrict the scheduler to the always-complete ring")
 @click.option("--schedule", "schedule_spec", default=None,
-              help="restrict the scheduler to a periodic schedule (wave | fixed:E | file)")
+              help="restrict the scheduler to a periodic schedule "
+                   "(static | wave | fixed:E | file)")
 @click.option("--budget", type=int, default=None, help="state budget override")
 @click.option("--out", type=click.Path(), default=None)
-def worstcase(algo, n, k, placement, static_only, schedule_spec, budget, out):
+def worstcase(algo, n, k, placement, schedule_spec, budget, out):
     """Exact worst-case idle over all schedulers (or a restricted one)."""
-    if static_only and schedule_spec:
-        raise click.ClickException("give either --static or --schedule, not both")
-    restriction = None
-    if static_only:
-        restriction = ObliviousSchedule(n=n, period=1)
-    elif schedule_spec:
-        restriction = _load_schedule(schedule_spec, n, 10 * n)
+    restriction = _load_schedule(schedule_spec, n, 10 * n) if schedule_spec else None
     algorithm = _make_algorithm(algo, restriction)
     initial = _initial_positions(placement, n, k)
     result = solve_worst_case(algorithm, n, k, initial, schedule=restriction, budget=budget)

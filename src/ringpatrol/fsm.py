@@ -44,7 +44,6 @@ MEETING_NOTE = (
 @dataclass(frozen=True)
 class CycleInfo:
     vertices: tuple[int, ...]  # arc i runs vertices[i] -> vertices[(i+1) % m]
-    fault_free: bool
     displacement: int
 
 
@@ -73,7 +72,7 @@ def _cycle_of(spec: FsmSpec, cycle_vertices: list[int]) -> CycleInfo:
     for v in cycle_vertices:
         _, move = spec.arcs[(v, SNAP_BOTH)]
         disp += move
-    return CycleInfo(tuple(cycle_vertices), fault_free=True, displacement=disp)
+    return CycleInfo(tuple(cycle_vertices), displacement=disp)
 
 
 def initial_fault_free_cycle(spec: FsmSpec):

@@ -26,6 +26,7 @@ from ringpatrol.agents import (
     placement_route,
     select_targets,
     spread_init,
+    spread_step,
 )
 from ringpatrol.engine import idle_time, run, trace_to_csv, visit_log
 from ringpatrol.worstcase import solve_worst_case
@@ -243,13 +244,24 @@ def test_swipe_set_matches_walking_reference(n):
 
 
 def test_select_targets_examples():
-    assert select_targets(set(range(10)), 10, 2) == (0, 5)
-    assert select_targets({1, 2, 3, 4, 5, 6}, 10, 2) == (1, 6)
+    # every fitting rotation, each once, smallest anchor offset first
+    assert list(select_targets(set(range(10)), 10, 2)) == [
+        (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)
+    ]
+    assert list(select_targets({1, 2, 3, 4, 5, 6}, 10, 2)) == [(1, 6)]
+    # anchors 0, 1, 3 and 8 of the pattern (0, 3, 6, 8); the order is the anchor's
+    assert list(select_targets({0, 1, 3, 4, 6, 7, 8, 9}, 10, 4)) == [
+        (0, 3, 6, 8), (1, 4, 7, 9), (1, 3, 6, 9), (1, 4, 6, 8)
+    ]
+    # a periodic pattern: 12 anchors give 4 distinct rotations
+    assert list(select_targets(set(range(12)), 12, 3)) == [
+        (0, 4, 8), (1, 5, 9), (2, 6, 10), (3, 7, 11)
+    ]
 
 
 def test_select_targets_failure_reported():
     with pytest.raises(TargetSelectionError):
-        select_targets({0, 1}, 10, 2)
+        next(select_targets({0, 1}, 10, 2))
 
 
 @pytest.mark.parametrize("n,k", [(10, 2), (11, 2), (12, 3), (9, 4)])
@@ -258,8 +270,8 @@ def test_select_targets_never_fails_on_real_windows(n, k):
     for seed in range(250):
         sched = make_random_schedule(n, 3 * n, seed)
         survivors = compute_swipe_set(sched, 0, h)
-        targets = select_targets(survivors, n, k)
-        assert len(targets) == k and is_uniform(n, targets)
+        for targets in select_targets(survivors, n, k):
+            assert len(targets) == k and is_uniform(n, targets)
 
 
 # --- placement routing ------------------------------------------------------------
@@ -316,7 +328,7 @@ def test_placement_dichotomy_holds(k):
             agents = uniform_positions(n, k, seed % n)
             survivors = compute_swipe_set(sched, L, L - 1)
             try:
-                targets = select_targets(survivors, n, k)
+                targets = next(select_targets(survivors, n, k))
             except TargetSelectionError:
                 continue
             ref = reference_placement_route(agents, targets, sched, 0, L)
@@ -465,12 +477,12 @@ def test_place_and_swipe_epoch_invariants(n, k, make_sched):
         observer=lambda r, m, rec: mems.append(m[0]),
     )
     for r, mem in enumerate(mems):
-        t = (mem.round - 1 - mem.epoch_anchor) % (2 * L)
+        t = (mem.round - 1 - mem.anchor) % (2 * L)
         if t == L - 1:
-            # placement just ended: standing on the uniform pattern whose
+            # placement just ended: standing on a uniform pattern whose
             # clockwise swipe, starting next round, is never blocked
             targets = select_targets(compute_swipe_set(sched, mem.round, L - 1), n, k)
-            assert tuple(sorted(tr.records[r].after)) == targets
+            assert tuple(sorted(tr.records[r].after)) in list(targets)
         if t == 2 * L - 1:  # epoch just ended: uniform again
             assert is_uniform(n, tr.records[r].after)
 
@@ -530,6 +542,68 @@ def test_reused_place_and_swipe_runs_like_a_fresh_one():
     assert_fresh(uniform, L)  # the last plan made is round 0's from `uniform`
     sched.missing = make_random_schedule(n, 20 * n, 8).missing
     assert_fresh(uniform, 12 * L)
+
+
+def test_place_and_swipe_step_on_an_earlier_input_matches_a_fresh_instance():
+    n, k = 12, 3
+    sched = make_random_schedule(n, 20 * n, 7)
+    start = random_positions(n, k, 3)
+    memories, snaps = [], []
+
+    def observe(r, memory, record):
+        # the memory after round r meets the snapshot of round r + 1
+        memories.append(memory)
+        snaps.append(GlobalSnapshot(n, sched.missing_edge(r + 1), record.after))
+
+    algo = PlaceAndSwipe(sched)
+    run(algo, sched, start, 6 * n, observer=observe)
+    for r in (3, 0, 40, 17, 3, 2 * n):
+        mem, snap = memories[r], snaps[r]
+        for i in reversed(range(k)):
+            fresh = PlaceAndSwipe(sched)
+            fresh.validate(n, k)
+            assert algo.step(i, mem[i], snap) == fresh.step(i, mem[i], snap)
+
+
+def test_place_and_swipe_spread_plans_once_per_round(monkeypatch):
+    calls = []
+
+    def counting_spread_step(state, snap):
+        calls.append(snap)
+        return spread_step(state, snap)
+
+    monkeypatch.setattr("ringpatrol.agents.spread_step", counting_spread_step)
+    n, k, seed = 16, 4, 128
+    sched = make_random_schedule(n, 8 * n, seed)
+    run(PlaceAndSwipe(sched), sched, random_positions(n, k, seed), 4 * n)
+    # 16 spread rounds, one team step each
+    assert len(calls) == 16 and len(set(calls)) == 16
+
+
+def test_place_and_swipe_places_every_sweep_start():
+    # each epoch tries every fitting rotation; these runs once failed on
+    # the first one, e.g. (n, k, seed) = (10, 6, 28), (10, 7, 12), (11, 7, 17)
+    for n in range(5, 13):
+        for k in range(3, n - 1):
+            for seed in range(30):
+                sched = make_random_schedule(n, 12 * n, seed)
+                run(PlaceAndSwipe(sched), sched, random_positions(n, k, seed), 6 * n)
+
+
+def test_unplaceable_epoch_raises_the_first_rotations_error(monkeypatch):
+    tried = []
+
+    def never_lands(current, targets, schedule, start_round, window):
+        tried.append(targets)
+        raise PlacementInfeasibleError(f"late for {targets}")
+
+    monkeypatch.setattr("ringpatrol.agents.placement_route", never_lands)
+    n, k = 12, 3
+    sched = ObliviousSchedule(n=n)
+    with pytest.raises(PlacementInfeasibleError, match=r"late for \(0, 4, 8\)$"):
+        run(PlaceAndSwipe(sched), sched, uniform_positions(n, k), 4)
+    assert tried == list(select_targets(compute_swipe_set(sched, 4, 3), n, k))
+    assert len(tried) == 4
 
 
 # --- k-ping-pong ----------------------------------------------------------------------

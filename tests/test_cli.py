@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import ringpatrol
-from ringpatrol import adversaries, engine, worstcase
+from ringpatrol import adversaries, agents, engine, worstcase
 from ringpatrol.adversaries import wave_schedule
 from ringpatrol.cli import main
 
@@ -116,7 +117,7 @@ def test_worstcase_single_clockwise_unbounded(runner):
 def test_worstcase_consecutive_sweep_static(runner):
     result = runner.invoke(main, [
         "worstcase", "--algo", "consecutive-sweep", "--n", "8", "--k", "3",
-        "--placement", "consecutive", "--static",
+        "--placement", "consecutive", "--schedule", "static",
     ])
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output[: result.output.index("replay:")])
@@ -203,10 +204,10 @@ def test_verify_rejects_unknown_suite(runner):
         pytest.param(["analyze", "stay", "--k", "0", "--cross-validate", "8"],
                      id="analyze-no-agents"),
         pytest.param(["worstcase", "--algo", "pingpong", "--n", "6", "--k", "2",
-                      "--static", "--schedule", "fixed:3"],
-                     id="worstcase-static-and-schedule"),
-        pytest.param(["worstcase", "--algo", "pingpong", "--n", "6", "--k", "2",
                       "--budget", "0"], id="worstcase-zero-budget"),
+        pytest.param(["worstcase", "--algo", "pingpong", "--n", "6", "--k", "2",
+                      "--schedule", "no-such-schedule.json"],
+                     id="worstcase-unknown-schedule"),
     ],
 )
 def test_bad_arguments_are_a_one_line_error(runner, args):
@@ -228,8 +229,14 @@ def test_worstcase_refuses_place_and_swipe(runner):
     )
 
 
-def test_unplaceable_epoch_is_a_one_line_error(runner):
-    # rounds [38, 40) give no agent-to-target assignment that arrives in time
+def test_unplaceable_epoch_is_a_one_line_error(runner, monkeypatch):
+    # every epoch of these runs lands on some rotation; with only the first
+    # fitting rotation to try, rounds [38, 40) give no agent-to-target
+    # assignment that arrives in time
+    select_targets = agents.select_targets
+    monkeypatch.setattr(
+        agents, "select_targets", lambda *args: itertools.islice(select_targets(*args), 1)
+    )
     result = runner.invoke(main, [
         "simulate", "--algo", "place-and-swipe", "--n", "10", "--k", "6",
         "--schedule", "random:28", "--placement", "random:28", "--rounds", "60",
@@ -338,7 +345,7 @@ def test_settable_value_count_is_pinned():
         "simulate --assert-idle-min", "simulate --claim-tag", "simulate --out-trace",
         "simulate --out-report",
         "verify --out",
-        "worstcase --placement", "worstcase --static", "worstcase --schedule",
+        "worstcase --placement", "worstcase --schedule",
         "worstcase --budget", "worstcase --out",
     ]
     assert sorted(_defaulted_api_parameters()) == [
@@ -353,7 +360,7 @@ def test_settable_value_count_is_pinned():
         "solve_worst_case(schedule)",
         "uniform_positions(anchor)",
     ]
-    assert len(_optional_click_options()) + len(_defaulted_api_parameters()) == 29
+    assert len(_optional_click_options()) + len(_defaulted_api_parameters()) == 28
 
 
 def test_public_symbols_are_pinned():

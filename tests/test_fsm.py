@@ -47,11 +47,7 @@ def cycle_info(
     end, disp = path_displacement(spec, start, labels)
     if end != start:
         raise ValueError(f"walk from {start} via {list(labels)} ends at {end}")
-    return CycleInfo(
-        vertices=tuple(vertices),
-        fault_free=all(label == SNAP_BOTH for label in labels),
-        displacement=disp,
-    )
+    return CycleInfo(vertices=tuple(vertices), displacement=disp)
 
 
 def four_state_fixture():
@@ -97,11 +93,11 @@ def test_build_graph_clockwise_self_loops():
 def test_fixture_cycle_displacements():
     g = build_transition_graph(four_state_fixture())
     zero = cycle_info(g, 0, [SNAP_BOTH, SNAP_BOTH])
-    assert zero.displacement == 0 and zero.fault_free
+    assert zero.displacement == 0
     minus = cycle_info(g, 1, [SNAP_CW_MISSING, SNAP_CW_MISSING, SNAP_CW_MISSING])
-    assert minus.displacement == -3 and not minus.fault_free
+    assert minus.displacement == -3
     plus = cycle_info(g, 0, [SNAP_CCW_MISSING, SNAP_CCW_MISSING, SNAP_CCW_MISSING])
-    assert plus.displacement == 3 and not plus.fault_free
+    assert plus.displacement == 3
 
 
 def test_cycle_info_rejects_open_walks():
@@ -129,7 +125,10 @@ def test_initial_walk_enters_cycle_within_state_count():
         g = build_transition_graph(fsm_of(name))
         cycle, prefix = initial_fault_free_cycle(g)
         assert len(prefix) + len(cycle.vertices) <= g.states + 1
-        assert cycle.fault_free
+        # every arc of the cycle is a fault-free one
+        m = len(cycle.vertices)
+        for j, v in enumerate(cycle.vertices):
+            assert g.arcs[(v, SNAP_BOTH)][0] == cycle.vertices[(j + 1) % m]
 
 
 def test_classify_verdicts():
