@@ -72,8 +72,10 @@ def run(
     ``observer``, if given, is called as ``observer(round, memory, record)``
     after each round with the team's post-round memory: the team memory of
     a global-view team, a tuple of agent memories otherwise (see
-    ``ring.start_run``).
+    ``ring.start_run``).  ``horizon`` must be an integer >= 0.
     """
+    if type(horizon) is not int or horizon < 0:
+        raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
     driver_n = getattr(driver, "n", None)
     if n is None:
         if driver_n is None:

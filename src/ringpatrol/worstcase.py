@@ -26,16 +26,16 @@ Most games are symmetric under rotating the ring: positions shift, the
 memory turns by the algorithm's ``rotate_memory`` hook (see ``agents``) or,
 without one, is kept, and the schedule clock does not name nodes.
 
-* Exploration: a hooked team steps the same on a turned state, so each
-  solve keeps a cache keyed on the state turned until agent 0 stands on
-  node 0 (positions relative to agent 0, the turned memory and, under a
-  schedule restriction, the scheduled edge relative to agent 0).  Its value
-  is the expansion of the first state of that rotation class, one (choice,
-  positions after, new memory) per team step in visit order, turned the
-  same way.  A hit turns the entries back and sorts the removed edges into
-  edge order again, so every successor, first choice, discovery order and
-  witness is the one stepping the team gives.  The cache lives only inside
-  one exploration.
+* Exploration: a state is kept as (class, shift, clock).  A hooked team's
+  class is its state turned until agent 0 stands on node 0 (relative
+  positions, turned memory, occupancy mask), interned once per solve, and
+  ``shift`` is agent 0's node; without the hook each state is its own class
+  at shift 0.  The team steps once per class and scheduled edge turned into
+  the class's frame, and the expansion keeps one (choice, successor class,
+  successor shift) per step.  A state's successors are then integer
+  arithmetic: add ``shift`` mod n, rotate the removed edges back into edge
+  order and the class's mask by ``shift`` bits.  Successors, first choices,
+  discovery order and witnesses are those of stepping each state itself.
 * Analysis: when node 0 is bounded and the explored graph is checked to be
   invariant under turning the ring one node, no other node can force a
   longer gap (see ``_analyse``), so the analysis stops after node 0 with
@@ -44,18 +44,20 @@ without one, is kept, and the schedule clock does not name nodes.
   removes particular edges, steps that read absolute node ids) get one
   pass per node.
 
-Each solve logs its counts (team steps include cache hits), node passes,
-state budget use and phase times at DEBUG level to the
-``ringpatrol.worstcase`` logger.
+Each solve logs its counts (team steps include cache hits, the steps
+answered from a class's expansion), node passes, state budget use and
+phase times at DEBUG level to the ``ringpatrol.worstcase`` logger.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain, product
+from operator import itemgetter
 from time import perf_counter
 from typing import Optional, Sequence
 
@@ -144,17 +146,19 @@ class _ProbeSnapshot(GlobalSnapshot):
 
 def _explore(algorithm, n, k, initial, schedule, budget):
     """BFS the reachable game graph; returns (occupancy masks, successor
-    lists, BFS parents, rotation map, (team steps, cache hits)), the first
-    three indexed by state in discovery order.
+    lists, BFS parents, rotation map, (team steps, cache hits, classes)),
+    the first three indexed by state in discovery order.
 
     ``masks[t]`` has bit ``v`` set when state ``t`` occupies node ``v``.
     ``succs[s]`` keeps one ``(t, choice)`` per distinct successor ``t``, with
     the first scheduler choice that reaches it.  ``parents[t]`` is the
     (state, choice) that first discovered ``t``, so following it back gives
-    a shortest path from the initial state.  The rotation map is
-    ``_rotation_map``'s.  A team step is one successor computed for one
-    choice, by the round kernel or, for a cache hit, from the expansion of
-    a turned state (see the module docstring)."""
+    a shortest path from the initial state.  ``rotated[s]`` is state ``s``
+    turned one node clockwise, (class, shift + 1, clock) for a hooked team
+    (see the module docstring), or the map is None when some turned state
+    was never reached.  A team step is one successor computed for one
+    choice, by the round kernel or, for a cache hit, from a class's
+    expansion."""
     init_memory = start_run(algorithm, n, k, initial)
     modulus = 1
     if schedule is not None:
@@ -167,27 +171,38 @@ def _explore(algorithm, n, k, initial, schedule, budget):
             raise ValueError("schedule restriction must be periodic")
         modulus = schedule.period or 1
     rotate = getattr(algorithm, "rotate_memory", None)
-    cache = None if rotate is None else {}  # per solve: key -> turned steps
+    full = (1 << n) - 1
 
-    init_state = (tuple(initial), init_memory, 0)
+    class_ids = {}  # (positions, memory) of a class -> class id
+    classes = []  # class id -> (positions, memory, occupancy mask)
+    expansions = {}  # (class, scheduled edge turned by -shift) -> steps
 
-    index = {init_state: 0}
-    states = [init_state]
-    masks = [_occupancy(initial)]
-    parents: list[Optional[tuple[int, Optional[int]]]] = [None]
-    succs: list[list[tuple[int, Optional[int]]]] = []
-    queue = deque([0])
-    team_steps = cache_hits = 0
+    def intern(positions, memory):
+        """The (class, shift) of a state: a hooked team's state turned until
+        agent 0 stands on node 0, else the state itself at shift 0."""
+        shift = 0
+        if rotate is not None:
+            shift = positions[0]
+            positions = tuple((p - shift) % n for p in positions)
+            memory = rotate(memory, -shift, n)
+        key = (positions, memory)
+        c = class_ids.get(key)
+        if c is None:
+            c = class_ids[key] = len(classes)
+            classes.append((positions, memory, _occupancy(positions)))
+        return c, shift
 
-    def expand(positions, memory, clock):
-        """The state's team steps in visit order, one (choice, positions
-        after, new memory) each: the probe, then the edges in edge order."""
+    def expand(c, edge):
+        """Class ``c``'s team steps in visit order, one (choice, successor
+        class, successor shift) each: the probe, then the edges in edge
+        order; or, under a schedule, the one step with ``edge`` missing."""
+        positions, memory, _ = classes[c]
         steps = []
 
         def step(choice, snap):
             new_memory, moves = decide_moves(algorithm, snap, memory)
             after, _ = apply_round(positions, moves, n, choice)
-            steps.append((choice, after, new_memory))
+            steps.append((choice, *intern(after, new_memory)))
             return moves
 
         if schedule is None:
@@ -196,54 +211,52 @@ def _explore(algorithm, n, k, initial, schedule, budget):
             edges = probe.asked.union(
                 crossed_edge(n, p, m) for p, m in zip(positions, moves) if m != STAY
             )
-            for edge in sorted(edges):
-                step(edge, GlobalSnapshot(n, edge, positions))
+            for e in sorted(edges):
+                step(e, GlobalSnapshot(n, e, positions))
         else:
-            choice = schedule.missing_edge(clock)
-            step(choice, GlobalSnapshot(n, choice, positions))
+            step(edge, GlobalSnapshot(n, edge, positions))
         return steps
 
-    def turned(steps, shift):
-        """``steps`` as seen on the ring turned ``shift`` nodes clockwise."""
-        return [
-            (
-                None if choice is None else (choice + shift) % n,
-                tuple((p + shift) % n for p in after),
-                rotate(new_memory, shift, n),
-            )
-            for choice, after, new_memory in steps
-        ]
+    init_state = (*intern(tuple(initial), init_memory), 0)
+    index = {init_state: 0}
+    states = [init_state]
+    masks = [_occupancy(initial)]
+    parents: list[Optional[tuple[int, Optional[int]]]] = [None]
+    succs: list[list[tuple[int, Optional[int]]]] = []
+    queue = deque([0])
+    team_steps = cache_hits = 0
 
     while queue:
         si = queue.popleft()
-        positions, memory, clock = states[si]
-        if cache is None:
-            steps = expand(positions, memory, clock)
+        c, shift, clock = states[si]
+        edge = None if schedule is None else schedule.missing_edge(clock)
+        if edge is not None:
+            edge = (edge - shift) % n
+        steps = expansions.get((c, edge))
+        if steps is None:
+            steps = expansions[c, edge] = expand(c, edge)
         else:
-            # the expansion of a state turned so that agent 0 stands on node 0
-            p0 = positions[0]
-            key = (tuple((p - p0) % n for p in positions), rotate(memory, -p0, n))
-            if schedule is not None:
-                edge = schedule.missing_edge(clock)
-                key += (None if edge is None else (edge - p0) % n,)
-            canonical = cache.get(key)
-            if canonical is None:
-                steps = expand(positions, memory, clock)
-                cache[key] = turned(steps, -p0)
-            else:
-                cache_hits += len(canonical)
-                steps = turned(canonical, p0)
-                steps[1:] = sorted(steps[1:], key=lambda step: step[0])
+            cache_hits += len(steps)
         team_steps += len(steps)
+        if shift:
+            # turned clockwise, the removed edges at n - shift and above wrap
+            # around to the front of edge order
+            cut = bisect_left(steps, n - shift, 1, key=itemgetter(0))
+            steps = steps[:1] + steps[cut:] + steps[1:cut]
+        clock = (clock + 1) % modulus
         out: dict[int, Optional[int]] = {}
-        for choice, after, new_memory in steps:
-            succ = (after, new_memory, (clock + 1) % modulus)
+        for choice, tc, ts in steps:
+            if choice is not None:
+                choice = (choice + shift) % n
+            ts = (ts + shift) % n
+            succ = (tc, ts, clock)
             ti = index.get(succ)
             if ti is None:
                 ti = len(states)
                 index[succ] = ti
                 states.append(succ)
-                masks.append(_occupancy(after))
+                mask = classes[tc][2]
+                masks.append((mask << ts | mask >> (n - ts)) & full)
                 parents.append((si, choice))
                 queue.append(ti)
                 if len(states) > budget:
@@ -255,25 +268,20 @@ def _explore(algorithm, n, k, initial, schedule, budget):
                     )
             out.setdefault(ti, choice)
         succs.append(list(out.items()))
-    rotated = _rotation_map(n, states, index, rotate)
-    return masks, succs, parents, rotated, (team_steps, cache_hits)
 
-
-def _rotation_map(n, states, index, rotate):
-    """``rotated[s]``, the number of state ``s`` turned one node clockwise
-    (positions shifted, memory turned by ``rotate`` when the algorithm has
-    the hook, else kept, and clock kept), or None when some turned state was
-    never reached.  Built before the index is dropped, so the analysis holds
-    one list, not every explored state."""
     rotated = []
-    for positions, memory, clock in states:
-        if rotate is not None:
-            memory = rotate(memory, 1, n)
-        image = index.get((tuple((p + 1) % n for p in positions), memory, clock))
+    for c, shift, clock in states:
+        if rotate is None:  # the state is its own class: turn its positions
+            positions, memory, _ = classes[c]
+            c = class_ids.get((tuple((p + 1) % n for p in positions), memory))
+            image = index.get((c, 0, clock))
+        else:
+            image = index.get((c, (shift + 1) % n, clock))
         if image is None:
-            return None
+            rotated = None
+            break
         rotated.append(image)
-    return rotated
+    return masks, succs, parents, rotated, (team_steps, cache_hits, len(classes))
 
 
 def _occupancy(positions) -> int:
@@ -318,15 +326,16 @@ def solve_worst_case(
         )
     t0 = perf_counter()
     budget = _state_budget(budget)
-    masks, succs, parent, rotated, (team_steps, cache_hits) = _explore(
+    masks, succs, parent, rotated, (team_steps, cache_hits, classes) = _explore(
         algorithm, n, k, tuple(initial), schedule, budget
     )
     t1 = perf_counter()
     result, node_passes = _analyse(n, masks, succs, parent, rotated)
     log.debug(
-        "solve n=%d k=%d: states=%d edges=%d team_steps=%d cache_hits=%d "
-        "node_passes=%d budget_used=%.6f explore_s=%.4f analysis_s=%.4f",
-        n, k, len(masks), sum(len(out) for out in succs), team_steps,
+        "solve n=%d k=%d: states=%d classes=%d edges=%d team_steps=%d "
+        "cache_hits=%d node_passes=%d budget_used=%.6f explore_s=%.4f "
+        "analysis_s=%.4f",
+        n, k, len(masks), classes, sum(len(out) for out in succs), team_steps,
         cache_hits, node_passes, len(masks) / budget, t1 - t0, perf_counter() - t1,
     )
     return result
@@ -352,11 +361,11 @@ def _analyse(n, masks, succs, parent, rotated) -> tuple[GameSolverResult, int]:
     skipped, because none of them could win:
 
     Let rho map a state (positions, memory, clock) to ((p + 1) % n ...,
-    the memory turned one node, clock), as ``_rotation_map`` does.  If rho
-    maps the reachable states onto themselves and each state's successor
-    set onto its image's successor set, then rho^-v turns node v's avoiding
-    paths into node 0's, so longest_v(s) = longest_0(rho^-v s), and node v
-    is unbounded exactly when node 0 is.
+    the memory turned one node, clock), as ``_explore``'s rotation map
+    does.  If rho maps the reachable states onto themselves and each
+    state's successor set onto its image's successor set, then rho^-v
+    turns node v's avoiding paths into node 0's, so longest_v(s) =
+    longest_0(rho^-v s), and node v is unbounded exactly when node 0 is.
 
     * A gap start on v maps to a gap start on 0.
     * The start from round -1 maps to u = rho^-v(init), which BFS reached

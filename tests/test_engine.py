@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -56,6 +57,20 @@ def test_run_rejects_driver_for_another_ring():
     sched = ObliviousSchedule(n=8, missing={0: 5}, period=1)
     with pytest.raises(ValueError, match="n=8"):
         run(PingPong(), sched, (0, 3), 20, n=6)
+
+
+@pytest.mark.parametrize("horizon", [-5, -1, True, False, 2.0, "12", None])
+def test_run_rejects_a_horizon_that_is_not_a_count(horizon):
+    # -5 would return an empty trace claiming horizon -5, and True one round
+    # reported as horizon True
+    message = f"^horizon must be an integer >= 0, got {re.escape(repr(horizon))}$"
+    with pytest.raises(ValueError, match=message):
+        run(PingPong(), ObliviousSchedule(n=6), (0, 3), horizon)
+
+
+def test_run_accepts_a_zero_horizon():
+    tr = run(PingPong(), ObliviousSchedule(n=6), (0, 3), 0)
+    assert tr.horizon == 0 and tr.records == []
 
 
 @pytest.mark.parametrize(

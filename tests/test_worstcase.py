@@ -44,6 +44,7 @@ from ringpatrol.worstcase import (
     SearchBudgetError,
     _covers_union,
     _explore,
+    _occupancy,
     _path_from_init,
     _ProbeSnapshot,
     _rotation_invariant,
@@ -328,9 +329,10 @@ def solve_record(caplog, *args):
 def test_solve_logs_its_counts_at_debug(caplog):
     stats = solve_record(caplog, PingPong(), 24, 2, uniform_positions(24, 2))
     assert stats["states"] == 1176 and stats["edges"] == 3528
-    assert stats["team_steps"] == 3528
-    # hits are team steps answered from a turned state's cached expansion
-    assert 0 < stats["cache_hits"] < stats["team_steps"]
+    # the states fall into 49 rotation classes, each stepped once per
+    # scheduler choice; the other team steps are hits on those expansions
+    assert stats["classes"] == 49
+    assert stats["team_steps"] == 3528 and stats["cache_hits"] == 3381
     assert stats["explore_s"] >= 0 and stats["analysis_s"] >= 0
     # the game is rotation-symmetric, so node 0's pass answers for all 24
     assert stats["node_passes"] == 1
@@ -342,14 +344,24 @@ def test_solve_logs_its_counts_at_debug(caplog):
     # the spread planner asks about every edge when it anchors
     stats = solve_record(caplog, UniformSpread(), 8, 3, (0, 1, 3))
     assert stats["team_steps"] == 35
-    assert stats["cache_hits"] == 0  # no rotate_memory, no cache
+    # no rotate_memory: each state is its own class, expanded once
+    assert stats["classes"] == stats["states"] == 21 and stats["cache_hits"] == 0
+    # under a restriction a class is expanded once per scheduled edge, not
+    # per clock, so a state met again at another clock is a hit
+    schedule = ObliviousSchedule(n=8, missing={2: 4}, period=4)
+    stats = solve_record(caplog, UniformSpread(), 8, 3, (1, 2, 4), schedule)
+    assert stats["states"] == 9 and stats["classes"] == 6
+    assert stats["team_steps"] == 9 and stats["cache_hits"] == 2
     # kpingpong's group spreads ask about blocked moves only
     stats = solve_record(caplog, KPingPong(), 12, 3, uniform_positions(12, 3))
     assert stats["states"] == 804 and stats["edges"] == 2208
-    assert stats["team_steps"] == 2712
+    assert stats["team_steps"] == 2712 and stats["classes"] == 67
     # odd-k respread targets are node ids, which rotate_memory turns, so the
     # rotation check passes and node 0's pass answers for every node
     assert stats["node_passes"] == 1
+    stats = solve_record(caplog, KPingPong(), 12, 4, uniform_positions(12, 4))
+    assert stats["states"] == 1740 and stats["classes"] == 145
+    assert stats["team_steps"] == 8124 and stats["cache_hits"] == 7447
     # an unbounded solve stops at node 0 either way
     stats = solve_record(caplog, clockwise(), 6, 1, (0,))
     assert stats["node_passes"] == 1
@@ -448,26 +460,26 @@ def _wave_kpingpong():
     return KPingPong(), 24, uniform_positions(24, 4), wave_schedule(24)
 
 
-# the solve instances the benchmark times, with their frozen worst cases
-@pytest.mark.parametrize(
-    "make",
-    [
-        pytest.param(lambda: (PingPong(), 12, uniform_positions(12, 2), None), id="pp-n12"),
-        pytest.param(lambda: (PingPong(), 24, uniform_positions(24, 2), None), id="pp-n24"),
-        pytest.param(lambda: (PingPong(), 32, uniform_positions(32, 2), None), id="pp-n32"),
-        pytest.param(lambda: (KPingPong(), 12, uniform_positions(12, 3), None), id="kpp-k3-n12"),
-        pytest.param(lambda: (KPingPong(), 12, uniform_positions(12, 4), None), id="kpp-k4-n12"),
-        pytest.param(
-            lambda: (FsmAlgorithm(fsm_of("reverse-on-block")), 14, uniform_positions(14, 3), None),
-            id="rob-k3-n14",
-        ),
-        pytest.param(
-            lambda: (clockwise(), 8, consecutive_positions(8, 3), ObliviousSchedule(n=8)),
-            id="cw-k3-n8-static",
-        ),
-        pytest.param(_wave_kpingpong, id="kpp-k4-n24-wave"),
-    ],
-)
+# the solve instances the benchmark times
+BENCH_SOLVES = [
+    pytest.param(lambda: (PingPong(), 12, uniform_positions(12, 2), None), id="pp-n12"),
+    pytest.param(lambda: (PingPong(), 24, uniform_positions(24, 2), None), id="pp-n24"),
+    pytest.param(lambda: (PingPong(), 32, uniform_positions(32, 2), None), id="pp-n32"),
+    pytest.param(lambda: (KPingPong(), 12, uniform_positions(12, 3), None), id="kpp-k3-n12"),
+    pytest.param(lambda: (KPingPong(), 12, uniform_positions(12, 4), None), id="kpp-k4-n12"),
+    pytest.param(
+        lambda: (FsmAlgorithm(fsm_of("reverse-on-block")), 14, uniform_positions(14, 3), None),
+        id="rob-k3-n14",
+    ),
+    pytest.param(
+        lambda: (clockwise(), 8, consecutive_positions(8, 3), ObliviousSchedule(n=8)),
+        id="cw-k3-n8-static",
+    ),
+    pytest.param(_wave_kpingpong, id="kpp-k4-n24-wave"),
+]
+
+
+@pytest.mark.parametrize("make", BENCH_SOLVES)
 def test_one_pass_matches_all_nodes_on_bench_solves(make):
     assert_matches_all_nodes(*make())
 
@@ -535,6 +547,182 @@ def test_rotation_check_compares_successor_sets():
     succs[2] = [(0, None)]
     assert _rotation_invariant(succs, [1, 2, 0])
     assert not _rotation_invariant(succs, None)
+
+
+# --- interned classes: the explorer against its per-state predecessor --------
+
+def reference_explore(algorithm, n, k, initial, schedule, budget):
+    """The explorer that keeps each state as (positions, memory, clock) and
+    answers a hooked team's state from a cached expansion of its rotation
+    class turned back; returns what ``_explore`` returns, with the counts
+    (team steps, cache hits)."""
+    init_memory = start_run(algorithm, n, k, initial)
+    modulus = 1 if schedule is None else schedule.period or 1
+    rotate = getattr(algorithm, "rotate_memory", None)
+    cache = None if rotate is None else {}
+    init_state = (tuple(initial), init_memory, 0)
+    index = {init_state: 0}
+    states = [init_state]
+    masks = [_occupancy(initial)]
+    parents = [None]
+    succs = []
+    queue = deque([0])
+    team_steps = cache_hits = 0
+
+    def expand(positions, memory, clock):
+        steps = []
+
+        def step(choice, snap):
+            new_memory, moves = decide_moves(algorithm, snap, memory)
+            after, _ = apply_round(positions, moves, n, choice)
+            steps.append((choice, after, new_memory))
+            return moves
+
+        if schedule is None:
+            probe = _ProbeSnapshot(n, positions)
+            moves = step(None, probe)
+            edges = probe.asked.union(
+                crossed_edge(n, p, m) for p, m in zip(positions, moves) if m != STAY
+            )
+            for edge in sorted(edges):
+                step(edge, GlobalSnapshot(n, edge, positions))
+        else:
+            choice = schedule.missing_edge(clock)
+            step(choice, GlobalSnapshot(n, choice, positions))
+        return steps
+
+    def turned(steps, shift):
+        return [
+            (
+                None if choice is None else (choice + shift) % n,
+                tuple((p + shift) % n for p in after),
+                rotate(new_memory, shift, n),
+            )
+            for choice, after, new_memory in steps
+        ]
+
+    while queue:
+        si = queue.popleft()
+        positions, memory, clock = states[si]
+        if cache is None:
+            steps = expand(positions, memory, clock)
+        else:
+            p0 = positions[0]
+            key = (tuple((p - p0) % n for p in positions), rotate(memory, -p0, n))
+            if schedule is not None:
+                edge = schedule.missing_edge(clock)
+                key += (None if edge is None else (edge - p0) % n,)
+            canonical = cache.get(key)
+            if canonical is None:
+                steps = expand(positions, memory, clock)
+                cache[key] = turned(steps, -p0)
+            else:
+                cache_hits += len(canonical)
+                steps = turned(canonical, p0)
+                steps[1:] = sorted(steps[1:], key=lambda step: step[0])
+        team_steps += len(steps)
+        out = {}
+        for choice, after, new_memory in steps:
+            succ = (after, new_memory, (clock + 1) % modulus)
+            ti = index.get(succ)
+            if ti is None:
+                ti = len(states)
+                index[succ] = ti
+                states.append(succ)
+                masks.append(_occupancy(after))
+                parents.append((si, choice))
+                queue.append(ti)
+                assert len(states) <= budget
+            out.setdefault(ti, choice)
+        succs.append(list(out.items()))
+
+    rotated = []
+    for positions, memory, clock in states:
+        if rotate is not None:
+            memory = rotate(memory, 1, n)
+        image = index.get((tuple((p + 1) % n for p in positions), memory, clock))
+        if image is None:
+            rotated = None
+            break
+        rotated.append(image)
+    return masks, succs, parents, rotated, (team_steps, cache_hits)
+
+
+def assert_explores_like_reference(algorithm, n, initial, schedule=None):
+    """Every value ``_explore`` returns equals the reference's, hits too."""
+    args = (n, len(initial), tuple(initial), schedule, 10**7)
+    *graph, (team_steps, cache_hits, _) = _explore(algorithm, *args)
+    assert (*graph, (team_steps, cache_hits)) == reference_explore(algorithm, *args)
+
+
+@pytest.mark.parametrize(
+    "make,n,initial", [pytest.param(*case[1:], id=case[0]) for case in PROBE_CASES]
+)
+def test_interned_exploration_matches_reference_on_probe_cases(make, n, initial):
+    assert_explores_like_reference(make(), n, initial)
+
+
+@pytest.mark.parametrize(
+    "make",
+    BENCH_SOLVES
+    + [pytest.param(lambda: (KPingPong(), 15, uniform_positions(15, 5), None),
+                    id="kpp-k5-n15")],
+)
+def test_interned_exploration_matches_reference_on_bench_solves(make):
+    assert_explores_like_reference(*make())
+
+
+def periodic_schedule(n, period, seed):
+    """A schedule of ``period`` rounds, each removing a random edge or none."""
+    rng = random.Random(seed)
+    missing = {r: rng.randrange(n) for r in range(period) if rng.random() < 0.7}
+    return ObliviousSchedule(n=n, missing=missing, period=period)
+
+
+# hooked teams from starts with agent 0 off node 0, so that states sit at
+# every shift and each scheduled edge is turned into its class's frame
+RESTRICTED_TEAMS = (
+    [pytest.param(PingPong, 2, id="pingpong")]
+    + [pytest.param(KPingPong, 3, id="kpingpong-k3")]
+    + [
+        pytest.param(lambda seed=seed: FsmAlgorithm(random_machine(seed, 3)), 2,
+                     id=f"random-fsm{seed}")
+        for seed in range(3)
+    ]
+)
+
+
+@pytest.mark.parametrize("make,k", RESTRICTED_TEAMS)
+@pytest.mark.parametrize("n,period,seed", [(7, 3, 0), (8, 5, 1), (9, 4, 2), (10, 7, 3)])
+def test_interned_exploration_matches_reference_under_a_restriction(
+    make, k, n, period, seed
+):
+    initial = uniform_positions(n, k, anchor=1 + seed % (n - 1))
+    schedule = periodic_schedule(n, period, seed)
+    assert_explores_like_reference(make(), n, initial, schedule)
+    assert_explores_like_reference(make(), n, random_positions(n, k, seed + 10), schedule)
+
+
+@pytest.mark.parametrize(
+    "make,initial",
+    [
+        pytest.param(PausesOnNodeZero, (2, 6), id="pauses-on-node-zero"),
+        pytest.param(UniformSpread, (1, 2, 4), id="spread"),
+    ],
+)
+def test_interned_exploration_matches_reference_for_hookless_teams(make, initial):
+    n = 8
+    assert_explores_like_reference(make(), n, initial)
+    for seed in range(3):
+        schedule = periodic_schedule(n, 4 + seed, seed)
+        *graph, (team_steps, cache_hits, classes) = _explore(
+            make(), n, len(initial), initial, schedule, 10**6
+        )
+        reference = reference_explore(make(), n, len(initial), initial, schedule, 10**6)
+        # each state is its own class, and its expansion is keyed on the
+        # scheduled edge, not the clock, so two clocks may share one
+        assert graph == list(reference[:4]) and team_steps == reference[4][0]
+        assert reference[4][1] == 0 <= cache_hits < team_steps
 
 
 # --- rotate_memory: a hooked step commutes with turning the ring ----------------
