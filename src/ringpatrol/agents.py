@@ -156,10 +156,10 @@ class FsmSpec:
                 raise ValueError(f"arc {(s, label)} leaves unknown state {s}")
             if label not in SNAPSHOT_CLASSES:
                 raise ValueError(f"unknown snapshot class {label!r}")
-            if not (0 <= to < self.states):
-                raise ValueError(f"arc {(s, label)} targets unknown state {to}")
-            if move not in (CCW, STAY, CW):
-                raise ValueError(f"arc {(s, label)} has invalid move {move}")
+            if type(to) is not int or not (0 <= to < self.states):
+                raise ValueError(f"arc {(s, label)} targets unknown state {to!r}")
+            if type(move) is not int or move not in (CCW, STAY, CW):
+                raise ValueError(f"arc {(s, label)} has invalid move {move!r}")
         # every key is now a distinct valid (state, class) pair, so the
         # table is total exactly when it has three arcs per state
         if len(self.arcs) < self.states * len(SNAPSHOT_CLASSES):
@@ -341,14 +341,19 @@ def select_targets(candidates: set[int], n: int, k: int) -> Iterator[tuple[int, 
     """Yield every rotation of the uniform pattern lying inside
     ``candidates`` once, sorted, smallest anchor offset first.
 
-    The pattern anchored at offset ``rho`` places its larger gaps first.
+    The pattern anchored at offset ``rho`` places its larger gaps first, so
+    it holds node ``v`` exactly when ``v - rho`` is a node of the base
+    pattern: each node outside ``candidates`` rules out k anchors at once.
     Raises TargetSelectionError, once exhausted, when no rotation fits.
     """
     base = uniform_positions(n, k)
+    ruled_out = {(v - b) % n for v in set(range(n)) - candidates for b in base}
     fitting = set()
     for rho in range(n):
+        if rho in ruled_out:
+            continue
         pattern = tuple(sorted((p + rho) % n for p in base))
-        if pattern not in fitting and candidates.issuperset(pattern):
+        if pattern not in fitting:
             fitting.add(pattern)
             yield pattern
     if not fitting:
@@ -357,10 +362,11 @@ def select_targets(candidates: set[int], n: int, k: int) -> Iterator[tuple[int, 
         )
 
 
-def _order_preserving_assignment(
-    positions: Sequence[int], targets: Sequence[int], n: int, direction: int
-) -> dict[int, int]:
-    """Non-crossing agent-to-target assignment.  Returns {agent_index: target}.
+def _order_preserving_assignments(
+    positions: Sequence[int], targets: Sequence[int], n: int
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """Non-crossing agent-to-target plans: yields (CW, {agent_index:
+    target}), then the same for CCW.
 
     Non-crossing assignments are exactly the k cyclic shifts of the sorted
     target list against the sorted agent list.  The clockwise plan uses the
@@ -379,8 +385,8 @@ def _order_preserving_assignment(
         )
 
     s_cw = min(range(k), key=max_cw_dist)  # the first shift on ties
-    shift = s_cw if direction == CW else (s_cw - 1) % k
-    return {order[i]: tsorted[(shift + i) % k] for i in range(k)}
+    for direction, shift in ((CW, s_cw), (CCW, (s_cw - 1) % k)):
+        yield direction, {order[i]: tsorted[(shift + i) % k] for i in range(k)}
 
 
 def _greedy_reach(start: int, direction: int, missing: Sequence, n: int) -> int:
@@ -448,8 +454,7 @@ def placement_route(
             reach[i, direction] = _greedy_reach(current[i], direction, missing, n)
         return (direction * (target - current[i])) % n <= reach[i, direction]
 
-    for direction in (CW, CCW):
-        assignment = _order_preserving_assignment(current, targets, n, direction)
+    for direction, assignment in _order_preserving_assignments(current, targets, n):
         if all(arrives(i, assignment[i], direction) for i in range(k)):
             return tuple((direction, assignment[i]) for i in range(k))
     matching = _match(
@@ -693,7 +698,7 @@ class PlaceAndSwipe:
 
     def __init__(self, schedule: ObliviousSchedule):
         self.schedule = schedule
-        self._last = None  # ((mem, snap), (new_mem, moves)) of the last team step
+        self._last = None  # (mem, snap, new_mem, moves) of the last team step
 
     def validate(self, n, k):
         if k < 2:
@@ -743,17 +748,16 @@ class PlaceAndSwipe:
         if t == 0:
             plan = self._plan_epoch(r, positions, L)
         if t < L:
-            moves = tuple(STAY if p == to else d for p, (d, to) in zip(positions, plan))
+            moves = tuple([STAY if p == to else d for p, (d, to) in zip(positions, plan)])
         else:
             moves = (CW if t < 2 * L - 1 else STAY,) * k
         return PlaceAndSwipeMemory(r + 1, anchor, plan), moves
 
     def step(self, i, mem: PlaceAndSwipeMemory, snap: GlobalSnapshot):
-        key = (mem, snap)
-        if self._last is None or self._last[0] != key:
-            self._last = (key, self._team_step(mem, snap))
-        new_mem, moves = self._last[1]
-        return new_mem, moves[i]
+        last = self._last
+        if last is None or last[0] != mem or last[1] != snap:
+            last = self._last = (mem, snap, *self._team_step(mem, snap))
+        return last[2], last[3][i]
 
 
 # ---------------------------------------------------------------------------
@@ -815,32 +819,26 @@ class KPingPong:
         return tuple(i for i, p in enumerate(phases) if p == phase)
 
     def _groups_moves(self, snap: GlobalSnapshot, phases):
-        """Apply the group rules; returns (moves, new phases)."""
-        k = len(snap.positions)
-        blocked = [
-            i
-            for i in range(k)
-            if snap.blocks(snap.positions[i], CW if phases[i] == KP_C else CCW)
-        ]
-        blocked_c = [i for i in blocked if phases[i] == KP_C]
-        blocked_cc = [i for i in blocked if phases[i] == KP_CC]
-        moves = [STAY] * k
-        new_phases = list(phases)
-        if blocked_c and blocked_cc:
+        """Apply the group rules; returns (moves, new phases), the same
+        ``phases`` object when no membership swap happens."""
+        directions = []
+        blocked = []
+        stuck = {CW: False, CCW: False}  # per group direction: a member blocked
+        for p, phase in zip(snap.positions, phases):
+            d = CW if phase == KP_C else CCW
+            b = snap.blocks(p, d)
+            directions.append(d)
+            blocked.append(b)
+            if b:
+                stuck[d] = True
+        if stuck[CW] and stuck[CCW]:
             # membership swap: the facing pair trades directions, the rest move
-            for i in blocked:
-                new_phases[i] = KP_CC if phases[i] == KP_C else KP_C
-            for i in range(k):
-                if i not in blocked:
-                    moves[i] = CW if phases[i] == KP_C else CCW
-        else:
-            for phase, move in ((KP_C, CW), (KP_CC, CCW)):
-                group = self._group_slots(phases, phase)
-                group_blocked = any(i in blocked for i in group)
-                if not group_blocked:
-                    for i in group:
-                        moves[i] = move
-        return tuple(moves), tuple(new_phases)
+            new_phases = tuple(
+                (KP_CC if phase == KP_C else KP_C) if b else phase
+                for phase, b in zip(phases, blocked)
+            )
+            return tuple([STAY if b else d for d, b in zip(directions, blocked)]), new_phases
+        return tuple([STAY if stuck[d] else d for d in directions]), phases
 
     def joint_step(self, mem: KPingPongMemory, snap: GlobalSnapshot):
         n = snap.n
@@ -879,4 +877,6 @@ class KPingPong:
 
         # the group rules, also on the round the respread hands over to them
         moves, new_phases = self._groups_moves(snap, mem.phases)
+        if new_phases is mem.phases and mem.stage == "groups":
+            return mem, moves
         return KPingPongMemory(stage="groups", phases=new_phases), moves

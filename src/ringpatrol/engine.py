@@ -8,16 +8,17 @@ agent otherwise) on the one snapshot of the pre-move state, then apply all
 moves simultaneously with ``ring.apply_round``.  When the adversary removes
 nothing, its dry run is the round's step.
 
-Visits are recorded on post-move positions: the configuration reached at the
-end of round ``r`` is the round-``r`` configuration, and every node counts
-as visited once at round ``-1``.
+Each round is kept as a ``RoundRecord`` tuple, built by position.  Visits
+are recorded on post-move positions: the configuration reached at the end
+of round ``r`` is the round-``r`` configuration, and every node counts as
+visited once at round ``-1``.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .ring import (
     GlobalSnapshot,
@@ -33,8 +34,11 @@ class SimulationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
+    """One round: positions before, the removed edge (or None), the moves,
+    which of them were blocked, positions after.  A tuple, so it equals the
+    plain tuple of its five fields."""
+
     before: tuple[int, ...]
     missing_edge: Optional[int]
     moves: tuple[int, ...]
@@ -94,6 +98,7 @@ def run(
     decide = driver.decide if driver is not None and missing_edge is None else None
 
     trace = ExecutionTrace(n=n, k=k, horizon=horizon, initial=positions)
+    append = trace.records.append
     for r in range(horizon):
         dry_run = None
         if missing_edge is not None:
@@ -114,14 +119,8 @@ def run(
                 algorithm, GlobalSnapshot(n, missing, positions), memory
             )
         after, blocked = apply_round(positions, moves, n, missing)
-        record = RoundRecord(
-            before=positions,
-            missing_edge=missing,
-            moves=moves,
-            blocked=blocked,
-            after=after,
-        )
-        trace.records.append(record)
+        record = RoundRecord(positions, missing, moves, blocked, after)
+        append(record)
         positions = after
         if observer is not None:
             observer(r, memory, record)

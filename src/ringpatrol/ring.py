@@ -1,9 +1,10 @@
 """Dynamic ring topology, edge schedules, configurations and round semantics.
 
 One synchronous round is ``decide_moves`` (Look-Compute: the team plans on
-the one ``GlobalSnapshot`` of the pre-move state) followed by
-``apply_round`` (Move).  The engine, the exact solver and the adaptive
-adversaries all compute rounds through this one kernel.
+the one ``GlobalSnapshot`` of the pre-move state; a per-agent team is
+stepped in one loop over its agents) followed by ``apply_round`` (Move).
+The engine, the exact solver and the adaptive adversaries all compute
+rounds through this one kernel.
 
 Conventions used throughout the package:
 
@@ -16,8 +17,9 @@ Conventions used throughout the package:
   disconnect the ring).
 * A move is blocked exactly when it would cross the missing edge
   (``crossed_edge`` names that edge); algorithms ask the round's snapshot
-  (``GlobalSnapshot.blocks``).  The snapshot and ``apply_round`` test the
-  same rule inline, as they run once per agent and round.
+  (``GlobalSnapshot.blocks``).  The snapshot tests the rule inline;
+  ``apply_round`` finds the two blocked nodes (one per direction) once per
+  round and accepts only the int moves CW, STAY and CCW.
 """
 
 from __future__ import annotations
@@ -244,8 +246,13 @@ def decide_moves(algorithm, snap: GlobalSnapshot, memory) -> tuple:
     if joint_step is not None:
         return joint_step(memory, snap)
     step = algorithm.step
-    new_memories, moves = zip(*[step(i, mem, snap) for i, mem in enumerate(memory)])
-    return new_memories, moves
+    new_memories = []
+    moves = []
+    for i, mem in enumerate(memory):
+        new_mem, move = step(i, mem, snap)
+        new_memories.append(new_mem)
+        moves.append(move)
+    return tuple(new_memories), tuple(moves)
 
 
 def crossed_edge(n: int, p: int, move: int) -> Optional[int]:
@@ -271,21 +278,25 @@ def apply_round(
 
     An agent whose move crosses the missing edge stays in place and is
     flagged blocked; everyone else moves simultaneously.  Co-location is
-    allowed.
+    allowed.  A move is one of the ints CW, STAY and CCW; anything else (a
+    float or a bool too) raises ValueError.
     """
     if len(moves) != len(positions):
         raise ValueError("one move per agent required")
+    # a clockwise move is blocked from node missing_edge, a counter-clockwise
+    # one from the node after it
+    ccw_stuck = None if missing_edge is None else (missing_edge + 1) % n
     new_positions = []
     blocked = []
     for p, m in zip(positions, moves):
+        if type(m) is not int or not CCW <= m <= CW:
+            raise ValueError(f"invalid move {m!r}")
         if m == CW:
             stuck = p == missing_edge
         elif m == CCW:
-            stuck = (p - 1) % n == missing_edge
-        elif m == STAY:
-            stuck = False
+            stuck = p == ccw_stuck
         else:
-            raise ValueError(f"invalid move {m}")
+            stuck = False
         new_positions.append(p if stuck else (p + m) % n)
         blocked.append(stuck)
     return tuple(new_positions), tuple(blocked)

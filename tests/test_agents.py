@@ -16,10 +16,11 @@ from ringpatrol.agents import (
     SNAP_BOTH,
     SNAP_CCW_MISSING,
     SNAP_CW_MISSING,
+    SNAPSHOT_CLASSES,
     TargetSelectionError,
     UniformSpread,
     _lexmin_rotation_slots,
-    _order_preserving_assignment,
+    _order_preserving_assignments,
     _removed_edge,
     compute_swipe_set,
     fsm_of,
@@ -310,8 +311,8 @@ def test_assignment_shift_pairing():
         for seed in range(40):
             agents = random_positions(n, k, seed)
             targets = uniform_positions(n, k, seed % n)
-            cw = _order_preserving_assignment(agents, targets, n, CW)
-            ccw = _order_preserving_assignment(agents, targets, n, CCW)
+            plans = dict(_order_preserving_assignments(agents, targets, n))
+            cw, ccw = plans[CW], plans[CCW]
             ts = sorted(targets)
             for i in cw:
                 assert ccw[i] == ts[(ts.index(cw[i]) - 1) % k]
@@ -373,8 +374,7 @@ def reference_simulate_plan(positions, assignment, schedule, start_round, window
 def reference_placement_route(current, targets, schedule, start_round, window):
     """(per-round moves, direction, assignment) of the first order-preserving
     plan that lands, or None when both are late."""
-    for direction in (CW, CCW):
-        assignment = _order_preserving_assignment(current, targets, schedule.n, direction)
+    for direction, assignment in _order_preserving_assignments(current, targets, schedule.n):
         plan = reference_simulate_plan(
             current, assignment, schedule, start_round, window, direction
         )
@@ -522,6 +522,26 @@ def test_place_and_swipe_plans_each_epoch_once_per_team(monkeypatch):
     run(PlaceAndSwipe(sched), sched, uniform_positions(16, 4), 224)
     # phase length 4, so an epoch every 8 rounds: 28 epochs, one plan each
     assert rounds == list(range(0, 224, 8))
+
+
+def test_place_and_swipe_plans_once_per_round(monkeypatch):
+    calls = {"_team_step": 0, "step": 0}
+
+    def counting(name):
+        method = getattr(PlaceAndSwipe, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(PlaceAndSwipe, name, counting(name))
+    sched = make_random_schedule(16, 320, 3)
+    run(PlaceAndSwipe(sched), sched, uniform_positions(16, 4), 224)
+    # the first agent's step plans the round; the other three reuse the plan
+    assert calls == {"_team_step": 224, "step": 4 * 224}
 
 
 def test_reused_place_and_swipe_runs_like_a_fresh_one():
@@ -798,6 +818,22 @@ def test_fsm_of_unknown_name():
 def test_fsm_spec_rejects_partial_table():
     with pytest.raises(ValueError, match="non-total"):
         FsmSpec(states=2, initial=0, arcs={(0, SNAP_BOTH): (1, CW)})
+
+
+@pytest.mark.parametrize(
+    "arc, message",
+    [
+        ((0, 1.0), "has invalid move 1.0"),
+        ((0, True), "has invalid move True"),
+        ((1.0, CW), "targets unknown state 1.0"),
+        ((True, CW), "targets unknown state True"),
+    ],
+)
+def test_fsm_spec_rejects_arcs_that_are_not_ints(arc, message):
+    arcs = {(s, label): (s, CW) for s in range(2) for label in SNAPSHOT_CLASSES}
+    arcs[0, SNAP_BOTH] = arc
+    with pytest.raises(ValueError, match=f"{message}$"):
+        FsmSpec(states=2, initial=0, arcs=arcs)
 
 
 def test_fsm_spec_json_round_trip():

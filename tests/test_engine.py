@@ -38,6 +38,24 @@ def clockwise():
     return FsmAlgorithm(fsm_of("clockwise"))
 
 
+class FloatMover:
+    """A global-view team whose moves are a float and a bool, not ints."""
+
+    def validate(self, n, k):
+        pass
+
+    def initial_memory(self, n, k, positions):
+        return None
+
+    def joint_step(self, mem, snap):
+        return None, (1.0, True)
+
+
+def test_run_rejects_moves_that_are_not_ints():
+    with pytest.raises(ValueError, match="^invalid move 1.0$"):
+        run(FloatMover(), ObliviousSchedule(n=6), (0, 3), 3)
+
+
 def test_single_clockwise_walk_positions():
     tr = run(clockwise(), None, (0,), 10, n=5)
     assert [rec.after[0] for rec in tr.records] == [1, 2, 3, 4, 0, 1, 2, 3, 4, 0]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -121,6 +122,13 @@ def test_apply_round_examples():
 
     pos, blocked = apply_round((2, 3), (CW, CCW), 6, 2)
     assert pos == (2, 3) and blocked == (True, True)
+
+
+@pytest.mark.parametrize("move", [1.0, True, False, -1.0, 2, -2, "1", None])
+@pytest.mark.parametrize("missing", [None, 0, 3])
+def test_apply_round_rejects_moves_that_are_not_unit_ints(move, missing):
+    with pytest.raises(ValueError, match=f"^invalid move {re.escape(repr(move))}$"):
+        apply_round((0, 3), (CW, move), 6, missing)
 
 
 @given(
