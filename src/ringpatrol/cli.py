@@ -25,6 +25,7 @@ from .engine import idle_time, run, trace_to_csv
 from .fsm import classify, cross_validate
 from .ring import (
     ObliviousSchedule,
+    check_ring,
     consecutive_positions,
     make_random_schedule,
     random_positions,
@@ -74,6 +75,7 @@ def _make_algorithm(name: str, schedule) -> object:
 
 
 def _initial_positions(placement: str, n: int, k: int) -> tuple[int, ...]:
+    check_ring(n)  # the placements take positions mod n and sample from range(n)
     if placement == "uniform":
         return uniform_positions(n, k)
     if placement == "consecutive":

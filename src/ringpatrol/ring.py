@@ -187,6 +187,12 @@ def random_positions(n: int, k: int, seed: int) -> tuple[int, ...]:
 
 # --- run start, snapshots and round application -----------------------------
 
+def check_ring(n: int) -> None:
+    """Raise ``ValueError`` unless the ring has at least 3 nodes."""
+    if n < 3:
+        raise ValueError(f"ring needs at least 3 nodes, got n={n}")
+
+
 def start_run(algorithm, n: int, k: int, initial: Sequence[int]):
     """Start a run of the engine or the solver: check the ring (n >= 3), the
     team (k >= 1), the start (one distinct in-range node per agent) and that
@@ -194,8 +200,7 @@ def start_run(algorithm, n: int, k: int, initial: Sequence[int]):
     ``TypeError``), validate the team and return its start memory: one team
     memory for a global-view team, a tuple of k for a per-agent team."""
     positions = tuple(initial)
-    if n < 3:
-        raise ValueError(f"ring needs at least 3 nodes, got n={n}")
+    check_ring(n)
     if k < 1:
         raise ValueError(f"a run needs at least one agent, got k={k}")
     if len(positions) != k:

@@ -44,9 +44,38 @@ without one, is kept, and the schedule clock does not name nodes.
   removes particular edges, steps that read absolute node ids) get one
   pass per node.
 
-Each solve logs its counts (team steps include cache hits, the steps
-answered from a class's expansion), node passes, state budget use and
-phase times at DEBUG level to the ``ringpatrol.worstcase`` logger.
+Before any graph is built, a starvation walk tries to settle the solve
+(``_starvation_walk``).  From the start it takes, at each state, the first
+step in the explorer's order whose target does not occupy node 0.  If it
+revisits a state, it has closed a loop that never visits node 0, and that
+is the answer: unbounded at node 0, with the walked choices as witness and
+the revisited state's walk index as ``cycle_start``.  This is exact, not a
+heuristic.  Every walked state continues forever without visiting node 0,
+so none of them is pruned in node 0's pass of ``_analyse``.  The start is
+state 0 of the BFS, so it is the lowest-index survivor, and node 0 is
+analysed first.  From each walked state, the graph's loop walk takes the
+first successor that avoids node 0 and survives.  No step before the
+walk's avoids node 0, so that successor is the walk's next state, reached
+first by the walk's choice.  So both walks make the same choices and give
+the same JSON bytes.  On a state whose every step visits node 0, or once
+it has walked more states than the budget, the walk gives up and the
+solve explores the graph.  Bounded games always give up within their
+worst gap.
+
+A walk-settled solve reports the states it walked as ``states_explored``.
+It never raises ``BudgetExceeded``, even when the whole game graph is
+larger than the budget, as long as the walk itself is not.
+
+The walk and the BFS share one ``_Game``: its class table and its
+expansion cache.  Each solve logs one record at DEBUG level to the
+``ringpatrol.worstcase`` logger.  A walk-settled solve logs
+``settled=walk``, the states walked, the classes, team steps and cache
+hits, budget use and its time.  A graph solve logs the states walked and
+the graph's counts: states, classes, edges, team steps and cache hits
+(team steps include cache hits, the steps answered from a class's
+expansion).  It also logs node passes, budget use and phase times.  The
+graph's counts start at the BFS: an expansion the walk made counts as a
+miss when the BFS first asks for it.
 """
 
 from __future__ import annotations
@@ -144,7 +173,141 @@ class _ProbeSnapshot(GlobalSnapshot):
         return False
 
 
-def _explore(algorithm, n, k, initial, schedule, budget):
+class _Game:
+    """The agent-vs-scheduler game of one solve, stepped on demand.
+
+    A state is (class, shift, clock): see the module docstring.  The game
+    interns classes and caches each (class, turned scheduled edge)
+    expansion, so the starvation walk and the BFS share one class table and
+    one expansion cache."""
+
+    def __init__(self, algorithm, n, k, initial, schedule):
+        init_memory = start_run(algorithm, n, k, initial)
+        self.modulus = 1
+        if schedule is not None:
+            if schedule.n != n:
+                raise ValueError(
+                    f"schedule restriction is for n={schedule.n}, ring has n={n}"
+                )
+            check_schedule(schedule)
+            if schedule.period is None and schedule.missing:
+                raise ValueError("schedule restriction must be periodic")
+            self.modulus = schedule.period or 1
+        self.algorithm, self.n, self.schedule = algorithm, n, schedule
+        self.rotate = getattr(algorithm, "rotate_memory", None)
+        self.class_ids = {}  # (positions, memory) of a class -> class id
+        self.classes = []  # class id -> (positions, memory, occupancy mask)
+        self.expansions = {}  # (class, scheduled edge turned by -shift) -> steps
+        self.init = (*self._intern(tuple(initial), init_memory), 0)
+
+    def _intern(self, positions, memory):
+        """The (class, shift) of a state: a hooked team's state turned until
+        agent 0 stands on node 0, else the state itself at shift 0."""
+        shift = 0
+        if self.rotate is not None:
+            n = self.n
+            shift = positions[0]
+            positions = tuple((p - shift) % n for p in positions)
+            memory = self.rotate(memory, -shift, n)
+        key = (positions, memory)
+        c = self.class_ids.get(key)
+        if c is None:
+            c = self.class_ids[key] = len(self.classes)
+            self.classes.append((positions, memory, _occupancy(positions)))
+        return c, shift
+
+    def _expand(self, c, edge):
+        """Class ``c``'s team steps in visit order, one (choice, successor
+        class, successor shift) each: the probe, then the edges in edge
+        order; or, under a schedule, the one step with ``edge`` missing."""
+        algorithm, n = self.algorithm, self.n
+        positions, memory, _ = self.classes[c]
+        steps = []
+
+        def step(choice, snap):
+            new_memory, moves = decide_moves(algorithm, snap, memory)
+            after, _ = apply_round(positions, moves, n, choice)
+            steps.append((choice, *self._intern(after, new_memory)))
+            return moves
+
+        if self.schedule is None:
+            probe = _ProbeSnapshot(n, positions)
+            moves = step(None, probe)
+            edges = probe.asked.union(
+                crossed_edge(n, p, m) for p, m in zip(positions, moves) if m != STAY
+            )
+            for e in sorted(edges):
+                step(e, GlobalSnapshot(n, e, positions))
+        else:
+            step(edge, GlobalSnapshot(n, edge, positions))
+        return steps
+
+    def expansion(self, state):
+        """``state``'s team steps in the explorer's order, as (steps, shift,
+        clock).  A step (choice, class, s) of the class's frame is the
+        successor (class, (s + shift) % n, clock) on the choice turned by
+        ``shift``."""
+        c, shift, clock = state
+        n, schedule = self.n, self.schedule
+        if schedule is None:
+            key = (c, None)
+        else:
+            edge = schedule.missing_edge(clock)
+            key = (c, None if edge is None else (edge - shift) % n)
+        steps = self.expansions.get(key)
+        if steps is None:
+            steps = self.expansions[key] = self._expand(*key)
+        if len(steps) > 2 and steps[-1][0] >= n - shift:
+            # turned clockwise, the removed edges at n - shift and above wrap
+            # around to the front of edge order (with one edge, or none at
+            # n - shift and above, the order stays)
+            cut = bisect_left(steps, n - shift, 1, key=itemgetter(0))
+            steps = steps[:1] + steps[cut:] + steps[1:cut]
+        return steps, shift, (clock + 1) % self.modulus
+
+    def kernel_steps(self) -> int:
+        """The team steps the round kernel computed: those of every cached
+        expansion.  The others were cache hits."""
+        return sum(map(len, self.expansions.values()))
+
+
+def _starvation_walk(game, budget):
+    """Walk from the start, taking at each state its first step whose target
+    does not occupy node 0; returns (result, states walked, team steps).
+    On revisiting a state the walk has closed a node-0 starvation loop, and
+    the result is the unbounded one the graph analysis would return (see
+    the module docstring).  It is None on a state whose every step visits
+    node 0, or once more than ``budget`` states were walked."""
+    n, classes = game.n, game.classes
+    state = game.init
+    walk_index = {state: 0}
+    choices = []
+    team_steps = 0
+    while len(walk_index) <= budget:
+        steps, shift, clock = game.expansion(state)
+        team_steps += len(steps)
+        for choice, tc, ts in steps:
+            ts = (ts + shift) % n
+            if not classes[tc][2] >> (-ts % n) & 1:  # the target avoids node 0
+                break
+        else:
+            return None, len(walk_index), team_steps
+        choices.append(None if choice is None else (choice + shift) % n)
+        state = (tc, ts, clock)
+        cut = walk_index.get(state)
+        if cut is not None:
+            return GameSolverResult(
+                worst_idle=UNBOUNDED,
+                target_node=0,
+                witness=choices,
+                states_explored=len(walk_index),
+                cycle_start=cut,
+            ), len(walk_index), team_steps
+        walk_index[state] = len(choices)
+    return None, len(walk_index), team_steps
+
+
+def _explore(game, budget):
     """BFS the reachable game graph; returns (occupancy masks, successor
     lists, BFS parents, rotation map, (team steps, cache hits, classes)),
     the first three indexed by state in discovery order.
@@ -158,92 +321,24 @@ def _explore(algorithm, n, k, initial, schedule, budget):
     (see the module docstring), or the map is None when some turned state
     was never reached.  A team step is one successor computed for one
     choice, by the round kernel or, for a cache hit, from a class's
-    expansion."""
-    init_memory = start_run(algorithm, n, k, initial)
-    modulus = 1
-    if schedule is not None:
-        if schedule.n != n:
-            raise ValueError(
-                f"schedule restriction is for n={schedule.n}, ring has n={n}"
-            )
-        check_schedule(schedule)
-        if schedule.period is None and schedule.missing:
-            raise ValueError("schedule restriction must be periodic")
-        modulus = schedule.period or 1
-    rotate = getattr(algorithm, "rotate_memory", None)
+    expansion.  The BFS asks for every expansion a starvation walk made, so
+    the counts are those of a BFS on a fresh game."""
+    classes, n = game.classes, game.n
     full = (1 << n) - 1
-
-    class_ids = {}  # (positions, memory) of a class -> class id
-    classes = []  # class id -> (positions, memory, occupancy mask)
-    expansions = {}  # (class, scheduled edge turned by -shift) -> steps
-
-    def intern(positions, memory):
-        """The (class, shift) of a state: a hooked team's state turned until
-        agent 0 stands on node 0, else the state itself at shift 0."""
-        shift = 0
-        if rotate is not None:
-            shift = positions[0]
-            positions = tuple((p - shift) % n for p in positions)
-            memory = rotate(memory, -shift, n)
-        key = (positions, memory)
-        c = class_ids.get(key)
-        if c is None:
-            c = class_ids[key] = len(classes)
-            classes.append((positions, memory, _occupancy(positions)))
-        return c, shift
-
-    def expand(c, edge):
-        """Class ``c``'s team steps in visit order, one (choice, successor
-        class, successor shift) each: the probe, then the edges in edge
-        order; or, under a schedule, the one step with ``edge`` missing."""
-        positions, memory, _ = classes[c]
-        steps = []
-
-        def step(choice, snap):
-            new_memory, moves = decide_moves(algorithm, snap, memory)
-            after, _ = apply_round(positions, moves, n, choice)
-            steps.append((choice, *intern(after, new_memory)))
-            return moves
-
-        if schedule is None:
-            probe = _ProbeSnapshot(n, positions)
-            moves = step(None, probe)
-            edges = probe.asked.union(
-                crossed_edge(n, p, m) for p, m in zip(positions, moves) if m != STAY
-            )
-            for e in sorted(edges):
-                step(e, GlobalSnapshot(n, e, positions))
-        else:
-            step(edge, GlobalSnapshot(n, edge, positions))
-        return steps
-
-    init_state = (*intern(tuple(initial), init_memory), 0)
-    index = {init_state: 0}
-    states = [init_state]
-    masks = [_occupancy(initial)]
+    index = {game.init: 0}
+    states = [game.init]
+    c, shift, _ = game.init
+    mask = classes[c][2]
+    masks = [(mask << shift | mask >> (n - shift)) & full]
     parents: list[Optional[tuple[int, Optional[int]]]] = [None]
     succs: list[list[tuple[int, Optional[int]]]] = []
     queue = deque([0])
-    team_steps = cache_hits = 0
+    team_steps = 0
 
     while queue:
         si = queue.popleft()
-        c, shift, clock = states[si]
-        edge = None if schedule is None else schedule.missing_edge(clock)
-        if edge is not None:
-            edge = (edge - shift) % n
-        steps = expansions.get((c, edge))
-        if steps is None:
-            steps = expansions[c, edge] = expand(c, edge)
-        else:
-            cache_hits += len(steps)
+        steps, shift, clock = game.expansion(states[si])
         team_steps += len(steps)
-        if shift:
-            # turned clockwise, the removed edges at n - shift and above wrap
-            # around to the front of edge order
-            cut = bisect_left(steps, n - shift, 1, key=itemgetter(0))
-            steps = steps[:1] + steps[cut:] + steps[1:cut]
-        clock = (clock + 1) % modulus
         out: dict[int, Optional[int]] = {}
         for choice, tc, ts in steps:
             if choice is not None:
@@ -271,9 +366,9 @@ def _explore(algorithm, n, k, initial, schedule, budget):
 
     rotated = []
     for c, shift, clock in states:
-        if rotate is None:  # the state is its own class: turn its positions
+        if game.rotate is None:  # the state is its own class: turn its positions
             positions, memory, _ = classes[c]
-            c = class_ids.get((tuple((p + 1) % n for p in positions), memory))
+            c = game.class_ids.get((tuple((p + 1) % n for p in positions), memory))
             image = index.get((c, 0, clock))
         else:
             image = index.get((c, (shift + 1) % n, clock))
@@ -281,7 +376,9 @@ def _explore(algorithm, n, k, initial, schedule, budget):
             rotated = None
             break
         rotated.append(image)
-    return masks, succs, parents, rotated, (team_steps, cache_hits, len(classes))
+    return masks, succs, parents, rotated, (
+        team_steps, team_steps - game.kernel_steps(), len(classes)
+    )
 
 
 def _occupancy(positions) -> int:
@@ -318,6 +415,12 @@ def solve_worst_case(
     ``worst_idle`` (finite case) or demonstrates a starvation loop.
     ``PlaceAndSwipe`` is refused with ``ValueError``: its memory counts
     rounds, so its game graph never closes.
+
+    A starvation walk runs first (see the module docstring).  When it
+    settles the solve, ``states_explored`` counts the states walked, and
+    the budget bounds the walk alone, so a game graph larger than
+    ``budget`` raises ``BudgetExceeded`` only when the walk falls back to
+    exploring it.
     """
     if isinstance(algorithm, PlaceAndSwipe):
         raise ValueError(
@@ -326,17 +429,29 @@ def solve_worst_case(
         )
     t0 = perf_counter()
     budget = _state_budget(budget)
+    game = _Game(algorithm, n, k, tuple(initial), schedule)
+    result, walk_states, team_steps = _starvation_walk(game, budget)
+    if result is not None:
+        log.debug(
+            "solve n=%d k=%d: settled=walk walk_states=%d classes=%d "
+            "team_steps=%d cache_hits=%d budget_used=%.6f walk_s=%.4f",
+            n, k, walk_states, len(game.classes), team_steps,
+            team_steps - game.kernel_steps(), walk_states / budget,
+            perf_counter() - t0,
+        )
+        return result
     masks, succs, parent, rotated, (team_steps, cache_hits, classes) = _explore(
-        algorithm, n, k, tuple(initial), schedule, budget
+        game, budget
     )
     t1 = perf_counter()
     result, node_passes = _analyse(n, masks, succs, parent, rotated)
     log.debug(
         "solve n=%d k=%d: states=%d classes=%d edges=%d team_steps=%d "
-        "cache_hits=%d node_passes=%d budget_used=%.6f explore_s=%.4f "
-        "analysis_s=%.4f",
+        "cache_hits=%d node_passes=%d walk_states=%d budget_used=%.6f "
+        "explore_s=%.4f analysis_s=%.4f",
         n, k, len(masks), classes, sum(len(out) for out in succs), team_steps,
-        cache_hits, node_passes, len(masks) / budget, t1 - t0, perf_counter() - t1,
+        cache_hits, node_passes, walk_states, len(masks) / budget, t1 - t0,
+        perf_counter() - t1,
     )
     return result
 

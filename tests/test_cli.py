@@ -217,6 +217,20 @@ def test_bad_arguments_are_a_one_line_error(runner, args):
     assert result.output.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", (-1, 0, 1, 2))
+@pytest.mark.parametrize("placement", ("uniform", "consecutive", "random:3", "explicit:0,1"))
+@pytest.mark.parametrize("command", ("simulate", "worstcase"))
+def test_small_rings_fail_before_placement(runner, command, placement, n):
+    # the placements take positions mod n and sample from range(n), so the
+    # ring is checked before any of them runs
+    result = runner.invoke(main, [
+        command, "--algo", "pingpong", "--n", str(n), "--k", "2",
+        "--placement", placement,
+    ])
+    assert result.exit_code == 1
+    assert result.output == f"Error: ring needs at least 3 nodes, got n={n}\n"
+
+
 def test_worstcase_refuses_place_and_swipe(runner):
     result = runner.invoke(main, [
         "worstcase", "--algo", "place-and-swipe", "--n", "8", "--k", "2",
@@ -259,13 +273,15 @@ def test_exhausted_budget_is_a_one_line_error(runner):
 
 
 def test_cross_validation_budget_is_a_one_line_error(runner, monkeypatch):
-    monkeypatch.setattr(worstcase, "DEFAULT_STATE_BUDGET", 10)
+    # below the 4 states of the starvation walk that settles oscillator, so
+    # the solve falls back to the graph and runs out of budget there
+    monkeypatch.setattr(worstcase, "DEFAULT_STATE_BUDGET", 3)
     result = runner.invoke(main, [
         "analyze", "oscillator", "--k", "2", "--cross-validate", "8",
     ])
     assert result.exit_code == 1
     assert result.output.splitlines()[-1].startswith(
-        "Error: game graph exceeds state budget 10: "
+        "Error: game graph exceeds state budget 3: "
     )
     assert "Traceback" not in result.output
 

@@ -55,7 +55,7 @@ from ringpatrol.ring import (
     random_positions,
     uniform_positions,
 )
-from ringpatrol.worstcase import solve_worst_case
+from ringpatrol.worstcase import _explore, _Game, solve_worst_case
 
 
 def _pingpong_gate():
@@ -363,5 +363,7 @@ def test_output_bytes_are_stable(name):
 )
 def test_symmetric_spread_state_counts(n, start, states):
     # 23, 68 and 165 before plans dropped on replanning stopped telling
-    # otherwise equal states apart
-    assert _solve_spread(n, start).states_explored == states
+    # otherwise equal states apart.  The solves are settled by the
+    # starvation walk, so the graph is explored on its own.
+    masks = _explore(_Game(UniformSpread(), n, len(start), start, None), 10**6)[0]
+    assert len(masks) == states

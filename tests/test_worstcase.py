@@ -43,11 +43,14 @@ from ringpatrol.worstcase import (
     GameSolverResult,
     SearchBudgetError,
     _covers_union,
+    _analyse,
     _explore,
+    _Game,
     _occupancy,
     _path_from_init,
     _ProbeSnapshot,
     _rotation_invariant,
+    _starvation_walk,
     offline_opt_search,
     solve_worst_case,
 )
@@ -57,6 +60,11 @@ from test_agents import per_agent_pingpong_step
 
 def clockwise():
     return FsmAlgorithm(fsm_of("clockwise"))
+
+
+def explore(algorithm, n, k, initial, schedule, budget):
+    """``_explore`` on a fresh game."""
+    return _explore(_Game(algorithm, n, k, tuple(initial), schedule), budget)
 
 
 def test_single_clockwise_agent_is_starvable():
@@ -131,6 +139,15 @@ def test_budget_error_says_how_far_the_search_got():
         "game graph exceeds state budget 10: 11 states discovered, "
         "BFS depth 2 reached, 7 states still queued"
     )
+
+
+def test_budget_bounds_the_starvation_walk_alone():
+    # the walk closes reverse-on-block's loop in 26 states; its game graph
+    # has 5,488, but a walk-settled solve never builds it
+    args = (FsmAlgorithm(fsm_of("reverse-on-block")), 14, 3, uniform_positions(14, 3))
+    assert solve_worst_case(*args, budget=26).unbounded
+    with pytest.raises(BudgetExceeded, match="state budget 25: 26 states discovered"):
+        solve_worst_case(*args, budget=25)
 
 
 def test_state_budget_ignores_the_environment(monkeypatch):
@@ -209,7 +226,7 @@ def test_offline_rejects_invalid_schedule(missing, period, message):
 
 def test_exploration_keeps_one_edge_per_distinct_successor():
     initial = uniform_positions(24, 2)
-    masks, succs, _, _, _ = _explore(PingPong(), 24, 2, initial, None, 10**6)
+    masks, succs, _, _, _ = explore(PingPong(), 24, 2, initial, None, 10**6)
     assert len(masks) == len(succs) == 1176
     # 25 scheduler choices per state would make 29,400 edges
     assert sum(len(out) for out in succs) == 3528
@@ -296,7 +313,7 @@ PROBE_CASES = (
 )
 def test_probe_exploration_matches_full_fan_out(make, n, initial):
     k = len(initial)
-    masks, succs, parents, _, _ = _explore(make(), n, k, initial, None, 10**6)
+    masks, succs, parents, _, _ = explore(make(), n, k, initial, None, 10**6)
     assert (masks, succs, parents) == full_fan_out(make(), n, k, initial)
 
 
@@ -337,15 +354,20 @@ def test_solve_logs_its_counts_at_debug(caplog):
     # the game is rotation-symmetric, so node 0's pass answers for all 24
     assert stats["node_passes"] == 1
     assert stats["budget_used"] == pytest.approx(1176 / 10_000_000, abs=1e-6)
+    # the starvation walk ran first and dead-ended within the worst gap
+    assert stats["walk_states"] == 34
     stats = solve_record(
         caplog, PingPong(), 24, 2, uniform_positions(24, 2), None, 2000
     )
     assert stats["budget_used"] == pytest.approx(0.588)
-    # the spread planner asks about every edge when it anchors
-    stats = solve_record(caplog, UniformSpread(), 8, 3, (0, 1, 3))
-    assert stats["team_steps"] == 35
+    # the spread planner asks about every edge when it anchors.  The
+    # starvation walk settles this solve, so the graph is explored alone.
+    masks, _, _, _, (team_steps, cache_hits, classes) = explore(
+        UniformSpread(), 8, 3, (0, 1, 3), None, 10**6
+    )
+    assert team_steps == 35
     # no rotate_memory: each state is its own class, expanded once
-    assert stats["classes"] == stats["states"] == 21 and stats["cache_hits"] == 0
+    assert classes == len(masks) == 21 and cache_hits == 0
     # under a restriction a class is expanded once per scheduled edge, not
     # per clock, so a state met again at another clock is a hit
     schedule = ObliviousSchedule(n=8, missing={2: 4}, period=4)
@@ -362,9 +384,22 @@ def test_solve_logs_its_counts_at_debug(caplog):
     stats = solve_record(caplog, KPingPong(), 12, 4, uniform_positions(12, 4))
     assert stats["states"] == 1740 and stats["classes"] == 145
     assert stats["team_steps"] == 8124 and stats["cache_hits"] == 7447
-    # an unbounded solve stops at node 0 either way
-    stats = solve_record(caplog, clockwise(), 6, 1, (0,))
-    assert stats["node_passes"] == 1
+    # an unbounded solve stops at node 0 either way; the walk dead-ends at
+    # the start here, so the graph answers
+    stats = solve_record(caplog, FsmAlgorithm(random_machine(0, 2)), 6, 1, (0,))
+    assert stats["walk_states"] == 1 and stats["node_passes"] == 1
+
+
+def test_walk_settled_solve_logs_its_walk(caplog):
+    args = (FsmAlgorithm(fsm_of("reverse-on-block")), 14, 3, uniform_positions(14, 3))
+    stats = solve_record(caplog, *args)
+    assert "settled=walk" in caplog.records[-1].getMessage()
+    # the starvation loop closes 26 states from the start; the 5,488-state
+    # graph is never built
+    assert stats["walk_states"] == 26 == solve_worst_case(*args).states_explored
+    assert stats["classes"] == 80
+    assert stats["team_steps"] == 170 and stats["cache_hits"] == 28
+    assert stats["walk_s"] >= 0 and "states" not in stats and "node_passes" not in stats
 
 
 # --- rotation symmetry: node 0's pass answers for every node -------------------
@@ -442,7 +477,7 @@ def all_nodes_analysis(n, masks, succs, parent):
 
 def assert_matches_all_nodes(algorithm, n, initial, schedule=None):
     k = len(initial)
-    masks, succs, parents, _, _ = _explore(
+    masks, succs, parents, _, _ = explore(
         algorithm, n, k, tuple(initial), schedule, 10**7
     )
     expected = all_nodes_analysis(n, masks, succs, parents).to_json()
@@ -527,7 +562,7 @@ class PausesOnNodeZero(PingPong):
 
 def test_node_dependent_step_runs_every_node_pass(caplog):
     n, initial = 8, uniform_positions(8, 2)
-    masks, succs, _, rotated, _ = _explore(
+    masks, succs, _, rotated, _ = explore(
         PausesOnNodeZero(), n, 2, initial, None, 10**6
     )
     assert not _rotation_invariant(succs, rotated)
@@ -651,7 +686,7 @@ def reference_explore(algorithm, n, k, initial, schedule, budget):
 def assert_explores_like_reference(algorithm, n, initial, schedule=None):
     """Every value ``_explore`` returns equals the reference's, hits too."""
     args = (n, len(initial), tuple(initial), schedule, 10**7)
-    *graph, (team_steps, cache_hits, _) = _explore(algorithm, *args)
+    *graph, (team_steps, cache_hits, _) = explore(algorithm, *args)
     assert (*graph, (team_steps, cache_hits)) == reference_explore(algorithm, *args)
 
 
@@ -715,7 +750,7 @@ def test_interned_exploration_matches_reference_for_hookless_teams(make, initial
     assert_explores_like_reference(make(), n, initial)
     for seed in range(3):
         schedule = periodic_schedule(n, 4 + seed, seed)
-        *graph, (team_steps, cache_hits, classes) = _explore(
+        *graph, (team_steps, cache_hits, classes) = explore(
             make(), n, len(initial), initial, schedule, 10**6
         )
         reference = reference_explore(make(), n, len(initial), initial, schedule, 10**6)
@@ -837,6 +872,78 @@ def test_odd_kpingpong_one_pass_matches_all_nodes():
     # node 0's pass must give the all-nodes loop's bytes; k=3 at n=9 and
     # n=12 run above as a probe case and a bench solve
     assert_matches_all_nodes(KPingPong(), 15, uniform_positions(15, 5))
+
+
+# --- starvation walk: the greedy node-0 walk against the whole graph ----------
+
+def assert_walk_matches_graph(algorithm, n, initial, schedule=None) -> bool:
+    """``solve_worst_case`` gives the bytes of analysing the whole explored
+    graph; returns whether the starvation walk settled the solve."""
+    k = len(initial)
+    graph = explore(algorithm, n, k, initial, schedule, 10**7)
+    expected = _analyse(n, *graph[:4])[0].to_json()
+    assert solve_worst_case(algorithm, n, k, initial, schedule).to_json() == expected
+    walked, _, _ = _starvation_walk(_Game(algorithm, n, k, tuple(initial), schedule), 10**7)
+    return walked is not None
+
+
+@pytest.mark.parametrize("make", BENCH_SOLVES)
+def test_walk_matches_graph_on_bench_solves(make):
+    assert_walk_matches_graph(*make())
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("name", BUILTIN_FSM_NAMES)
+def test_walk_matches_graph_on_builtin_machines(name, k):
+    for n in range(6, 11):
+        assert_walk_matches_graph(FsmAlgorithm(fsm_of(name)), n, uniform_positions(n, k))
+
+
+def test_walk_matches_graph_on_random_machines():
+    settled = set()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10**6),
+        states=st.integers(2, 4),
+        n=st.integers(5, 10),
+        k=st.integers(2, 3),
+        data=st.data(),
+    )
+    def check(seed, states, n, k, data):
+        initial = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+        )
+        algorithm = FsmAlgorithm(random_machine(seed, states))
+        settled.add(assert_walk_matches_graph(algorithm, n, initial))
+
+    check()
+    # some solves are settled by the walk and some fall back to the graph
+    assert settled == {True, False}
+
+
+@pytest.mark.parametrize("make,k", RESTRICTED_TEAMS)
+@pytest.mark.parametrize("n,period,seed", [(7, 3, 0), (8, 5, 1), (9, 4, 2), (10, 7, 3)])
+def test_walk_matches_graph_under_a_restriction(make, k, n, period, seed):
+    schedule = periodic_schedule(n, period, seed)
+    for initial in (uniform_positions(n, k), random_positions(n, k, seed + 10)):
+        assert_walk_matches_graph(make(), n, initial, schedule)
+
+
+@pytest.mark.parametrize(
+    "make,n,initial",
+    [pytest.param(PausesOnNodeZero, 8, uniform_positions(8, 2), id="pauses-on-node-zero")]
+    + [
+        pytest.param(*case[1:], id=case[0])
+        for case in PROBE_CASES
+        if case[0].startswith("spread")
+    ],
+)
+def test_walk_matches_graph_for_hookless_teams(make, n, initial):
+    assert_walk_matches_graph(make(), n, initial)
+    for seed in range(3):
+        schedule = periodic_schedule(n, 4 + seed, seed)
+        assert_walk_matches_graph(make(), n, initial, schedule)
 
 
 # --- differential: the engine against the solver ------------------------------
