@@ -75,7 +75,6 @@ def _make_algorithm(name: str, schedule) -> object:
 
 
 def _initial_positions(placement: str, n: int, k: int) -> tuple[int, ...]:
-    check_ring(n)  # the placements take positions mod n and sample from range(n)
     if placement == "uniform":
         return uniform_positions(n, k)
     if placement == "consecutive":
@@ -134,6 +133,8 @@ def main():
 def simulate(algo, n, k, adversary, schedule_spec, rounds, placement, r_s,
              assert_idle_max, assert_idle_min, claim_tag, out_trace, out_report):
     """Run one simulation; exit non-zero if a bound assertion fails."""
+    # placements and adversaries take nodes mod n, so check the ring first
+    check_ring(n)
     rounds = rounds if rounds is not None else 10 * n
     schedule = _load_schedule(schedule_spec, n, rounds) if schedule_spec else None
     if adversary != "none" and schedule is not None:
@@ -197,6 +198,7 @@ def simulate(algo, n, k, adversary, schedule_spec, rounds, placement, r_s,
 @click.option("--out", type=click.Path(), default=None)
 def worstcase(algo, n, k, placement, schedule_spec, budget, out):
     """Exact worst-case idle over all schedulers (or a restricted one)."""
+    check_ring(n)
     restriction = _load_schedule(schedule_spec, n, 10 * n) if schedule_spec else None
     algorithm = _make_algorithm(algo, restriction)
     initial = _initial_positions(placement, n, k)

@@ -219,12 +219,16 @@ def test_bad_arguments_are_a_one_line_error(runner, args):
 
 @pytest.mark.parametrize("n", (-1, 0, 1, 2))
 @pytest.mark.parametrize("placement", ("uniform", "consecutive", "random:3", "explicit:0,1"))
-@pytest.mark.parametrize("command", ("simulate", "worstcase"))
+@pytest.mark.parametrize(
+    "command",
+    [["simulate"], ["worstcase"], ["simulate", "--adversary", "gate"]],
+    ids=["simulate", "worstcase", "simulate-gate"],
+)
 def test_small_rings_fail_before_placement(runner, command, placement, n):
-    # the placements take positions mod n and sample from range(n), so the
-    # ring is checked before any of them runs
+    # placements and the gate take nodes mod n or sample from range(n), so
+    # the ring is checked before any of them runs
     result = runner.invoke(main, [
-        command, "--algo", "pingpong", "--n", str(n), "--k", "2",
+        *command, "--algo", "pingpong", "--n", str(n), "--k", "2",
         "--placement", placement,
     ])
     assert result.exit_code == 1
