@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .ring import (
     GlobalSnapshot,
@@ -61,7 +61,6 @@ def run(
     initial: Sequence[int],
     horizon: int,
     n: Optional[int] = None,
-    observer: Optional[Callable] = None,
 ) -> ExecutionTrace:
     """Execute ``horizon`` rounds of ``algorithm`` against ``driver``.
 
@@ -72,11 +71,8 @@ def run(
     and ``moves`` is the team's plan on it (one dry run of the kernel); it
     returns the edge to remove, or None.  When it removes nothing, the dry
     run is the round's step: steps are pure, so a second step on the same
-    snapshot and memory would only repeat it.
-    ``observer``, if given, is called as ``observer(round, memory, record)``
-    after each round with the team's post-round memory: the team memory of
-    a global-view team, a tuple of agent memories otherwise (see
-    ``ring.start_run``).  ``horizon`` must be an integer >= 0.
+    snapshot and memory would only repeat it.  ``horizon`` must be an
+    integer >= 0.
     """
     if type(horizon) is not int or horizon < 0:
         raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
@@ -119,11 +115,8 @@ def run(
                 algorithm, GlobalSnapshot(n, missing, positions), memory
             )
         after, blocked = apply_round(positions, moves, n, missing)
-        record = RoundRecord(positions, missing, moves, blocked, after)
-        append(record)
+        append(RoundRecord(positions, missing, moves, blocked, after))
         positions = after
-        if observer is not None:
-            observer(r, memory, record)
     return trace
 
 

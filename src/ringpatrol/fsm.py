@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .agents import SNAP_BOTH, SNAPSHOT_CLASSES, FsmAlgorithm, FsmSpec
-from .ring import uniform_positions
+from .ring import check_ring, uniform_positions
 from .worstcase import GameSolverResult, _path_from_init, solve_worst_case
 
 NOT_PATROLLING = "NOT_PATROLLING"
@@ -189,6 +189,7 @@ def cross_validate(
     satisfies; at small n the formula is usually vacuous and the check
     degrades to requiring the claimed floor (at least 1) not be contradicted.
     """
+    check_ring(n)  # before the placement takes nodes mod n
     algorithm = FsmAlgorithm(spec)
     result = solve_worst_case(algorithm, n, k, uniform_positions(n, k))
     if classification.verdict == NOT_PATROLLING:

@@ -195,16 +195,20 @@ def check_ring(n: int) -> None:
 
 def start_run(algorithm, n: int, k: int, initial: Sequence[int]):
     """Start a run of the engine or the solver: check the ring (n >= 3), the
-    team (k >= 1), the start (one distinct in-range node per agent) and that
-    the team has exactly one of ``joint_step`` and ``step`` (else
-    ``TypeError``), validate the team and return its start memory: one team
-    memory for a global-view team, a tuple of k for a per-agent team."""
+    team (k >= 1), the start (one distinct in-range node per agent, each an
+    int: a float or a bool raises ``ValueError``) and that the team has
+    exactly one of ``joint_step`` and ``step`` (else ``TypeError``),
+    validate the team and return its start memory: one team memory for a
+    global-view team, a tuple of k for a per-agent team."""
     positions = tuple(initial)
     check_ring(n)
     if k < 1:
         raise ValueError(f"a run needs at least one agent, got k={k}")
     if len(positions) != k:
         raise ValueError(f"expected {k} start nodes, one per agent, got {positions}")
+    for p in positions:
+        if type(p) is not int:
+            raise ValueError(f"start nodes must be ints, got {p!r} in {positions}")
     if any(not (0 <= p < n) for p in positions):
         raise ValueError(f"start nodes out of range for n={n}: {positions}")
     if len(set(positions)) != k:

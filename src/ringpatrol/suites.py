@@ -37,11 +37,14 @@ from .agents import (
 )
 from .engine import distinct_nodes_visited, idle_time, run
 from .ring import (
+    GlobalSnapshot,
     ObliviousSchedule,
     consecutive_positions,
+    decide_moves,
     is_uniform,
     make_random_schedule,
     random_positions,
+    start_run,
     uniform_positions,
 )
 from .worstcase import offline_opt_search, solve_worst_case
@@ -212,18 +215,28 @@ def rows_kpingpong() -> list[Row]:
     return rows
 
 
+def _groups_round(algorithm, trace):
+    """The first round that leaves the team in the groups stage, or None.
+    Steps are pure, so stepping the recorded snapshots from the start
+    memory replays the run's own memories."""
+    memory = start_run(algorithm, trace.n, trace.k, trace.initial)
+    for r, rec in enumerate(trace.records):
+        snap = GlobalSnapshot(trace.n, rec.missing_edge, rec.before)
+        memory, _ = decide_moves(algorithm, snap, memory)
+        if memory.stage == "groups":
+            return r
+    return None
+
+
 def _kpp_odd_row(n: int, k: int) -> Row:
     """Odd team size: after the in-group re-spread completes, gaps obey the
     unequal-groups bound."""
     bound = 4 * n * k // (k * k - 1) + 4
     worst, worst_driver = 0, ""
     for name, make in _kpp_drivers(n, k):
-        stages = []
-        tr = run(
-            KPingPong(), make(), uniform_positions(n, k), 40 * n, n=n,
-            observer=lambda r, mem, rec: stages.append(mem.stage),
-        )
-        settled = next((r for r, s in enumerate(stages) if s == "groups"), None)
+        algorithm = KPingPong()
+        tr = run(algorithm, make(), uniform_positions(n, k), 40 * n, n=n)
+        settled = _groups_round(algorithm, tr)
         if settled is None:
             continue  # no block ever: stays in the single sweep, bound holds
         g = idle_time(tr).worst_gap(settled)

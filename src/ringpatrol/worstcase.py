@@ -23,8 +23,8 @@ the other edges, in choice order.  The probe refuses ``missing_edge``
 reads: steps must ask ``blocks``.
 
 Most games are symmetric under rotating the ring: positions shift, the
-memory turns by the algorithm's ``rotate_memory`` hook (see ``agents``) or,
-without one, is kept, and the schedule clock does not name nodes.
+memory turns by the algorithm's ``rotate_memory`` hook (see ``agents``),
+and the schedule clock does not name nodes.
 
 * Exploration: a state is kept as (class, shift, clock).  A hooked team's
   class is its state turned until agent 0 stands on node 0 (relative
@@ -36,13 +36,14 @@ without one, is kept, and the schedule clock does not name nodes.
   arithmetic: add ``shift`` mod n, rotate the removed edges back into edge
   order and the class's mask by ``shift`` bits.  Successors, first choices,
   discovery order and witnesses are those of stepping each state itself.
-* Analysis: when node 0 is bounded and the explored graph is checked to be
-  invariant under turning the ring one node, no other node can force a
-  longer gap (see ``_analyse``), so the analysis stops after node 0 with
-  the result the all-nodes loop would return.  Graphs that fail the check
-  (node ids in a memory without the hook, a schedule restriction that
-  removes particular edges, steps that read absolute node ids) get one
-  pass per node.
+* Analysis: a game is symmetric when the team has the hook, the
+  restriction, if any, removes no edge, and every reached state turned one
+  node clockwise was reached too.  Every state of a class then takes its
+  successors from the class's one expansion, so turning a state turns its
+  successors, and no other node can force a longer gap than node 0 (see
+  ``_analyse``).  The analysis stops after node 0 with the result the
+  all-nodes loop would return.  Hookless teams and restrictions that remove
+  edges get one pass per node.
 
 Before any graph is built, a starvation walk tries to settle the solve
 (``_starvation_walk``).  From the start it takes, at each state, the first
@@ -309,20 +310,18 @@ def _starvation_walk(game, budget):
 
 def _explore(game, budget):
     """BFS the reachable game graph; returns (occupancy masks, successor
-    lists, BFS parents, rotation map, (team steps, cache hits, classes)),
-    the first three indexed by state in discovery order.
+    lists, BFS parents, symmetric, (team steps, cache hits, classes)), the
+    first three indexed by state in discovery order.
 
     ``masks[t]`` has bit ``v`` set when state ``t`` occupies node ``v``.
     ``succs[s]`` keeps one ``(t, choice)`` per distinct successor ``t``, with
     the first scheduler choice that reaches it.  ``parents[t]`` is the
     (state, choice) that first discovered ``t``, so following it back gives
-    a shortest path from the initial state.  ``rotated[s]`` is state ``s``
-    turned one node clockwise, (class, shift + 1, clock) for a hooked team
-    (see the module docstring), or the map is None when some turned state
-    was never reached.  A team step is one successor computed for one
-    choice, by the round kernel or, for a cache hit, from a class's
-    expansion.  The BFS asks for every expansion a starvation walk made, so
-    the counts are those of a BFS on a fresh game."""
+    a shortest path from the initial state.  ``symmetric`` is whether the
+    game is (see the module docstring).  A team step is one successor
+    computed for one choice, by the round kernel or, for a cache hit, from
+    a class's expansion.  The BFS asks for every expansion a starvation
+    walk made, so the counts are those of a BFS on a fresh game."""
     classes, n = game.classes, game.n
     full = (1 << n) - 1
     index = {game.init: 0}
@@ -364,19 +363,12 @@ def _explore(game, budget):
             out.setdefault(ti, choice)
         succs.append(list(out.items()))
 
-    rotated = []
-    for c, shift, clock in states:
-        if game.rotate is None:  # the state is its own class: turn its positions
-            positions, memory, _ = classes[c]
-            c = game.class_ids.get((tuple((p + 1) % n for p in positions), memory))
-            image = index.get((c, 0, clock))
-        else:
-            image = index.get((c, (shift + 1) % n, clock))
-        if image is None:
-            rotated = None
-            break
-        rotated.append(image)
-    return masks, succs, parents, rotated, (
+    symmetric = (
+        game.rotate is not None
+        and not (game.schedule is not None and game.schedule.missing)
+        and all((c, (shift + 1) % n, clock) in index for c, shift, clock in states)
+    )
+    return masks, succs, parents, symmetric, (
         team_steps, team_steps - game.kernel_steps(), len(classes)
     )
 
@@ -440,11 +432,11 @@ def solve_worst_case(
             perf_counter() - t0,
         )
         return result
-    masks, succs, parent, rotated, (team_steps, cache_hits, classes) = _explore(
+    masks, succs, parent, symmetric, (team_steps, cache_hits, classes) = _explore(
         game, budget
     )
     t1 = perf_counter()
-    result, node_passes = _analyse(n, masks, succs, parent, rotated)
+    result, node_passes = _analyse(n, masks, succs, parent, symmetric)
     log.debug(
         "solve n=%d k=%d: states=%d classes=%d edges=%d team_steps=%d "
         "cache_hits=%d node_passes=%d walk_states=%d budget_used=%.6f "
@@ -456,30 +448,22 @@ def solve_worst_case(
     return result
 
 
-def _rotation_invariant(succs, rotated) -> bool:
-    """Whether turning the ring one node clockwise maps the explored graph
-    onto itself: every turned state was reached (``rotated`` is a map), and
-    the turned successors of each state are exactly its turned state's
-    successors."""
-    return rotated is not None and all(
-        {rotated[t] for t, _ in out} == {t for t, _ in succs[image]}
-        for out, image in zip(succs, rotated)
-    )
-
-
-def _analyse(n, masks, succs, parent, rotated) -> tuple[GameSolverResult, int]:
+def _analyse(n, masks, succs, parent, symmetric) -> tuple[GameSolverResult, int]:
     """The per-node gap analysis of an explored game graph; returns the
     result and the number of node passes it ran.
 
-    Node 0 is analysed first.  If it is bounded and the graph is
-    rotation-invariant (``_rotation_invariant``), the other passes are
-    skipped, because none of them could win:
+    Node 0 is analysed first.  If it is bounded and the game is
+    ``symmetric`` (see ``_explore``), the other passes are skipped, because
+    none of them could win:
 
-    Let rho map a state (positions, memory, clock) to ((p + 1) % n ...,
-    the memory turned one node, clock), as ``_explore``'s rotation map
-    does.  If rho maps the reachable states onto themselves and each
-    state's successor set onto its image's successor set, then rho^-v
-    turns node v's avoiding paths into node 0's, so longest_v(s) =
+    Let rho map a state (class, shift, clock) to (class, shift + 1, clock):
+    positions one node clockwise, the memory turned one node by the hook,
+    the same clock.  In a symmetric game rho maps the reachable states onto
+    themselves: every turned state was reached, and rho is one-to-one.  It
+    turns each state's occupancy one node.  It maps each state's successor
+    set onto its image's, because both take their steps from the class's
+    one expansion (no scheduled edge to turn), shifted by their own shift.
+    So rho^-v turns node v's avoiding paths into node 0's: longest_v(s) =
     longest_0(rho^-v s), and node v is unbounded exactly when node 0 is.
 
     * A gap start on v maps to a gap start on 0.
@@ -568,7 +552,7 @@ def _analyse(n, masks, succs, parent, rotated) -> tuple[GameSolverResult, int]:
             if longest[s] + 1 > best_gap:
                 best_gap = longest[s] + 1
                 best = (v, s, longest)
-        if v == 0 and _rotation_invariant(succs, rotated):
+        if v == 0 and symmetric:
             break
 
     assert best is not None
@@ -713,8 +697,9 @@ def offline_opt_search(
 ) -> int:
     """Exact minimum number of rounds for ``k`` agents (1 to 3) to visit every
     node and then stand on ``home`` again, moving any way they like against the
-    known schedule (blocked moves waste the round); ``max_rounds`` (default 8n)
-    must be an integer >= 0.
+    known schedule (blocked moves waste the round).  Start nodes and ``home``
+    are ints on the ring (a float or a bool raises ``ValueError``);
+    ``max_rounds`` (default 8n) must be an integer >= 0.
 
     Each agent's reach states (offset from its start, ccw and cw sweep extents)
     are tracked on their own and combined per round.  Waiting keeps every state,
@@ -729,6 +714,9 @@ def offline_opt_search(
         raise ValueError("one start node per agent")
     if not (1 <= k <= 3):
         raise ValueError(f"offline search supports 1 to 3 agents, got {k}")
+    for v in (*start, home):
+        if type(v) is not int:
+            raise ValueError(f"start nodes and home must be ints, got {v!r}")
     if any(not (0 <= v < n) for v in (*start, home)):
         raise ValueError(f"start {tuple(start)} or home {home} is off the ring n={n}")
     if max_rounds is None:

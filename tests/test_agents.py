@@ -39,33 +39,44 @@ from ringpatrol.ring import (
     ObliviousSchedule,
     apply_round,
     crossed_edge,
+    decide_moves,
     is_uniform,
     make_random_schedule,
     random_positions,
+    start_run,
     uniform_positions,
 )
 from ringpatrol.adversaries import fixed_edge_schedule, gate_adversary, wave_schedule
 
 
+def round_memories(algorithm, trace):
+    """The team's memory after each round of ``trace``: the team memory of
+    a global-view team, a tuple of agent memories otherwise.  Steps are
+    pure, so stepping the recorded snapshots from the start memory replays
+    the run's own memories; each replayed step makes the recorded moves."""
+    n = trace.n
+    memory = start_run(algorithm, n, trace.k, trace.initial)
+    memories = []
+    for rec in trace.records:
+        memory, moves = decide_moves(
+            algorithm, GlobalSnapshot(n, rec.missing_edge, rec.before), memory
+        )
+        assert moves == rec.moves
+        memories.append(memory)
+    return memories
+
+
 # --- ping-pong ---------------------------------------------------------------
 
 def test_pingpong_static_stays_synchronized():
-    phases = []
-    tr = run(
-        PingPong(), None, (0, 3), 30, n=6,
-        observer=lambda r, mem, rec: phases.append(mem),
-    )
-    assert all(m == "S0" for m in phases)
+    tr = run(PingPong(), None, (0, 3), 30, n=6)
+    assert all(m == "S0" for m in round_memories(PingPong(), tr))
     assert idle_time(tr).idle <= 6 - 1  # distinct loopers revisit within n-1
 
 
 def test_pingpong_first_block_assigns_opposite_phases():
     sched = ObliviousSchedule(n=6, missing={0: 0})
-    phases = []
-    run(
-        PingPong(), sched, (0, 3), 5, n=6,
-        observer=lambda r, mem, rec: phases.append(mem),
-    )
+    phases = round_memories(PingPong(), run(PingPong(), sched, (0, 3), 5, n=6))
     # the team memory is the clockwise agent's slot: agent 0, blocked on
     # edge 0, goes counter-clockwise and agent 1 clockwise
     assert phases[0] == 1
@@ -145,10 +156,8 @@ def as_agent_phases(team_memory):
 
 
 def _memories_and_csv(algorithm, driver, initial, rounds, n):
-    memories = []
-    tr = run(algorithm, driver, initial, rounds, n=n,
-             observer=lambda r, m, rec: memories.append(m))
-    return memories, trace_to_csv(tr)
+    tr = run(algorithm, driver, initial, rounds, n=n)
+    return round_memories(algorithm, tr), trace_to_csv(tr)
 
 
 def _assert_same_as_per_agent(make_driver, initial, rounds, n):
@@ -471,12 +480,8 @@ def test_place_and_swipe_epoch_invariants(n, k, make_sched):
     sched = make_sched()
     algo = PlaceAndSwipe(sched)
 
-    mems = []
-    tr = run(
-        algo, sched, uniform_positions(n, k), 12 * L,
-        observer=lambda r, m, rec: mems.append(m[0]),
-    )
-    for r, mem in enumerate(mems):
+    tr = run(algo, sched, uniform_positions(n, k), 12 * L)
+    for r, (mem, *_) in enumerate(round_memories(algo, tr)):
         t = (mem.round - 1 - mem.anchor) % (2 * L)
         if t == L - 1:
             # placement just ended: standing on a uniform pattern whose
@@ -568,17 +573,13 @@ def test_place_and_swipe_step_on_an_earlier_input_matches_a_fresh_instance():
     n, k = 12, 3
     sched = make_random_schedule(n, 20 * n, 7)
     start = random_positions(n, k, 3)
-    memories, snaps = [], []
-
-    def observe(r, memory, record):
-        # the memory after round r meets the snapshot of round r + 1
-        memories.append(memory)
-        snaps.append(GlobalSnapshot(n, sched.missing_edge(r + 1), record.after))
-
     algo = PlaceAndSwipe(sched)
-    run(algo, sched, start, 6 * n, observer=observe)
+    tr = run(algo, sched, start, 6 * n)
+    memories = round_memories(algo, tr)
     for r in (3, 0, 40, 17, 3, 2 * n):
-        mem, snap = memories[r], snaps[r]
+        # the memory after round r meets the snapshot of round r + 1
+        mem = memories[r]
+        snap = GlobalSnapshot(n, sched.missing_edge(r + 1), tr.records[r].after)
         for i in reversed(range(k)):
             fresh = PlaceAndSwipe(sched)
             fresh.validate(n, k)
@@ -637,12 +638,8 @@ def test_kpingpong_static_keeps_sweeping():
 def test_kpingpong_partition_alternates_from_blocked_agent():
     n, k = 8, 4
     sched = fixed_edge_schedule(n, 0)
-    mems = []
-    run(
-        KPingPong(), sched, uniform_positions(n, k), 3, n=n,
-        observer=lambda r, m, rec: mems.append(m),
-    )
-    phases = mems[0].phases
+    tr = run(KPingPong(), sched, uniform_positions(n, k), 3, n=n)
+    phases = round_memories(KPingPong(), tr)[0].phases
     # blocked agent sits on node 0 = agent 0; clockwise ranks alternate C/CC
     assert phases == ("C", "CC", "C", "CC")
 
@@ -650,14 +647,9 @@ def test_kpingpong_partition_alternates_from_blocked_agent():
 def test_kpingpong_membership_swap_at_cut():
     n, k = 8, 4
     sched = fixed_edge_schedule(n, 0)
-    log = []
-    run(
-        KPingPong(), sched, uniform_positions(n, k), 30, n=n,
-        observer=lambda r, m, rec: log.append((m.phases, rec)),
-    )
-    swaps = [
-        (prev, cur) for (prev, _), (cur, _) in zip(log, log[1:]) if prev != cur
-    ]
+    tr = run(KPingPong(), sched, uniform_positions(n, k), 30, n=n)
+    phases = [m.phases for m in round_memories(KPingPong(), tr)]
+    swaps = [(prev, cur) for prev, cur in zip(phases, phases[1:]) if prev != cur]
     assert swaps, "the two groups never exchanged members at the cut"
 
 
@@ -665,11 +657,8 @@ def test_kpingpong_same_group_never_crosses():
     n, k = 12, 4
     for seed in range(25):
         sched = make_random_schedule(n, 30 * n, seed)
-        mems = []
-        tr = run(
-            KPingPong(), sched, uniform_positions(n, k), 20 * n, n=n,
-            observer=lambda r, m, rec: mems.append(m),
-        )
+        tr = run(KPingPong(), sched, uniform_positions(n, k), 20 * n, n=n)
+        mems = round_memories(KPingPong(), tr)
         for r in range(1, len(tr.records)):
             if mems[r].stage != "groups" or mems[r - 1].stage != "groups":
                 continue
@@ -698,11 +687,8 @@ def test_kpingpong_rejects_single_agent():
 def test_kpingpong_odd_k_respreads_groups():
     n, k = 12, 3
     sched = fixed_edge_schedule(n, 0)
-    mems = []
-    tr = run(
-        KPingPong(), sched, uniform_positions(n, k), 40 * n, n=n,
-        observer=lambda r, m, rec: mems.append(m),
-    )
+    tr = run(KPingPong(), sched, uniform_positions(n, k), 40 * n, n=n)
+    mems = round_memories(KPingPong(), tr)
     settled = next(r for r, m in enumerate(mems) if m.stage == "groups")
     phases = mems[settled].phases
     for phase, size in (("C", 2), ("CC", 1)):

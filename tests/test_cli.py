@@ -7,11 +7,13 @@ from pathlib import Path
 import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 import ringpatrol
 from ringpatrol import adversaries, agents, engine, worstcase
 from ringpatrol.adversaries import wave_schedule
-from ringpatrol.cli import main
+from ringpatrol.agents import BUILTIN_FSM_NAMES
+from ringpatrol.cli import ALGO_CHOICES, main
 
 
 @pytest.fixture
@@ -140,6 +142,14 @@ def test_analyze_cross_validation(runner):
     ])
     assert result.exit_code == 0, result.output
     assert "agree" in result.output
+
+
+def test_cross_validation_on_a_ring_below_three_nodes_is_a_one_line_error(runner):
+    # the placement once took nodes mod 0 and raised ZeroDivisionError
+    result = runner.invoke(main, ["analyze", "stay", "--k", "3", "--cross-validate", "0"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.endswith("\nError: ring needs at least 3 nodes, got n=0\n")
 
 
 def test_analyze_rejects_partial_table(runner, tmp_path):
@@ -316,6 +326,63 @@ def test_bad_input_file_is_a_one_line_error(runner, tmp_path, command, bad):
     assert "Error: " in result.output
 
 
+# --- argument fuzz: any argument list ends in a clean exit ------------------
+
+def _counts(low, high):
+    return st.integers(low, high).map(str)
+
+
+@st.composite
+def patrolctl_args(draw):
+    """An argument list for ``simulate``, ``worstcase`` or ``analyze``,
+    valid or not.  Rings, teams and budgets stay small, so every solve ends
+    fast: ``analyze --cross-validate`` has no state budget."""
+    command = draw(st.sampled_from(("simulate", "worstcase", "analyze")))
+    if command == "analyze":
+        args = [command, draw(st.sampled_from(BUILTIN_FSM_NAMES + ("no-such.json",)))]
+        args += ["--k", draw(_counts(-1, 3))]
+        if draw(st.booleans()):
+            args += ["--cross-validate", draw(_counts(-1, 6))]
+        return args
+    args = [
+        command,
+        "--algo", draw(st.sampled_from(ALGO_CHOICES)),
+        "--n", draw(_counts(-1, 8)),
+        "--k", draw(_counts(-1, 4)),
+    ]
+    options = {
+        "--placement": st.sampled_from(
+            ("uniform", "consecutive", "random:3", "explicit:0,2", "explicit:x", "ring")
+        ),
+        "--schedule": st.sampled_from(
+            ("static", "wave", "fixed:1", "fixed:-3", "random:5", "no-such.json")
+        ),
+    }
+    if command == "simulate":
+        options.update({
+            "--adversary": st.sampled_from(("none", "gate", "trap")),
+            "--rounds": _counts(-1, 40),
+            "--r-s": _counts(-1, 10),
+            "--assert-idle-max": _counts(-1, 20),
+            "--assert-idle-min": _counts(-1, 20),
+        })
+    else:
+        args += ["--budget", draw(_counts(-1, 400))]
+    for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
+        args += [name, draw(options[name])]
+    return args
+
+
+@example(["analyze", "stay", "--k", "3", "--cross-validate", "0"])
+@settings(max_examples=150, deadline=None)
+@given(args=patrolctl_args())
+def test_any_argument_list_ends_in_a_clean_exit(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    assert result.exit_code in (0, 1, 2), args
+    assert "Traceback" not in result.output, args
+
+
 # --- settable values: every knob a user can turn ---------------------------
 
 def _optional_click_options():
@@ -375,12 +442,11 @@ def test_settable_value_count_is_pinned():
         "ObliviousSchedule(period)",
         "offline_opt_search(max_rounds)",
         "run(n)",
-        "run(observer)",
         "solve_worst_case(budget)",
         "solve_worst_case(schedule)",
         "uniform_positions(anchor)",
     ]
-    assert len(_optional_click_options()) + len(_defaulted_api_parameters()) == 28
+    assert len(_optional_click_options()) + len(_defaulted_api_parameters()) == 27
 
 
 def test_public_symbols_are_pinned():

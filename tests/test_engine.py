@@ -56,6 +56,12 @@ def test_run_rejects_moves_that_are_not_ints():
         run(FloatMover(), ObliviousSchedule(n=6), (0, 3), 3)
 
 
+def test_run_rejects_start_nodes_that_are_not_ints():
+    # a float start once ran and wrote positions 3.5, 4.5 and 5.5 to the CSV
+    with pytest.raises(ValueError, match=r"^start nodes must be ints, got 2\.5 in"):
+        run(PingPong(), None, (0, 2.5), 3, n=6)
+
+
 def test_single_clockwise_walk_positions():
     tr = run(clockwise(), None, (0,), 10, n=5)
     assert [rec.after[0] for rec in tr.records] == [1, 2, 3, 4, 0, 1, 2, 3, 4, 0]

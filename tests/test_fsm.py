@@ -221,6 +221,13 @@ def test_cross_validation_agrees(name, expect_starved):
         assert check.solver.unbounded
 
 
+def test_cross_validation_checks_the_ring_before_placing():
+    spec = fsm_of("stay")
+    cls = classify(build_transition_graph(spec), 3, 1)
+    with pytest.raises(ValueError, match="^ring needs at least 3 nodes, got n=0$"):
+        cross_validate(cls, spec, 0, 3)
+
+
 def test_classification_report_format():
     cls = classify(build_transition_graph(fsm_of("reverse-on-block")), 2, 1)
     payload = json.loads(cls.to_json())

@@ -310,6 +310,9 @@ def test_initial_configuration_must_be_injective():
         pytest.param(2, 2, (0, 1), "at least 3 nodes", id="n-below-3"),
         pytest.param(6, 2, (0, 6), "out of range", id="start-past-ring"),
         pytest.param(6, 2, (-1, 2), "out of range", id="start-negative"),
+        pytest.param(6, 2, (0, 2.5), r"must be ints, got 2\.5", id="start-float"),
+        pytest.param(6, 2, (0, 3.0), r"must be ints, got 3\.0", id="start-whole-float"),
+        pytest.param(6, 2, (True, 3), "must be ints, got True", id="start-bool"),
         pytest.param(6, 3, (0, 2), "one per agent", id="fewer-starts-than-agents"),
         pytest.param(6, 1, (0, 2), "one per agent", id="more-starts-than-agents"),
         pytest.param(6, 0, (), "at least one agent", id="no-agents"),

@@ -5,7 +5,7 @@ tuples, with the previous ``decide_moves`` (``zip`` over the agents' steps)
 and ``apply_round`` (the counter-clockwise block tested per agent).
 ``ReferencePlaceAndSwipe`` and ``ReferenceKPingPong`` keep the previous
 place-and-swipe step, planning and k-ping-pong group rules.  Each seeded
-case runs both and must give equal records, CSV and observed memories.
+case runs both and must give equal records, CSV and per-round memories.
 """
 
 from dataclasses import dataclass
@@ -48,6 +48,8 @@ from ringpatrol.ring import (
     uniform_positions,
 )
 
+from test_agents import round_memories
+
 
 # --- the previous kernel --------------------------------------------------------
 
@@ -88,7 +90,7 @@ def reference_apply_round(positions, moves, n, missing_edge):
     return tuple(new_positions), tuple(blocked)
 
 
-def reference_run(algorithm, driver, initial, horizon, n=None, observer=None):
+def reference_run(algorithm, driver, initial, horizon, n=None):
     driver_n = getattr(driver, "n", None)
     if n is None:
         n = driver_n
@@ -119,13 +121,10 @@ def reference_run(algorithm, driver, initial, horizon, n=None, observer=None):
                 algorithm, GlobalSnapshot(n, missing, positions), memory
             )
         after, blocked = reference_apply_round(positions, moves, n, missing)
-        record = ReferenceRecord(
+        trace.records.append(ReferenceRecord(
             before=positions, missing_edge=missing, moves=moves, blocked=blocked, after=after
-        )
-        trace.records.append(record)
+        ))
         positions = after
-        if observer is not None:
-            observer(r, memory, record)
     return trace
 
 
@@ -256,20 +255,16 @@ class ReferenceKPingPong(KPingPong):
 # --- the comparison ---------------------------------------------------------------
 
 def outcome(run_fn, algorithm, driver, initial, horizon, n=None):
-    """(records as tuples, CSV, observed memories), or the error raised."""
-    seen = []
+    """(records as tuples, CSV, per-round memories), or the error raised."""
     try:
-        trace = run_fn(
-            algorithm, driver, initial, horizon, n=n,
-            observer=lambda r, mem, rec: seen.append((r, mem)),
-        )
+        trace = run_fn(algorithm, driver, initial, horizon, n=n)
     except (PlacementInfeasibleError, TargetSelectionError) as exc:
-        return type(exc), str(exc), seen
+        return type(exc), str(exc)
     records = [
         (rec.before, rec.missing_edge, rec.moves, rec.blocked, rec.after)
         for rec in trace.records
     ]
-    return records, trace_to_csv(trace), seen
+    return records, trace_to_csv(trace), round_memories(algorithm, trace)
 
 
 def assert_same(make_algo, make_ref, make_driver, initial, horizon, n=None):

@@ -49,7 +49,6 @@ from ringpatrol.worstcase import (
     _occupancy,
     _path_from_init,
     _ProbeSnapshot,
-    _rotation_invariant,
     _starvation_walk,
     offline_opt_search,
     solve_worst_case,
@@ -170,6 +169,8 @@ def test_state_budget_argument_must_be_positive(budget):
         pytest.param(2, 2, (0, 1), id="n-below-3"),
         pytest.param(8, 2, (3, 3), id="co-located"),
         pytest.param(8, 2, (0, 8), id="out-of-range"),
+        # a float start once reached the occupancy masks and raised TypeError
+        pytest.param(8, 2, (0, 4.0), id="whole-float"),
         pytest.param(8, 2, (0, 2, 4), id="more-starts-than-k"),
         pytest.param(8, 2, (0,), id="fewer-starts-than-k"),
     ],
@@ -379,7 +380,7 @@ def test_solve_logs_its_counts_at_debug(caplog):
     assert stats["states"] == 804 and stats["edges"] == 2208
     assert stats["team_steps"] == 2712 and stats["classes"] == 67
     # odd-k respread targets are node ids, which rotate_memory turns, so the
-    # rotation check passes and node 0's pass answers for every node
+    # game is symmetric and node 0's pass answers for every node
     assert stats["node_passes"] == 1
     stats = solve_record(caplog, KPingPong(), 12, 4, uniform_positions(12, 4))
     assert stats["states"] == 1740 and stats["classes"] == 145
@@ -562,10 +563,7 @@ class PausesOnNodeZero(PingPong):
 
 def test_node_dependent_step_runs_every_node_pass(caplog):
     n, initial = 8, uniform_positions(8, 2)
-    masks, succs, _, rotated, _ = explore(
-        PausesOnNodeZero(), n, 2, initial, None, 10**6
-    )
-    assert not _rotation_invariant(succs, rotated)
+    assert not explore(PausesOnNodeZero(), n, 2, initial, None, 10**6)[3]
     stats = solve_record(caplog, PausesOnNodeZero(), n, 2, initial)
     assert stats["node_passes"] == n
     assert stats["cache_hits"] == 0
@@ -574,14 +572,76 @@ def test_node_dependent_step_runs_every_node_pass(caplog):
     assert_matches_all_nodes(PausesOnNodeZero(), n, initial)
 
 
-def test_rotation_check_compares_successor_sets():
-    # three states on n=3 that rotate onto each other, so the map exists,
-    # but the last one loops instead of stepping on to the first
-    succs = [[(1, None)], [(2, None)], [(2, None)]]
-    assert not _rotation_invariant(succs, [1, 2, 0])
-    succs[2] = [(0, None)]
-    assert _rotation_invariant(succs, [1, 2, 0])
-    assert not _rotation_invariant(succs, None)
+@pytest.mark.parametrize(
+    "make,symmetric",
+    [
+        pytest.param(p.values[0], p.id != "kpp-k4-n24-wave", id=p.id)
+        for p in BENCH_SOLVES
+    ],
+)
+def test_bench_solves_but_the_wave_are_symmetric(make, symmetric):
+    algorithm, n, initial, schedule = make()
+    assert explore(algorithm, n, len(initial), initial, schedule, 10**7)[3] is symmetric
+
+
+def test_edge_removing_restriction_runs_every_node_pass(caplog):
+    # the wave removes edges, so a turned state's scheduled edge is another
+    algorithm, n, initial, schedule = _wave_kpingpong()
+    stats = solve_record(caplog, algorithm, n, len(initial), initial, schedule)
+    assert stats["node_passes"] == n == 24
+    # a clockwise agent walks onto the removed edge and stays there: every
+    # shift is reached, yet node 0's pass alone would call the game bounded
+    args = (clockwise(), 7, 1, (1,), fixed_edge_schedule(7, 0))
+    assert not explore(*args, 10**6)[3]
+    assert solve_record(caplog, *args)["node_passes"] == 2
+    res = solve_worst_case(*args)
+    assert res.unbounded and res.target_node == 1
+
+
+def test_hookless_team_is_not_symmetric():
+    assert not explore(UniformSpread(), 8, 3, (0, 1, 3), None, 10**6)[3]
+
+
+def test_unreached_shifts_are_not_symmetric(caplog):
+    # agents that never move leave every shift but 0 unreached: node 0 is
+    # always occupied, yet node 1 starves, so node 0's pass cannot answer
+    args = (FsmAlgorithm(fsm_of("stay")), 6, 2, uniform_positions(6, 2))
+    assert not explore(*args, None, 10**6)[3]
+    assert solve_record(caplog, *args)["node_passes"] == 2
+    res = solve_worst_case(*args)
+    assert res.unbounded and res.target_node == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    team=st.sampled_from(("pingpong", "kpingpong", "machine")),
+    seed=st.integers(0, 10**6),
+    n=st.integers(6, 9),
+    period=st.integers(1, 6),
+    data=st.data(),
+)
+def test_one_pass_matches_all_nodes_under_edge_removing_restrictions(
+    team, seed, n, period, data
+):
+    missing = data.draw(
+        st.dictionaries(
+            st.integers(0, period - 1), st.integers(0, n - 1), min_size=1
+        ),
+        label="missing",
+    )
+    schedule = ObliviousSchedule(n=n, missing=missing, period=period)
+    if team == "pingpong":
+        algorithm, k = PingPong(), 2
+    elif team == "kpingpong":
+        algorithm, k = KPingPong(), 3
+    else:
+        states = data.draw(st.integers(1, 4), label="states")
+        algorithm, k = FsmAlgorithm(random_machine(seed, states)), data.draw(
+            st.integers(1, 3), label="k"
+        )
+    initial = random_positions(n, k, seed)
+    assert not explore(algorithm, n, k, initial, schedule, 10**7)[3]
+    assert_matches_all_nodes(algorithm, n, initial, schedule)
 
 
 # --- interned classes: the explorer against its per-state predecessor --------
@@ -589,8 +649,8 @@ def test_rotation_check_compares_successor_sets():
 def reference_explore(algorithm, n, k, initial, schedule, budget):
     """The explorer that keeps each state as (positions, memory, clock) and
     answers a hooked team's state from a cached expansion of its rotation
-    class turned back; returns what ``_explore`` returns, with the counts
-    (team steps, cache hits)."""
+    class turned back; returns ``_explore``'s masks, successor lists and
+    parents, with the counts (team steps, cache hits)."""
     init_memory = start_run(algorithm, n, k, initial)
     modulus = 1 if schedule is None else schedule.period or 1
     rotate = getattr(algorithm, "rotate_memory", None)
@@ -670,24 +730,17 @@ def reference_explore(algorithm, n, k, initial, schedule, budget):
                 assert len(states) <= budget
             out.setdefault(ti, choice)
         succs.append(list(out.items()))
-
-    rotated = []
-    for positions, memory, clock in states:
-        if rotate is not None:
-            memory = rotate(memory, 1, n)
-        image = index.get((tuple((p + 1) % n for p in positions), memory, clock))
-        if image is None:
-            rotated = None
-            break
-        rotated.append(image)
-    return masks, succs, parents, rotated, (team_steps, cache_hits)
+    return masks, succs, parents, (team_steps, cache_hits)
 
 
 def assert_explores_like_reference(algorithm, n, initial, schedule=None):
-    """Every value ``_explore`` returns equals the reference's, hits too."""
+    """``_explore``'s graph equals the reference's, and so do its counts,
+    hits too."""
     args = (n, len(initial), tuple(initial), schedule, 10**7)
-    *graph, (team_steps, cache_hits, _) = explore(algorithm, *args)
-    assert (*graph, (team_steps, cache_hits)) == reference_explore(algorithm, *args)
+    masks, succs, parents, _, (team_steps, cache_hits, _) = explore(algorithm, *args)
+    assert (masks, succs, parents, (team_steps, cache_hits)) == reference_explore(
+        algorithm, *args
+    )
 
 
 @pytest.mark.parametrize(
@@ -750,14 +803,16 @@ def test_interned_exploration_matches_reference_for_hookless_teams(make, initial
     assert_explores_like_reference(make(), n, initial)
     for seed in range(3):
         schedule = periodic_schedule(n, 4 + seed, seed)
-        *graph, (team_steps, cache_hits, classes) = explore(
+        *graph, _, (team_steps, cache_hits, _) = explore(
             make(), n, len(initial), initial, schedule, 10**6
         )
-        reference = reference_explore(make(), n, len(initial), initial, schedule, 10**6)
+        *reference, (reference_steps, reference_hits) = reference_explore(
+            make(), n, len(initial), initial, schedule, 10**6
+        )
         # each state is its own class, and its expansion is keyed on the
         # scheduled edge, not the clock, so two clocks may share one
-        assert graph == list(reference[:4]) and team_steps == reference[4][0]
-        assert reference[4][1] == 0 <= cache_hits < team_steps
+        assert graph == reference and team_steps == reference_steps
+        assert reference_hits == 0 <= cache_hits < team_steps
 
 
 # --- rotate_memory: a hooked step commutes with turning the ring ----------------
@@ -868,8 +923,8 @@ def test_odd_kpingpong_respread_turns_its_targets():
 
 
 def test_odd_kpingpong_one_pass_matches_all_nodes():
-    # rotate_memory lets the rotation check pass on odd-k kpingpong, so
-    # node 0's pass must give the all-nodes loop's bytes; k=3 at n=9 and
+    # rotate_memory makes odd-k kpingpong symmetric, so node 0's pass
+    # must give the all-nodes loop's bytes; k=3 at n=9 and
     # n=12 run above as a probe case and a bench solve
     assert_matches_all_nodes(KPingPong(), 15, uniform_positions(15, 5))
 
@@ -1209,6 +1264,23 @@ def test_offline_rejects_large_teams():
 def test_offline_rejects_empty_teams_and_nodes_off_the_ring(k, start, home):
     with pytest.raises(ValueError):
         offline_opt_search(wave_schedule(10), k, start, home)
+
+
+@pytest.mark.parametrize(
+    "start,home,bad",
+    [
+        # a float start once gave an answer (5) and a float home a
+        # SearchBudgetError
+        pytest.param((0, 4.0), 0, "4.0", id="start-float"),
+        pytest.param((0, 4), 0.5, "0.5", id="home-float"),
+        pytest.param((0, True), 0, "True", id="start-bool"),
+        pytest.param((0, 4), False, "False", id="home-bool"),
+    ],
+)
+def test_offline_rejects_nodes_that_are_not_ints(start, home, bad):
+    message = f"^start nodes and home must be ints, got {re.escape(bad)}$"
+    with pytest.raises(ValueError, match=message):
+        offline_opt_search(fixed_edge_schedule(8, 7), 2, start, home)
 
 
 def test_offline_three_agents():
