@@ -363,12 +363,13 @@ def test_solve_logs_its_counts_at_debug(caplog):
     assert stats["budget_used"] == pytest.approx(0.588)
     # the spread planner asks about every edge when it anchors.  The
     # starvation walk settles this solve, so the graph is explored alone.
-    masks, _, _, _, (team_steps, cache_hits, classes) = explore(
+    masks, _, _, symmetric, (team_steps, cache_hits, classes) = explore(
         UniformSpread(), 8, 3, (0, 1, 3), None, 10**6
     )
     assert team_steps == 35
-    # no rotate_memory: each state is its own class, expanded once
-    assert classes == len(masks) == 21 and cache_hits == 0
+    # no rotate_memory: each state is its own class, expanded once, and
+    # the game is not symmetric
+    assert classes == len(masks) == 21 and cache_hits == 0 and not symmetric
     # under a restriction a class is expanded once per scheduled edge, not
     # per clock, so a state met again at another clock is a hit
     schedule = ObliviousSchedule(n=8, missing={2: 4}, period=4)
@@ -596,10 +597,6 @@ def test_edge_removing_restriction_runs_every_node_pass(caplog):
     assert solve_record(caplog, *args)["node_passes"] == 2
     res = solve_worst_case(*args)
     assert res.unbounded and res.target_node == 1
-
-
-def test_hookless_team_is_not_symmetric():
-    assert not explore(UniformSpread(), 8, 3, (0, 1, 3), None, 10**6)[3]
 
 
 def test_unreached_shifts_are_not_symmetric(caplog):
