@@ -131,13 +131,25 @@ def check_schedule(schedule: ObliviousSchedule) -> None:
 
 def make_random_schedule(n: int, rounds: int, seed: int) -> ObliviousSchedule:
     """Seeded random valid schedule: each round removes one edge with
-    probability 1/2, chosen uniformly."""
+    probability 1/2, chosen uniformly.
+
+    Each round draws one ``random()``; a removed edge is then
+    ``getrandbits(n.bit_length())``, drawn again while it is ``>= n``: the
+    draw ``randrange(n)`` makes, so a seed gives the same schedule, but not
+    through ``randrange``'s private ``_randbelow`` helper.  n < 3 raises
+    ``ScheduleError`` before any draw."""
+    schedule = ObliviousSchedule(n=n)
+    missing = schedule.missing
     rng = random.Random(seed)
-    missing = {}
+    draw, getrandbits = rng.random, rng.getrandbits
+    bits = n.bit_length()
     for r in range(rounds):
-        if rng.random() < 0.5:
-            missing[r] = rng.randrange(n)
-    return ObliviousSchedule(n=n, missing=missing)
+        if draw() < 0.5:
+            e = getrandbits(bits)
+            while e >= n:
+                e = getrandbits(bits)
+            missing[r] = e
+    return schedule
 
 
 # --- configurations ---------------------------------------------------------
@@ -180,7 +192,9 @@ def consecutive_positions(n: int, k: int) -> tuple[int, ...]:
 
 
 def random_positions(n: int, k: int, seed: int) -> tuple[int, ...]:
-    """Seeded injective placement."""
+    """Seeded injective placement; k outside 0..n raises ValueError."""
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot place k={k} agents on distinct nodes of n={n}")
     rng = random.Random(seed)
     return tuple(rng.sample(range(n), k))
 

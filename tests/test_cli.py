@@ -1,4 +1,5 @@
 import ast
+import copy
 import inspect
 import itertools
 import json
@@ -7,7 +8,7 @@ from pathlib import Path
 import click
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ringpatrol
 from ringpatrol import adversaries, agents, engine, worstcase
@@ -245,6 +246,15 @@ def test_small_rings_fail_before_placement(runner, command, placement, n):
     assert result.output == f"Error: ring needs at least 3 nodes, got n={n}\n"
 
 
+def test_random_placement_of_more_agents_than_nodes_names_k_and_n(runner):
+    # random.sample said "Sample larger than population or is negative"
+    result = runner.invoke(main, [
+        "simulate", "--algo", "clockwise", "--n", "5", "--k", "7", "--placement", "random:3",
+    ])
+    assert result.exit_code == 1
+    assert result.output == "Error: cannot place k=7 agents on distinct nodes of n=5\n"
+
+
 def test_worstcase_refuses_place_and_swipe(runner):
     result = runner.invoke(main, [
         "worstcase", "--algo", "place-and-swipe", "--n", "8", "--k", "2",
@@ -381,6 +391,80 @@ def test_any_argument_list_ends_in_a_clean_exit(args):
     assert result.exception is None or isinstance(result.exception, SystemExit), args
     assert result.exit_code in (0, 1, 2), args
     assert "Traceback" not in result.output, args
+
+
+# --- file fuzz: any mutated schedule or machine file ends in a clean exit ---
+
+_JUNK = st.sampled_from([
+    -1, 0, 5, 6, 7, 10**12, -(10**12), 10**400, 2.5, 3.0, float("inf"), True, False,
+    None, "", "4", "both", [], [0, [1]], {"round": {"edge": []}},
+]).map(copy.deepcopy)  # a later mutation may edit the drawn junk in place
+
+
+@st.composite
+def mutated_file(draw, document, entries):
+    """``document`` as JSON after one to three mutations: a key of the top
+    level or of one of its ``entries`` list dropped or set to junk (a float,
+    a bool, a string, a huge or out-of-range int, nested junk), an entry
+    duplicated or replaced by junk, or the period set to 0 or -1."""
+    doc = json.loads(json.dumps(document))
+    for _ in range(draw(st.integers(1, 3))):
+        items = doc[entries] if isinstance(doc.get(entries), list) else []
+        target = doc
+        if items and draw(st.booleans()):
+            i = draw(st.integers(0, len(items) - 1))
+            kind = draw(st.sampled_from(("duplicate", "replace", "key")))
+            if kind == "duplicate":
+                items.insert(i, json.loads(json.dumps(items[i])))
+                continue
+            if kind == "replace" or not isinstance(items[i], dict) or not items[i]:
+                items[i] = draw(_JUNK)
+                continue
+            target = items[i]
+        if not target:
+            continue
+        key = draw(st.sampled_from(sorted(target)))
+        kind = draw(st.sampled_from(("drop", "junk", "period")))
+        if kind == "drop":
+            del target[key]
+        elif kind == "period" and target is doc and "period" in doc:
+            doc["period"] = draw(st.sampled_from((0, -1)))
+        else:
+            target[key] = draw(_JUNK)
+    return json.dumps(doc)
+
+
+_SCHEDULE_FILE = {
+    "n": 6, "period": 4,
+    "missing": [{"round": 0, "edge": 1}, {"round": 1, "edge": 5}, {"round": 3, "edge": 0}],
+}
+
+
+@settings(
+    max_examples=100, deadline=None,
+    # every example overwrites the same two files in tmp_path
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    schedule=mutated_file(_SCHEDULE_FILE, "missing"),
+    machine=st.sampled_from(BUILTIN_FSM_NAMES).flatmap(
+        lambda name: mutated_file(json.loads(agents.fsm_of(name).to_json()), "arcs")
+    ),
+)
+def test_any_mutated_input_file_ends_in_a_clean_exit(tmp_path, schedule, machine):
+    schedule_path, machine_path = tmp_path / "schedule.json", tmp_path / "machine.json"
+    schedule_path.write_text(schedule)
+    machine_path.write_text(machine)
+    team = ["--algo", "pingpong", "--n", "6", "--k", "2", "--schedule", str(schedule_path)]
+    for args in (
+        ["simulate", *team, "--rounds", "24"],
+        ["worstcase", *team, "--budget", "400"],
+        ["analyze", str(machine_path), "--k", "2", "--cross-validate", "5"],
+    ):
+        result = CliRunner().invoke(main, args)
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        assert result.exit_code in (0, 1, 2), args
+        assert "Traceback" not in result.output, args
 
 
 # --- settable values: every knob a user can turn ---------------------------

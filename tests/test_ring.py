@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import re
 
 import pytest
@@ -17,6 +19,7 @@ from ringpatrol.ring import (
     decide_moves,
     is_uniform,
     make_random_schedule,
+    random_positions,
     start_run,
     uniform_gaps,
     check_schedule,
@@ -104,6 +107,59 @@ def test_schedule_json_round_trip():
     sched = make_random_schedule(9, 40, seed=5)
     again = ObliviousSchedule.from_json(sched.to_json())
     assert again.n == sched.n and again.missing == sched.missing
+
+
+def reference_make_random_schedule(n, rounds, seed):
+    """The seeded schedule drawn through ``randrange``, one call per removed
+    edge."""
+    rng = random.Random(seed)
+    missing = {}
+    for r in range(rounds):
+        if rng.random() < 0.5:
+            missing[r] = rng.randrange(n)
+    return missing
+
+
+def test_random_schedule_draws_what_randrange_draws():
+    # n 3-70 takes in the powers of two and the 2**j + 1, where the most
+    # getrandbits draws are rejected
+    for n in range(3, 71):
+        for rounds in (0, 1, 20 * n):
+            for seed in range(40):
+                assert make_random_schedule(n, rounds, seed).missing == (
+                    reference_make_random_schedule(n, rounds, seed)
+                ), (n, rounds, seed)
+
+
+@pytest.mark.parametrize(
+    "n,rounds,seed,digest",
+    [
+        (12, 240, 3, "aaa068e11fe07875748efd5ce3c1559162aa90c1efc6b2c1f2d624fa90798dc1"),
+        (10, 200, 7, "ee57837dd72bdbfd79ca45264dc8b7084ad88a16a2c5512f5955da5da06a7b7a"),
+        (65, 130, 2, "cfe896bda38c8091e98244b5aa778d6bad96e8fa3e8c6e0bde5f87edbaadffa2"),
+    ],
+)
+def test_random_schedule_bytes_are_pinned(n, rounds, seed, digest):
+    # with the randrange reference above, a change in either the draw or
+    # Python's randrange is loud
+    text = make_random_schedule(n, rounds, seed).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_random_schedule_checks_the_ring_before_drawing(monkeypatch, n):
+    # getrandbits(0) is always 0, so at n = 0 the redraw loop would not end
+    monkeypatch.setattr(random, "Random", lambda seed: pytest.fail("drew a schedule"))
+    with pytest.raises(ScheduleError, match=f"at least 3 nodes, got n={n}"):
+        make_random_schedule(n, 50, 0)
+
+
+@pytest.mark.parametrize("k", [-1, 6])
+def test_random_positions_names_k_and_n(k):
+    with pytest.raises(ValueError, match=f"cannot place k={k} agents on distinct nodes of n=5"):
+        random_positions(5, k, 3)
+    assert sorted(random_positions(5, 5, 3)) == [0, 1, 2, 3, 4]
+    assert random_positions(5, 0, 3) == ()
 
 
 def test_periodic_schedule_wraps():
