@@ -149,7 +149,7 @@ def simulate(algo, n, k, adversary, schedule_spec, rounds, placement, r_s,
 
     trace = run(algorithm, driver, initial, rounds, n=n)
     report = idle_time(trace)
-    stable = report.stable_idle(r_s)
+    stable, worst = report.stable_idle(r_s), report.worst_gap(r_s)
     payload = {
         "algo": algo,
         "n": n,
@@ -161,7 +161,7 @@ def simulate(algo, n, k, adversary, schedule_spec, rounds, placement, r_s,
         "r_s": r_s,
         "idle": report.idle,
         "stable_idle": stable,
-        "worst_gap_with_open": report.worst_gap(r_s),
+        "worst_gap_with_open": worst,
         "per_node_max_gap": report.per_node_max_gap,
         "open_gap_flags": report.open_gap_flags,
         "claim_tag": claim_tag,
@@ -169,7 +169,7 @@ def simulate(algo, n, k, adversary, schedule_spec, rounds, placement, r_s,
     }
     ok = True
     if assert_idle_max is not None:
-        holds = report.worst_gap(r_s) <= assert_idle_max
+        holds = worst <= assert_idle_max
         payload["assertions"]["idle_max"] = {"bound": assert_idle_max, "holds": holds}
         ok = ok and holds
     if assert_idle_min is not None:
@@ -204,16 +204,22 @@ def worstcase(algo, n, k, placement, schedule_spec, budget, out):
     initial = _initial_positions(placement, n, k)
     result = solve_worst_case(algorithm, n, k, initial, schedule=restriction, budget=budget)
 
-    replay_note = "witness demonstrates a starvation loop"
+    witness, start = result.witness, result.cycle_start
+    if result.unbounded:  # the prefix, then two turns of the loop
+        witness = witness[:start] + witness[start:] * 2
+    missing = {r: e for r, e in enumerate(witness) if e is not None}
+    trace = run(algorithm, ObliviousSchedule(n=n, missing=missing), initial, len(witness), n=n)
     if not result.unbounded:
-        sched = result.witness_schedule(n)
-        trace = run(algorithm, sched, initial, len(result.witness), n=n)
         replayed = idle_time(trace).idle
         replay_note = (
             f"witness replay reproduces worst idle exactly ({replayed})"
             if replayed == result.worst_idle
             else f"REPLAY MISMATCH: witness gives {replayed}, solver {result.worst_idle}"
         )
+    elif any(result.target_node in rec.after for rec in trace.records[start:]):
+        replay_note = f"REPLAY MISMATCH: the loop visits target node {result.target_node}"
+    else:
+        replay_note = "witness demonstrates a starvation loop"
     text = result.to_json()
     if out:
         Path(out).write_text(text + "\n")

@@ -1,4 +1,4 @@
-"""Synchronous Look-Compute-Move round loop, traces, visit logs and idle time.
+"""Synchronous Look-Compute-Move round loop, traces and idle time.
 
 A run starts through ``ring.start_run``.  A round proceeds as: resolve the
 missing edge (schedule lookup, or an adaptive adversary's decision on the
@@ -52,7 +52,7 @@ class ExecutionTrace:
     k: int
     horizon: int
     initial: tuple[int, ...]
-    records: list[RoundRecord] = field(default_factory=list)
+    records: list[RoundRecord] = field(default_factory=list, init=False)
 
 
 def run(
@@ -120,21 +120,32 @@ def run(
     return trace
 
 
-# --- visit logs and idle time -------------------------------------------------
+# --- idle time ----------------------------------------------------------------
 
-def visit_log(trace: ExecutionTrace) -> dict[int, list[int]]:
-    """Per node: sorted visit rounds, seeded with -1."""
-    log: dict[int, list[int]] = {v: [-1] for v in range(trace.n)}
-    for r, rec in enumerate(trace.records):
-        for v in set(rec.after):
-            log[v].append(r)
-    return log
+def _gaps(trace: ExecutionTrace, r_s: int) -> tuple[list[int], list[int]]:
+    """One scan of rounds ``r_s..`` of the trace, every node seeded with a
+    visit at ``r_s - 1``: per node, the largest closed gap (0 if none) and
+    the last visit.  A second agent on a node closes a gap of 0, which
+    changes nothing.  ``r_s`` must be an int round of the trace."""
+    if type(r_s) is not int or not 0 <= r_s < trace.horizon:
+        raise ValueError(
+            f"r_s must be a round of the trace (0 <= r_s < {trace.horizon}), "
+            f"got {r_s!r}"
+        )
+    widest = [0] * trace.n
+    last = [r_s - 1] * trace.n
+    for r, rec in enumerate(trace.records[r_s:], r_s):
+        for v in rec.after:
+            if r - last[v] > widest[v]:
+                widest[v] = r - last[v]
+            last[v] = r
+    return widest, last
 
 
 @dataclass
 class IdleReport:
     horizon: int
-    visits: dict[int, list[int]]
+    trace: ExecutionTrace
     idle: int
     per_node_max_gap: dict[int, int]
     open_gaps: dict[int, int]
@@ -145,61 +156,42 @@ class IdleReport:
 
         The suffix re-seeds every node with a virtual visit at r_s - 1, so
         the wait until the first visit at or after r_s counts as a gap.
-        ``r_s`` must be a round of the trace: ``0 <= r_s < horizon``.
+        ``r_s`` must be an int round of the trace: ``0 <= r_s < horizon``.
         """
-        if not 0 <= r_s < self.horizon:
-            raise ValueError(
-                f"r_s must be a round of the trace (0 <= r_s < {self.horizon}), "
-                f"got {r_s}"
-            )
-        worst = 0
-        for rounds in self.visits.values():
-            last = r_s - 1
-            for r in rounds:
-                if r < r_s:
-                    continue
-                worst = max(worst, r - last)
-                last = r
-        return worst
+        return max(_gaps(self.trace, r_s)[0])
 
     def worst_gap(self, r_s: int) -> int:
         """Like stable_idle but also counts still-open trailing gaps, so an
         upper-bound check cannot be fooled by a node going stale right
         before the horizon."""
-        worst = self.stable_idle(r_s)
-        for rounds in self.visits.values():
-            last = max([r_s - 1] + [r for r in rounds if r >= r_s])
-            worst = max(worst, self.horizon - last)
-        return worst
+        widest, last = _gaps(self.trace, r_s)
+        return max(max(widest), self.horizon - min(last))
 
 
 def idle_time(trace: ExecutionTrace) -> IdleReport:
-    """Per-node max gap between consecutive visits, including the -1 seed."""
+    """Per-node max gap between consecutive visits, including the -1 seed,
+    and per-node gap still open at the horizon."""
     if not trace.records:
         raise ValueError("empty trace: idle time needs at least one round")
-    visits = visit_log(trace)
-    per_node: dict[int, int] = {}
-    open_gaps: dict[int, int] = {}
-    flags = []
-    for v in range(trace.n):
-        rounds = visits[v]
-        gaps = [b - a for a, b in zip(rounds, rounds[1:])]
-        per_node[v] = max(gaps) if gaps else 0
-        open_gaps[v] = trace.horizon - rounds[-1]
-        if open_gaps[v] > per_node[v]:
-            flags.append(v)
+    widest, last = _gaps(trace, 0)
+    per_node = dict(enumerate(widest))
+    open_gaps = {v: trace.horizon - r for v, r in enumerate(last)}
     return IdleReport(
         horizon=trace.horizon,
-        visits=visits,
-        idle=max(per_node.values()),
+        trace=trace,
+        idle=max(widest),
         per_node_max_gap=per_node,
         open_gaps=open_gaps,
-        open_gap_flags=flags,
+        open_gap_flags=[v for v in range(trace.n) if open_gaps[v] > per_node[v]],
     )
 
 
 def distinct_nodes_visited(trace: ExecutionTrace, agent: int) -> int:
     """Distinct nodes an agent occupied, counting its starting node."""
+    if type(agent) is not int or not 0 <= agent < trace.k:
+        raise ValueError(
+            f"agent must be an int in 0..k-1 for k={trace.k}, got {agent!r}"
+        )
     seen = {trace.initial[agent]}
     for rec in trace.records:
         seen.add(rec.after[agent])

@@ -148,10 +148,6 @@ class GameSolverResult:
             payload["cycle_start"] = self.cycle_start
         return json.dumps(payload, indent=2)
 
-    def witness_schedule(self, n: int) -> ObliviousSchedule:
-        missing = {r: e for r, e in enumerate(self.witness) if e is not None}
-        return ObliviousSchedule(n=n, missing=missing)
-
 
 class _ProbeSnapshot(GlobalSnapshot):
     """The snapshot of a round with no edge missing that records what the

@@ -267,7 +267,10 @@ def test_criterion_12_determinism_and_replay():
     ]
     for algo, n, k, init, restriction in cases:
         res = solve_worst_case(algo, n, k, init, schedule=restriction)
-        tr = run(algo, res.witness_schedule(n), init, len(res.witness), n=n)
+        sched = ObliviousSchedule(
+            n=n, missing={r: e for r, e in enumerate(res.witness) if e is not None}
+        )
+        tr = run(algo, sched, init, len(res.witness), n=n)
         replayed = idle_time(tr).idle
         good = replayed == res.worst_idle
         ok = ok and good

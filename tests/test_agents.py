@@ -29,7 +29,7 @@ from ringpatrol.agents import (
     spread_init,
     spread_step,
 )
-from ringpatrol.engine import idle_time, run, trace_to_csv, visit_log
+from ringpatrol.engine import idle_time, run, trace_to_csv
 from ringpatrol.worstcase import solve_worst_case
 from ringpatrol.ring import (
     CCW,
@@ -93,7 +93,6 @@ def test_pingpong_full_coverage_within_n_minus_1_after_bounce():
     sched = ObliviousSchedule(n=n, missing={0: 0})  # one block, then nothing
     tr = run(PingPong(), sched, uniform_positions(n, 2), 120)
     # find a bounce: a round where both phases flip
-    log = visit_log(tr)
     for r in range(1, 100):
         a, b = tr.records[r].after
         if min((a - b) % n, (b - a) % n) <= 1:

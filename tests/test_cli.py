@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ringpatrol
-from ringpatrol import adversaries, agents, engine, worstcase
+from ringpatrol import adversaries, agents, cli, engine, worstcase
 from ringpatrol.adversaries import wave_schedule
 from ringpatrol.agents import BUILTIN_FSM_NAMES
 from ringpatrol.cli import ALGO_CHOICES, main
@@ -115,6 +115,26 @@ def test_worstcase_single_clockwise_unbounded(runner):
     ])
     assert result.exit_code == 0, result.output
     assert '"worst_idle": "unbounded"' in result.output
+    assert "replay: witness demonstrates a starvation loop" in result.output
+
+
+def test_worstcase_replays_a_starvation_loop(runner, monkeypatch):
+    # a solver that claims node 3 starves while the lone clockwise agent
+    # walks the static ring through it: the replay must catch the claim
+    def solve(algorithm, n, k, initial, schedule=None, budget=None):
+        return worstcase.GameSolverResult(
+            worst_idle=worstcase.UNBOUNDED, target_node=3, witness=[None] * 6,
+            states_explored=6, cycle_start=2,
+        )
+
+    monkeypatch.setattr(cli, "solve_worst_case", solve)
+    result = runner.invoke(main, [
+        "worstcase", "--algo", "clockwise", "--n", "6", "--k", "1",
+    ])
+    assert result.exit_code == 1
+    assert result.output.splitlines()[-1] == (
+        "replay: REPLAY MISMATCH: the loop visits target node 3"
+    )
 
 
 def test_worstcase_consecutive_sweep_static(runner):
@@ -520,7 +540,6 @@ def test_settable_value_count_is_pinned():
         "worstcase --budget", "worstcase --out",
     ]
     assert sorted(_defaulted_api_parameters()) == [
-        "ExecutionTrace(records)",
         "GameSolverResult(cycle_start)",
         "ObliviousSchedule(missing)",
         "ObliviousSchedule(period)",
@@ -530,7 +549,7 @@ def test_settable_value_count_is_pinned():
         "solve_worst_case(schedule)",
         "uniform_positions(anchor)",
     ]
-    assert len(_optional_click_options()) + len(_defaulted_api_parameters()) == 27
+    assert len(_optional_click_options()) + len(_defaulted_api_parameters()) == 26
 
 
 def test_public_symbols_are_pinned():

@@ -3,20 +3,24 @@ import re
 
 import pytest
 
-from ringpatrol.adversaries import gate_adversary, trap_adversary
-from ringpatrol.agents import FsmAlgorithm, PingPong, compute_swipe_set, fsm_of
-from ringpatrol.engine import (
-    distinct_nodes_visited,
-    idle_time,
-    run,
-    trace_to_csv,
-    visit_log,
+from ringpatrol.adversaries import fixed_edge_schedule, gate_adversary, trap_adversary
+from ringpatrol.agents import (
+    BUILTIN_FSM_NAMES,
+    FsmAlgorithm,
+    KPingPong,
+    PingPong,
+    PlaceAndSwipe,
+    UniformSpread,
+    compute_swipe_set,
+    fsm_of,
 )
+from ringpatrol.engine import distinct_nodes_visited, idle_time, run, trace_to_csv
 from ringpatrol.ring import (
     STAY,
     ObliviousSchedule,
     ScheduleError,
     make_random_schedule,
+    random_positions,
     uniform_positions,
 )
 
@@ -141,12 +145,13 @@ def test_idle_single_clockwise_ring():
     assert rep.per_node_max_gap == {v: 5 for v in range(5)}
 
 
-def test_visit_log_seeded_with_minus_one():
+def test_visits_seeded_with_minus_one():
     tr = run(clockwise(), None, (0,), 4, n=5)
-    log = visit_log(tr)
-    assert all(rounds[0] == -1 for rounds in log.values())
-    assert log[1] == [-1, 0]
-    assert log[0] == [-1]  # not revisited within 4 rounds
+    rep = idle_time(tr)
+    assert rep.per_node_max_gap[1] == 1  # first visited at round 0
+    # not revisited within 4 rounds: no gap closed, one open since round -1
+    assert rep.per_node_max_gap[0] == 0
+    assert rep.open_gaps[0] == 5
 
 
 def gaps_by_linear_scan(trace, r_s=0):
@@ -168,6 +173,115 @@ def test_idle_matches_linear_scan_oracle(seed):
     assert rep.idle == gaps_by_linear_scan(tr)
     for r_s in (0, 7, 18):
         assert rep.stable_idle(r_s) == gaps_by_linear_scan(tr, r_s)
+
+
+def reference_idle_figures(trace):
+    """The idle figures by way of a per-node visit log: the sorted rounds at
+    which each node is occupied, seeded with -1, walked once per figure.
+    Returns the report fields, ``stable_idle`` and ``worst_gap``."""
+    visits = {v: [-1] for v in range(trace.n)}
+    for r, rec in enumerate(trace.records):
+        for v in set(rec.after):
+            visits[v].append(r)
+    per_node, open_gaps, flags = {}, {}, []
+    for v, rounds in visits.items():
+        gaps = [b - a for a, b in zip(rounds, rounds[1:])]
+        per_node[v] = max(gaps) if gaps else 0
+        open_gaps[v] = trace.horizon - rounds[-1]
+        if open_gaps[v] > per_node[v]:
+            flags.append(v)
+
+    def stable_idle(r_s):
+        worst = 0
+        for rounds in visits.values():
+            last = r_s - 1
+            for r in rounds:
+                if r >= r_s:
+                    worst = max(worst, r - last)
+                    last = r
+        return worst
+
+    def worst_gap(r_s):
+        worst = stable_idle(r_s)
+        for rounds in visits.values():
+            last = max([r_s - 1] + [r for r in rounds if r >= r_s])
+            worst = max(worst, trace.horizon - last)
+        return worst
+
+    fields = {
+        "horizon": trace.horizon,
+        "idle": max(per_node.values()),
+        "per_node_max_gap": list(per_node.items()),
+        "open_gaps": list(open_gaps.items()),
+        "open_gap_flags": flags,
+    }
+    return fields, stable_idle, worst_gap
+
+
+def _pas_trace(n, k, seed, start):
+    sched = make_random_schedule(n, 4 * n, seed)
+    initial = uniform_positions(n, k) if start == "uniform" else random_positions(n, k, seed)
+    return run(PlaceAndSwipe(sched), sched, initial, 4 * n)
+
+
+REFERENCE_TRACES = [
+    pytest.param(
+        lambda n=n, k=k, start=start: _pas_trace(n, k, 10 * n + k, start),
+        id=f"pas-k{k}-n{n}-{start}",
+    )
+    for k in range(2, 5)
+    for n in range(5, 17)
+    for start in ("uniform", "random")
+] + [
+    pytest.param(
+        lambda k=k, sched=sched: run(
+            KPingPong(), sched(3 * k), uniform_positions(3 * k, k), 12 * k
+        ),
+        id=f"kpp-k{k}-{name}",
+    )
+    for k in range(2, 6)
+    for name, sched in (
+        ("fixed-edge", lambda n: fixed_edge_schedule(n, n - 1)),
+        ("random", lambda n: make_random_schedule(n, 4 * n, n)),
+    )
+] + [
+    pytest.param(
+        lambda n=n: run(PingPong(), gate_adversary(n), uniform_positions(n, 2), 6 * n),
+        id=f"pingpong-gate-n{n}",
+    )
+    for n in (6, 10)
+] + [
+    pytest.param(
+        lambda name=name: run(FsmAlgorithm(fsm_of(name)), trap_adversary(), (3, 6), 40, n=9),
+        id=f"{name}-trap",
+    )
+    for name in BUILTIN_FSM_NAMES
+] + [
+    pytest.param(
+        lambda: run(UniformSpread(), make_random_schedule(12, 60, 5), (0, 1, 2, 5), 60),
+        id="spread",
+    ),
+    pytest.param(lambda: run(Stayers(), None, (0, 4), 12, n=7), id="stayers"),
+    pytest.param(lambda: run(PingPong(), None, (0, 3), 1, n=6), id="horizon-1"),
+]
+
+
+@pytest.mark.parametrize("make_trace", REFERENCE_TRACES)
+def test_idle_figures_match_the_visit_log_reference(make_trace):
+    tr = make_trace()
+    rep = idle_time(tr)
+    fields, stable_idle, worst_gap = reference_idle_figures(tr)
+    assert {
+        "horizon": rep.horizon,
+        "idle": rep.idle,
+        "per_node_max_gap": list(rep.per_node_max_gap.items()),
+        "open_gaps": list(rep.open_gaps.items()),
+        "open_gap_flags": rep.open_gap_flags,
+    } == fields
+    for r_s in range(tr.horizon):
+        assert (rep.stable_idle(r_s), rep.worst_gap(r_s)) == (
+            stable_idle(r_s), worst_gap(r_s)
+        ), f"r_s={r_s}"
 
 
 def test_stable_idle_properties():
@@ -192,6 +306,14 @@ def test_open_gap_flags_never_visited():
 def test_distinct_nodes_visited_counts_start():
     tr = run(Stayers(), None, (4,), 5, n=6)
     assert distinct_nodes_visited(tr, 0) == 1
+
+
+@pytest.mark.parametrize("agent", [-1, 2, True, 1.0, "0", None])
+def test_distinct_nodes_visited_rejects_an_agent_outside_the_team(agent):
+    tr = run(PingPong(), None, (0, 4), 6, n=8)
+    message = rf"^agent must be an int in 0\.\.k-1 for k=2, got {re.escape(repr(agent))}$"
+    with pytest.raises(ValueError, match=message):
+        distinct_nodes_visited(tr, agent)
 
 
 def test_sweep_check_static():
@@ -307,10 +429,13 @@ def test_adaptive_round_without_removal_steps_the_team_once(
     assert hashlib.sha256(trace_to_csv(tr).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("r_s", [-50, -1, 20, 1000])
+@pytest.mark.parametrize("r_s", [-50, -1, 20, 1000, 2.5, 2.0, True, False, "3", None])
 def test_idle_figures_reject_a_round_outside_the_trace(r_s):
     rep = idle_time(run(PingPong(), None, (0, 4), 20, n=8))
-    message = rf"^r_s must be a round of the trace \(0 <= r_s < 20\), got {r_s}$"
+    message = (
+        rf"^r_s must be a round of the trace \(0 <= r_s < 20\), "
+        rf"got {re.escape(repr(r_s))}$"
+    )
     with pytest.raises(ValueError, match=message):
         rep.stable_idle(r_s)
     with pytest.raises(ValueError, match=message):

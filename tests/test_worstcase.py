@@ -61,6 +61,13 @@ def clockwise():
     return FsmAlgorithm(fsm_of("clockwise"))
 
 
+def witness_schedule(n, witness):
+    """The schedule that removes ``witness[r]`` at round ``r``."""
+    return ObliviousSchedule(
+        n=n, missing={r: e for r, e in enumerate(witness) if e is not None}
+    )
+
+
 def explore(algorithm, n, k, initial, schedule, budget):
     """``_explore`` on a fresh game."""
     return _explore(_Game(algorithm, n, k, tuple(initial), schedule), budget)
@@ -72,10 +79,7 @@ def test_single_clockwise_agent_is_starvable():
     assert res.cycle_start is not None
     # replay: past the loop entry, the starved node is never visited again
     witness = res.witness[: res.cycle_start] + res.witness[res.cycle_start:] * 4
-    sched = ObliviousSchedule(
-        n=6, missing={r: e for r, e in enumerate(witness) if e is not None}
-    )
-    tr = run(clockwise(), sched, (0,), len(witness), n=6)
+    tr = run(clockwise(), witness_schedule(6, witness), (0,), len(witness), n=6)
     tail = {rec.after[0] for rec in tr.records[res.cycle_start:]}
     assert res.target_node not in tail
 
@@ -90,7 +94,7 @@ def test_pingpong_exact_worst_case(n, exact):
 def test_witness_replays_to_exact_value():
     n = 8
     res = solve_worst_case(PingPong(), n, 2, uniform_positions(n, 2))
-    tr = run(PingPong(), res.witness_schedule(n), uniform_positions(n, 2),
+    tr = run(PingPong(), witness_schedule(n, res.witness), uniform_positions(n, 2),
              len(res.witness))
     assert idle_time(tr).idle == res.worst_idle
 
@@ -1036,14 +1040,11 @@ def test_engine_never_beats_the_solver(make, n, initial):
     if res.unbounded:
         # past the loop entry, the repeated loop never visits the target
         witness = res.witness[: res.cycle_start] + res.witness[res.cycle_start:] * 3
-        sched = ObliviousSchedule(
-            n=n, missing={r: e for r, e in enumerate(witness) if e is not None}
-        )
-        tr = run(make(), sched, initial, len(witness))
+        tr = run(make(), witness_schedule(n, witness), initial, len(witness))
         for rec in tr.records[res.cycle_start:]:
             assert res.target_node not in rec.after
         return
-    tr = run(make(), res.witness_schedule(n), initial, len(res.witness))
+    tr = run(make(), witness_schedule(n, res.witness), initial, len(res.witness))
     assert idle_time(tr).idle == res.worst_idle
     for seed in range(4):
         sched = make_random_schedule(n, 8 * n, 100 * n + seed)
