@@ -17,8 +17,6 @@ from .ring import STAY, ObliviousSchedule, crossed_edge
 
 def fixed_edge_schedule(n: int, e: int) -> ObliviousSchedule:
     """Remove the same edge forever, turning the ring into a line."""
-    if not (0 <= e < n):
-        raise ValueError(f"edge {e} out of range for n={n}")
     return ObliviousSchedule(n=n, missing={0: e}, period=1)
 
 

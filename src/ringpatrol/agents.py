@@ -54,7 +54,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .ring import (
     CCW,
@@ -64,7 +65,6 @@ from .ring import (
     ObliviousSchedule,
     arc_distance,
     is_uniform,
-    json_int,
     uniform_positions,
 )
 
@@ -131,6 +131,14 @@ SNAP_CCW_MISSING = "ccwMissing"
 SNAPSHOT_CLASSES = (SNAP_BOTH, SNAP_CW_MISSING, SNAP_CCW_MISSING)
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; a float, a bool or any other type raises TypeError,
+    which the machine loader turns into its ValueError."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FsmSpec:
     """Transition table of a bounded-memory local-visibility machine.
@@ -138,13 +146,13 @@ class FsmSpec:
     ``arcs`` maps (state, snapshot class) to (next state, move).  The class
     says only which of the two edges at the agent's own node is missing, so
     a machine sees nothing beyond its node even though it steps on the
-    round's global snapshot.  The table must be total: every state carries
-    all three outgoing arcs.
+    round's global snapshot.  The table must be total, every state carrying
+    all three outgoing arcs; once checked, ``arcs`` is a read-only copy.
     """
 
     states: int
     initial: int
-    arcs: dict
+    arcs: Mapping
 
     def __post_init__(self):
         if self.states < 1:
@@ -170,6 +178,7 @@ class FsmSpec:
                 if (s, label) not in self.arcs
             )
             raise ValueError(f"non-total transition table, first missing arc: {first}")
+        object.__setattr__(self, "arcs", MappingProxyType(dict(self.arcs)))
 
     def to_json(self) -> str:
         entries = [
@@ -187,12 +196,12 @@ class FsmSpec:
         try:
             raw = json.loads(text)
             for a in raw["arcs"]:
-                key = (json_int(a["from"], "from"), a["snapshot"])
+                key = (_json_int(a["from"], "from"), a["snapshot"])
                 if key in arcs:
                     raise ValueError(f"duplicate arc {key}")
-                arcs[key] = (json_int(a["to"], "to"), json_int(a["move"], "move"))
-            states = json_int(raw["states"], "states")
-            initial = json_int(raw["initial"], "initial")
+                arcs[key] = (_json_int(a["to"], "to"), _json_int(a["move"], "move"))
+            states = _json_int(raw["states"], "states")
+            initial = _json_int(raw["initial"], "initial")
         except (KeyError, TypeError, RecursionError, json.JSONDecodeError) as exc:
             raise ValueError(f"malformed machine file: {exc!r}") from None
         return cls(states=states, initial=initial, arcs=arcs)
@@ -302,15 +311,16 @@ def _builtin_specs() -> dict[str, FsmSpec]:
     }
 
 
-BUILTIN_FSM_NAMES = tuple(sorted(_builtin_specs()))
+_BUILTIN_SPECS = _builtin_specs()  # built and checked once, at import
+BUILTIN_FSM_NAMES = tuple(sorted(_BUILTIN_SPECS))
 
 
 def fsm_of(name: str) -> FsmSpec:
     """Look up a built-in local-visibility machine by name."""
-    specs = _builtin_specs()
-    if name not in specs:
-        raise KeyError(f"unknown machine {name!r}; built-ins: {', '.join(sorted(specs))}")
-    return specs[name]
+    spec = _BUILTIN_SPECS.get(name)
+    if spec is None:
+        raise KeyError(f"unknown machine {name!r}; built-ins: {', '.join(BUILTIN_FSM_NAMES)}")
+    return spec
 
 
 # ---------------------------------------------------------------------------

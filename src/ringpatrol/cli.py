@@ -91,14 +91,15 @@ def _initial_positions(placement: str, n: int, k: int) -> tuple[int, ...]:
 
 class _Commands(click.Group):
     """Every command reports a ValueError (bad ring, team, start or horizon),
-    an exhausted solver state budget or a place-and-swipe epoch that cannot
-    be planned as a one-line error with exit code 1."""
+    an OSError (a file it cannot read or write), an exhausted state budget or
+    an unplannable place-and-swipe epoch as a one-line error with exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (
-            ValueError, BudgetExceeded, PlacementInfeasibleError, TargetSelectionError
+            ValueError, OSError, BudgetExceeded,
+            PlacementInfeasibleError, TargetSelectionError,
         ) as exc:
             raise click.ClickException(str(exc)) from None
 
@@ -237,13 +238,10 @@ def worstcase(algo, n, k, placement, schedule_spec, budget, out):
 @click.option("--out", type=click.Path(), default=None)
 def analyze(machine, k, cross_n, out):
     """Classify a local-visibility machine (built-in name or JSON file)."""
-    try:
-        if machine in BUILTIN_FSM_NAMES:
-            spec = fsm_of(machine)
-        else:
-            spec = FsmSpec.from_json(Path(machine).read_text())
-    except OSError as exc:
-        raise click.ClickException(str(exc))
+    if machine in BUILTIN_FSM_NAMES:
+        spec = fsm_of(machine)
+    else:
+        spec = FsmSpec.from_json(Path(machine).read_text())
     classification = classify(spec, k, max(1, (spec.states - 1).bit_length()))
     text = classification.to_json()
     if out:

@@ -20,14 +20,7 @@ import io
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .ring import (
-    GlobalSnapshot,
-    ObliviousSchedule,
-    apply_round,
-    check_schedule,
-    decide_moves,
-    start_run,
-)
+from .ring import GlobalSnapshot, apply_round, decide_moves, start_run
 
 
 class SimulationError(RuntimeError):
@@ -64,14 +57,15 @@ def run(
 ) -> ExecutionTrace:
     """Execute ``horizon`` rounds of ``algorithm`` against ``driver``.
 
-    ``driver`` is an ObliviousSchedule, an adaptive adversary, or None for
-    a static ring.  A schedule is checked first: an invalid one raises
-    ``ScheduleError``.  An adversary is called as ``decide(round, look,
-    moves)``, where ``look`` is the round's snapshot with no edge removed
-    and ``moves`` is the team's plan on it (one dry run of the kernel); it
-    returns the edge to remove, or None.  When it removes nothing, the dry
-    run is the round's step: steps are pure, so a second step on the same
-    snapshot and memory would only repeat it.  ``horizon`` must be an
+    ``driver`` is an ObliviousSchedule (checked when it was built), an
+    adaptive adversary, or None for a static ring.  An adversary is called
+    as ``decide(round, look, moves)``, where ``look`` is the round's
+    snapshot with no edge removed and ``moves`` is the team's plan on it
+    (one dry run of the kernel); it returns the edge to remove, or None.
+    When it removes nothing, the dry run is the round's step: steps are
+    pure, so a second step on the same snapshot and memory would only
+    repeat it.  A round's edge that is not an int in ``0..n-1`` (a float
+    or a bool too) raises ``SimulationError``.  ``horizon`` must be an
     integer >= 0.
     """
     if type(horizon) is not int or horizon < 0:
@@ -83,8 +77,6 @@ def run(
         n = driver_n
     elif driver_n is not None and driver_n != n:
         raise ValueError(f"driver is for n={driver_n}, run has n={n}")
-    if isinstance(driver, ObliviousSchedule):
-        check_schedule(driver)
     positions = tuple(initial)
     k = len(positions)
     memory = start_run(algorithm, n, k, positions)
@@ -105,8 +97,8 @@ def run(
             look = GlobalSnapshot(n, None, positions)
             dry_run = decide_moves(algorithm, look, memory)
             missing = decide(r, look, dry_run[1])
-        if missing is not None and not (0 <= missing < n):
-            raise SimulationError(f"round {r}: driver removed invalid edge {missing}")
+        if missing is not None and (type(missing) is not int or not 0 <= missing < n):
+            raise SimulationError(f"round {r}: driver removed invalid edge {missing!r}")
 
         if missing is None and dry_run is not None:
             memory, moves = dry_run

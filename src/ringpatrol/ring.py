@@ -27,7 +27,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 CW = 1
 STAY = 0
@@ -38,45 +39,66 @@ class ScheduleError(ValueError):
     """A schedule is malformed or violates the one-missing-edge-per-round model."""
 
 
-def json_int(value, what: str) -> int:
-    """A JSON integer; a float, a bool or any other type raises TypeError,
-    which the loaders turn into their typed error."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def arc_distance(n: int, u: int, v: int) -> int:
     """Length of the shorter arc between ``u`` and ``v``."""
     d = (v - u) % n
     return min(d, n - d)
 
 
-@dataclass
+def _check_ring_size(n) -> None:
+    if type(n) is not int:
+        raise ScheduleError(f"n must be an integer, got {n!r}")
+    if n < 3:
+        raise ScheduleError(f"ring needs at least 3 nodes, got n={n}")
+
+
+@dataclass(frozen=True)
 class ObliviousSchedule:
     """Per-round missing-edge function defining the dynamic ring.
 
     ``missing`` maps a round to the edge absent in that round; rounds not in
     the map have no missing edge.  When ``period`` is set the map repeats:
     ``missing_edge(r) == missing_edge(r % period)``.
+
+    Checked once, when built, and read-only after (``missing`` is a copy):
+    ``n`` an int >= 3, ``period`` None or an int >= 1, each entry an int
+    round in ``0..period-1`` (any round >= 0 without a period) to an int
+    edge in ``0..n-1``, where a float or a bool is not an int.  Otherwise
+    ``ScheduleError`` names the first violation among int entries in round
+    order.
     """
 
     n: int
-    missing: dict[int, int] = field(default_factory=dict)
+    missing: Mapping[int, int] = field(default_factory=dict)
     period: Optional[int] = None
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ScheduleError(f"ring needs at least 3 nodes, got n={self.n}")
-        if self.period is not None and (
-            type(self.period) is not int or self.period < 1
-        ):
-            raise ScheduleError(f"period must be an integer >= 1, got {self.period!r}")
+        n, period = self.n, self.period
+        _check_ring_size(n)
+        if period is not None and (type(period) is not int or period < 1):
+            raise ScheduleError(f"period must be an integer >= 1, got {period!r}")
+        table = dict(self.missing)
+        bad = False
+        for r, e in table.items():
+            if type(r) is not int or type(e) is not int:
+                raise ScheduleError(f"rounds and edges must be ints, got {r!r}: {e!r}")
+            if r < 0 or (period is not None and r >= period) or not 0 <= e < n:
+                bad = True
+        if bad:  # sort only to name the first violation in round order
+            for r, e in sorted(table.items()):
+                if r < 0:
+                    raise ScheduleError(f"negative round {r} in schedule")
+                if period is not None and r >= period:
+                    raise ScheduleError(f"round {r} outside declared period {period}")
+                if not 0 <= e < n:
+                    raise ScheduleError(f"round {r}: edge index {e} out of range for n={n}")
+        object.__setattr__(self, "missing", MappingProxyType(table))
+        object.__setattr__(self, "_table", table)
 
     def missing_edge(self, r: int) -> Optional[int]:
         if self.period is not None:
             r = r % self.period
-        return self.missing.get(r)
+        return self._table.get(r)
 
     def to_json(self) -> str:
         entries = [
@@ -93,40 +115,17 @@ class ObliviousSchedule:
         try:
             raw = json.loads(text)
             for m in raw["missing"]:
-                r = json_int(m["round"], "round")
+                r = m["round"]
                 if r in missing:
                     raise ScheduleError(
                         f"round {r}: two missing edges ({missing[r]} and {m['edge']}) "
                         "would disconnect the ring"
                     )
-                missing[r] = json_int(m["edge"], "edge")
-            n = json_int(raw["n"], "n")
-            period = raw.get("period")
+                missing[r] = m["edge"]
+            n, period = raw["n"], raw.get("period")
         except (KeyError, TypeError, RecursionError, json.JSONDecodeError) as exc:
             raise ScheduleError(f"malformed schedule file: {exc!r}") from None
-        sched = cls(n=n, missing=missing, period=period)
-        check_schedule(sched)
-        return sched
-
-
-def check_schedule(schedule: ObliviousSchedule) -> None:
-    """Check every entry of a schedule in round order and raise
-    ``ScheduleError`` naming the first violation, if any.
-
-    The encoding already forbids two missing edges in one round (one dict
-    slot per round) and construction checks ``n`` and ``period``, so the
-    checks are round and edge-index ranges.  The work grows with the number
-    of entries, not with the period.
-    """
-    for r, e in sorted(schedule.missing.items()):
-        if r < 0:
-            raise ScheduleError(f"negative round {r} in schedule")
-        if schedule.period is not None and r >= schedule.period:
-            raise ScheduleError(f"round {r} outside declared period {schedule.period}")
-        if not (0 <= e < schedule.n):
-            raise ScheduleError(
-                f"round {r}: edge index {e} out of range for n={schedule.n}"
-            )
+        return cls(n=n, missing=missing, period=period)
 
 
 def make_random_schedule(n: int, rounds: int, seed: int) -> ObliviousSchedule:
@@ -136,10 +135,10 @@ def make_random_schedule(n: int, rounds: int, seed: int) -> ObliviousSchedule:
     Each round draws one ``random()``; a removed edge is then
     ``getrandbits(n.bit_length())``, drawn again while it is ``>= n``: the
     draw ``randrange(n)`` makes, so a seed gives the same schedule, but not
-    through ``randrange``'s private ``_randbelow`` helper.  n < 3 raises
-    ``ScheduleError`` before any draw."""
-    schedule = ObliviousSchedule(n=n)
-    missing = schedule.missing
+    through ``randrange``'s private ``_randbelow`` helper.  An ``n`` that is
+    not an int >= 3 raises ``ScheduleError`` before any draw."""
+    _check_ring_size(n)
+    missing = {}
     rng = random.Random(seed)
     draw, getrandbits = rng.random, rng.getrandbits
     bits = n.bit_length()
@@ -149,7 +148,7 @@ def make_random_schedule(n: int, rounds: int, seed: int) -> ObliviousSchedule:
             while e >= n:
                 e = getrandbits(bits)
             missing[r] = e
-    return schedule
+    return ObliviousSchedule(n=n, missing=missing)
 
 
 # --- configurations ---------------------------------------------------------

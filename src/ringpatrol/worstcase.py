@@ -99,7 +99,6 @@ from .ring import (
     GlobalSnapshot,
     ObliviousSchedule,
     apply_round,
-    check_schedule,
     crossed_edge,
     decide_moves,
     start_run,
@@ -186,7 +185,6 @@ class _Game:
                 raise ValueError(
                     f"schedule restriction is for n={schedule.n}, ring has n={n}"
                 )
-            check_schedule(schedule)
             if schedule.period is None and schedule.missing:
                 raise ValueError("schedule restriction must be periodic")
             self.modulus = schedule.period or 1
@@ -704,7 +702,6 @@ def offline_opt_search(
     states and blocked moves whose edge is back, and tests cover only for
     combinations holding a new state or arc: the answer of a full re-advance.
     """
-    check_schedule(schedule)
     n = schedule.n
     if k != len(start):
         raise ValueError("one start node per agent")

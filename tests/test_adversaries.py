@@ -9,12 +9,14 @@ from ringpatrol.adversaries import (
 )
 from ringpatrol.agents import FsmAlgorithm, PingPong, fsm_of
 from ringpatrol.engine import distinct_nodes_visited, idle_time, run
-from ringpatrol.ring import check_schedule, uniform_positions
+from ringpatrol.ring import uniform_positions
+
+from test_ring import reference_check_schedule
 
 
 def test_fixed_edge_schedule_validates():
     sched = fixed_edge_schedule(10, 9)
-    check_schedule(sched)
+    reference_check_schedule(sched)
     assert all(sched.missing_edge(r) == 9 for r in range(50))
 
 
@@ -137,7 +139,7 @@ def test_wave_parity_split():
             assert 0 <= e <= 12 // 2 - 2  # up side on even rounds
         else:
             assert e >= 12 // 2  # down side on odd rounds
-    check_schedule(w)
+    reference_check_schedule(w)
 
 
 @pytest.mark.parametrize("n", [10, 12])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -564,8 +565,11 @@ def test_reused_place_and_swipe_runs_like_a_fresh_one():
     assert_fresh(uniform, 12 * L)
     assert_fresh(scattered, 12 * L)
     assert_fresh(uniform, L)  # the last plan made is round 0's from `uniform`
-    sched.missing = make_random_schedule(n, 20 * n, 8).missing
-    assert_fresh(uniform, 12 * L)
+    # a kept plan cannot go stale under it: the schedule cannot change
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.missing = make_random_schedule(n, 20 * n, 8).missing
+    with pytest.raises(TypeError):
+        sched.missing[0] = 1
 
 
 def test_place_and_swipe_step_on_an_earlier_input_matches_a_fresh_instance():
@@ -819,6 +823,25 @@ def test_fsm_spec_rejects_arcs_that_are_not_ints(arc, message):
     arcs[0, SNAP_BOTH] = arc
     with pytest.raises(ValueError, match=f"{message}$"):
         FsmSpec(states=2, initial=0, arcs=arcs)
+
+
+@pytest.mark.parametrize("name", BUILTIN_FSM_NAMES)
+def test_fsm_spec_is_read_only_and_built_ins_are_built_once(name):
+    spec = fsm_of(name)
+    loaded = FsmSpec.from_json(spec.to_json())
+    assert loaded == spec and fsm_of(name) is spec
+    for machine in (spec, loaded):
+        with pytest.raises(TypeError):
+            machine.arcs[(0, SNAP_BOTH)] = (0, CCW)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            machine.arcs = {}
+
+
+def test_fsm_spec_keeps_its_own_copy_of_the_table():
+    arcs = {(0, label): (0, CW) for label in SNAPSHOT_CLASSES}
+    spec = FsmSpec(states=1, initial=0, arcs=arcs)
+    arcs[(0, SNAP_BOTH)] = (0, CCW)
+    assert spec.arcs[(0, SNAP_BOTH)] == (0, CW)
 
 
 def test_fsm_spec_json_round_trip():

@@ -356,23 +356,51 @@ def test_bad_input_file_is_a_one_line_error(runner, tmp_path, command, bad):
     assert "Error: " in result.output
 
 
+_TEAM = ["--algo", "pingpong", "--n", "6", "--k", "2"]
+OUTPUT_OPTIONS = {
+    "simulate --out-trace": ["simulate", *_TEAM, "--out-trace"],
+    "simulate --out-report": ["simulate", *_TEAM, "--out-report"],
+    "worstcase --out": ["worstcase", *_TEAM, "--out"],
+    "analyze --out": ["analyze", "stay", "--out"],
+    "verify --out": ["verify", "--suite", "obs3", "--out"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("option", sorted(OUTPUT_OPTIONS))
+def test_unwritable_output_path_is_a_one_line_error(runner, tmp_path, option, where):
+    path = tmp_path / "no-such-dir" / "out.txt" if where == "missing-directory" else tmp_path
+    result = runner.invoke(main, OUTPUT_OPTIONS[option] + [str(path)])
+    assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+    # every command writes its files before it prints anything
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+    assert "Traceback" not in result.output
+
+
 # --- argument fuzz: any argument list ends in a clean exit ------------------
 
 def _counts(low, high):
     return st.integers(low, high).map(str)
 
 
+_OUT_PATHS = st.sampled_from(("{tmp}/out.txt", "{tmp}/no-such-dir/out.txt", "{tmp}"))
+
+
 @st.composite
 def patrolctl_args(draw):
     """An argument list for ``simulate``, ``worstcase`` or ``analyze``,
     valid or not.  Rings, teams and budgets stay small, so every solve ends
-    fast: ``analyze --cross-validate`` has no state budget."""
+    fast: ``analyze --cross-validate`` has no state budget.  An output path
+    is a file, a file in a missing directory or a directory, all under
+    ``{tmp}``, which the test replaces with its own directory."""
     command = draw(st.sampled_from(("simulate", "worstcase", "analyze")))
     if command == "analyze":
         args = [command, draw(st.sampled_from(BUILTIN_FSM_NAMES + ("no-such.json",)))]
         args += ["--k", draw(_counts(-1, 3))]
         if draw(st.booleans()):
             args += ["--cross-validate", draw(_counts(-1, 6))]
+        if draw(st.booleans()):
+            args += ["--out", draw(_OUT_PATHS)]
         return args
     args = [
         command,
@@ -395,18 +423,26 @@ def patrolctl_args(draw):
             "--r-s": _counts(-1, 10),
             "--assert-idle-max": _counts(-1, 20),
             "--assert-idle-min": _counts(-1, 20),
+            "--out-trace": _OUT_PATHS,
+            "--out-report": _OUT_PATHS,
         })
     else:
         args += ["--budget", draw(_counts(-1, 400))]
+        options["--out"] = _OUT_PATHS
     for name in draw(st.lists(st.sampled_from(sorted(options)), unique=True)):
         args += [name, draw(options[name])]
     return args
 
 
 @example(["analyze", "stay", "--k", "3", "--cross-validate", "0"])
-@settings(max_examples=150, deadline=None)
+@settings(
+    max_examples=150, deadline=None,
+    # the examples share tmp_path; each one only writes its output files there
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(args=patrolctl_args())
-def test_any_argument_list_ends_in_a_clean_exit(args):
+def test_any_argument_list_ends_in_a_clean_exit(tmp_path, args):
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     result = CliRunner().invoke(main, args)
     assert result.exception is None or isinstance(result.exception, SystemExit), args
     assert result.exit_code in (0, 1, 2), args

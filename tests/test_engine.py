@@ -14,7 +14,13 @@ from ringpatrol.agents import (
     compute_swipe_set,
     fsm_of,
 )
-from ringpatrol.engine import distinct_nodes_visited, idle_time, run, trace_to_csv
+from ringpatrol.engine import (
+    SimulationError,
+    distinct_nodes_visited,
+    idle_time,
+    run,
+    trace_to_csv,
+)
 from ringpatrol.ring import (
     STAY,
     ObliviousSchedule,
@@ -111,9 +117,27 @@ def test_run_accepts_a_zero_horizon():
     ],
 )
 def test_run_rejects_invalid_schedule(missing, period, message):
-    sched = ObliviousSchedule(n=6, missing=missing, period=period)
+    # refused where it is built, so no run is ever handed it
     with pytest.raises(ScheduleError, match=message):
-        run(PingPong(), sched, (0, 3), 20)
+        ObliviousSchedule(n=6, missing=missing, period=period)
+
+
+class Answers:
+    """An adaptive adversary that removes nothing until round 2, then
+    answers ``edge``."""
+
+    def __init__(self, edge):
+        self.edge = edge
+
+    def decide(self, r, look, moves):
+        return self.edge if r == 2 else None
+
+
+@pytest.mark.parametrize("edge", [2.0, True, -1, 6, "2"])
+def test_run_rejects_an_adversary_edge_that_is_not_an_int_on_the_ring(edge):
+    message = re.escape(f"round 2: driver removed invalid edge {edge!r}")
+    with pytest.raises(SimulationError, match=f"^{message}$"):
+        run(PingPong(), Answers(edge), (0, 3), 5, n=6)
 
 
 def test_trace_continuity():

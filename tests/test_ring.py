@@ -1,10 +1,12 @@
+import dataclasses
 import hashlib
 import json
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ringpatrol.ring import (
     CCW,
@@ -22,7 +24,6 @@ from ringpatrol.ring import (
     random_positions,
     start_run,
     uniform_gaps,
-    check_schedule,
     uniform_positions,
 )
 from ringpatrol.adversaries import wave_schedule
@@ -39,7 +40,7 @@ from ringpatrol.agents import (
     fsm_of,
 )
 from ringpatrol.engine import run
-from ringpatrol.worstcase import solve_worst_case
+from ringpatrol.worstcase import SearchBudgetError, offline_opt_search, solve_worst_case
 
 
 def ring_distance(n: int, u: int, v: int, direction: int = CW) -> int:
@@ -77,8 +78,39 @@ def test_ring_distance_directions_sum_to_n(n, data):
     assert arc_distance(n, u, v) == min(cw, ccw)
 
 
+def reference_check_schedule(schedule):
+    """Reference for the construction check, written the plain way: sort
+    the entries, then raise ``ScheduleError`` naming the first violation in
+    round order.  ``schedule`` may be any object with ``n``, ``missing``
+    and ``period``, so it also judges a schedule that cannot be built."""
+    for r, e in sorted(schedule.missing.items()):
+        if r < 0:
+            raise ScheduleError(f"negative round {r} in schedule")
+        if schedule.period is not None and r >= schedule.period:
+            raise ScheduleError(f"round {r} outside declared period {schedule.period}")
+        if not (0 <= e < schedule.n):
+            raise ScheduleError(
+                f"round {r}: edge index {e} out of range for n={schedule.n}"
+            )
+
+
+def reference_message(n, missing, period):
+    """What building an all-int schedule must raise, or None to accept it."""
+    if n < 3:
+        return f"ring needs at least 3 nodes, got n={n}"
+    if period is not None and period < 1:
+        return f"period must be an integer >= 1, got {period!r}"
+    try:
+        reference_check_schedule(SimpleNamespace(n=n, missing=missing, period=period))
+    except ScheduleError as exc:
+        return str(exc)
+    return None
+
+
 def test_validate_schedule_static_ok():
-    check_schedule(ObliviousSchedule(n=10))
+    sched = ObliviousSchedule(n=10)
+    reference_check_schedule(sched)
+    assert sched.missing == {} and sched.missing_edge(5) is None
 
 
 def test_schedule_file_with_two_edges_in_one_round_rejected():
@@ -94,13 +126,109 @@ def test_schedule_file_with_two_edges_in_one_round_rejected():
 
 
 def test_validate_schedule_flags_bad_edge_index():
-    sched = ObliviousSchedule(n=6, missing={4: 6})
     with pytest.raises(ScheduleError, match="round 4"):
-        check_schedule(sched)
+        ObliviousSchedule(n=6, missing={4: 6})
 
 
 def test_wave_schedule_validates():
-    check_schedule(wave_schedule(10))
+    reference_check_schedule(wave_schedule(10))
+
+
+@pytest.mark.parametrize(
+    "missing,period,message",
+    [
+        # inserted last-first: the first violation is the lowest round
+        ({9: -1, 4: 6, 2: 7}, None, "round 2: edge index 7 out of range for n=6"),
+        ({5: 0, 1: 9}, None, "round 1: edge index 9 out of range for n=6"),
+        ({3: 9, -2: 0}, None, "negative round -2 in schedule"),
+        ({3: 1, 2: 0}, 2, "round 2 outside declared period 2"),
+        ({1: 6, 0: 0}, 2, "round 1: edge index 6 out of range for n=6"),
+    ],
+)
+def test_schedule_construction_names_the_first_violation(missing, period, message):
+    with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
+        ObliviousSchedule(n=6, missing=missing, period=period)
+    assert reference_message(6, missing, period) == message
+
+
+@pytest.mark.parametrize(
+    "n,missing,value",
+    [
+        (6, {0: 1.0, 1: True}, "1.0"),
+        (6, {0: 1, 1: True}, "True"),
+        (6, {2.0: 1}, "2.0"),
+        (6, {False: 1}, "False"),
+        (6, {0: "1"}, "'1'"),
+        (6, {0: None}, "None"),
+        (6.0, {}, "6.0"),
+        (True, {}, "True"),
+    ],
+)
+def test_schedule_construction_rejects_entries_that_are_not_ints(n, missing, value):
+    with pytest.raises(ScheduleError, match=re.escape(value)):
+        ObliviousSchedule(n=n, missing=missing)
+
+
+def test_schedule_is_read_only_and_keeps_its_own_copy():
+    given_missing = {0: 1, 3: 2}
+    sched = ObliviousSchedule(n=6, missing=given_missing, period=4)
+    given_missing[1] = 9  # the caller's dict is not the schedule's
+    assert sched.missing == {0: 1, 3: 2} and sched.missing_edge(5) is None
+    for name, value in (("n", 7), ("missing", {}), ("period", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sched, name, value)
+    with pytest.raises(TypeError):
+        sched.missing[1] = 9
+    with pytest.raises(TypeError):
+        del sched.missing[0]
+    assert sched == ObliviousSchedule(n=6, missing={3: 2, 0: 1}, period=4)
+
+
+_NOT_INTS = [1.0, 2.5, True, False, "1", None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    period=st.none() | st.integers(0, 6),
+    entries=st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 8)), max_size=5),
+    odd=st.sampled_from([None, None, None, "n", "period", "round", "edge", "edge"]),
+    odd_value=st.sampled_from(_NOT_INTS),
+)
+def test_schedule_construction_matches_the_reference(n, period, entries, odd, odd_value):
+    # all-int draws, with at most one value replaced by one that is not an int
+    missing = dict(entries)
+    if odd == "n":
+        n = odd_value
+    elif odd == "period":
+        period = odd_value
+    elif odd == "round":
+        missing[odd_value] = 1  # 1.0 or True on top of round 1 keeps the int key
+    elif odd == "edge":
+        missing[next(iter(missing), 0)] = odd_value
+    all_ints = all(type(v) is int for v in (n, *missing, *missing.values())) and (
+        period is None or type(period) is int
+    )
+    expected = reference_message(n, missing, period) if all_ints else "any"
+    try:
+        sched = ObliviousSchedule(n=n, missing=missing, period=period)
+    except ScheduleError as exc:
+        assert expected is not None, f"a valid schedule was refused: {exc}"
+        assert expected in ("any", str(exc))
+        return
+    assert expected is None, f"accepted, expected {expected!r}"
+    # what is built, every consumer takes as it is
+    horizon = 2 + max(missing, default=0)
+    trace = run(PingPong(), sched, uniform_positions(n, 2), horizon)
+    assert [rec.missing_edge for rec in trace.records] == [
+        sched.missing_edge(r) for r in range(horizon)
+    ]
+    try:
+        offline_opt_search(sched, 1, (0,), 0)
+    except SearchBudgetError:  # a schedule that keeps one agent from covering
+        pass
+    if period is not None:
+        solve_worst_case(PingPong(), n, 2, uniform_positions(n, 2), schedule=sched)
 
 
 def test_schedule_json_round_trip():

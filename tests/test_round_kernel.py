@@ -39,8 +39,6 @@ from ringpatrol.ring import (
     CW,
     STAY,
     GlobalSnapshot,
-    ObliviousSchedule,
-    check_schedule,
     is_uniform,
     make_random_schedule,
     random_positions,
@@ -94,8 +92,6 @@ def reference_run(algorithm, driver, initial, horizon, n=None):
     driver_n = getattr(driver, "n", None)
     if n is None:
         n = driver_n
-    if isinstance(driver, ObliviousSchedule):
-        check_schedule(driver)
     positions = tuple(initial)
     k = len(positions)
     memory = start_run(algorithm, n, k, positions)

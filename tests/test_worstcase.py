@@ -1,4 +1,5 @@
 import itertools
+import json
 import logging
 import random
 import re
@@ -217,16 +218,18 @@ INVALID_SCHEDULES = [
 
 @pytest.mark.parametrize("missing,period,message", INVALID_SCHEDULES)
 def test_solver_rejects_invalid_schedule(missing, period, message):
-    sched = ObliviousSchedule(n=6, missing=missing, period=period)
+    # refused where it is built, so no solve is ever handed it
     with pytest.raises(ScheduleError, match=message):
-        solve_worst_case(PingPong(), 6, 2, (0, 3), schedule=sched)
+        ObliviousSchedule(n=6, missing=missing, period=period)
 
 
 @pytest.mark.parametrize("missing,period,message", INVALID_SCHEDULES)
 def test_offline_rejects_invalid_schedule(missing, period, message):
-    sched = ObliviousSchedule(n=6, missing=missing, period=period)
+    # a schedule file is refused by the same check, so no search is handed it
+    entries = [{"round": r, "edge": e} for r, e in missing.items()]
+    text = json.dumps({"n": 6, "period": period, "missing": entries})
     with pytest.raises(ScheduleError, match=message):
-        offline_opt_search(sched, 1, (0,), 0)
+        ObliviousSchedule.from_json(text)
 
 
 def test_exploration_keeps_one_edge_per_distinct_successor():
