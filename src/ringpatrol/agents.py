@@ -131,14 +131,6 @@ SNAP_CCW_MISSING = "ccwMissing"
 SNAPSHOT_CLASSES = (SNAP_BOTH, SNAP_CW_MISSING, SNAP_CCW_MISSING)
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer; a float, a bool or any other type raises TypeError,
-    which the machine loader turns into its ValueError."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class FsmSpec:
     """Transition table of a bounded-memory local-visibility machine.
@@ -155,11 +147,17 @@ class FsmSpec:
     arcs: Mapping
 
     def __post_init__(self):
+        if type(self.states) is not int:
+            raise ValueError(f"states must be an integer, got {self.states!r}")
         if self.states < 1:
             raise ValueError("machine needs at least one state")
+        if type(self.initial) is not int:
+            raise ValueError(f"initial state must be an integer, got {self.initial!r}")
         if not (0 <= self.initial < self.states):
             raise ValueError(f"initial state {self.initial} out of range")
         for (s, label), (to, move) in self.arcs.items():
+            if type(s) is not int:
+                raise ValueError(f"arc {(s, label)} leaves non-integer state {s!r}")
             if not (0 <= s < self.states):
                 raise ValueError(f"arc {(s, label)} leaves unknown state {s}")
             if label not in SNAPSHOT_CLASSES:
@@ -196,12 +194,11 @@ class FsmSpec:
         try:
             raw = json.loads(text)
             for a in raw["arcs"]:
-                key = (_json_int(a["from"], "from"), a["snapshot"])
+                key = (a["from"], a["snapshot"])
                 if key in arcs:
                     raise ValueError(f"duplicate arc {key}")
-                arcs[key] = (_json_int(a["to"], "to"), _json_int(a["move"], "move"))
-            states = _json_int(raw["states"], "states")
-            initial = _json_int(raw["initial"], "initial")
+                arcs[key] = (a["to"], a["move"])
+            states, initial = raw["states"], raw["initial"]
         except (KeyError, TypeError, RecursionError, json.JSONDecodeError) as exc:
             raise ValueError(f"malformed machine file: {exc!r}") from None
         return cls(states=states, initial=initial, arcs=arcs)

@@ -45,7 +45,9 @@ def arc_distance(n: int, u: int, v: int) -> int:
     return min(d, n - d)
 
 
-def _check_ring_size(n) -> None:
+def check_ring(n) -> None:
+    """Raise ``ScheduleError`` (a ``ValueError``) unless the ring size is an
+    int of at least 3: a float or a bool is refused."""
     if type(n) is not int:
         raise ScheduleError(f"n must be an integer, got {n!r}")
     if n < 3:
@@ -74,7 +76,7 @@ class ObliviousSchedule:
 
     def __post_init__(self):
         n, period = self.n, self.period
-        _check_ring_size(n)
+        check_ring(n)
         if period is not None and (type(period) is not int or period < 1):
             raise ScheduleError(f"period must be an integer >= 1, got {period!r}")
         table = dict(self.missing)
@@ -137,7 +139,7 @@ def make_random_schedule(n: int, rounds: int, seed: int) -> ObliviousSchedule:
     draw ``randrange(n)`` makes, so a seed gives the same schedule, but not
     through ``randrange``'s private ``_randbelow`` helper.  An ``n`` that is
     not an int >= 3 raises ``ScheduleError`` before any draw."""
-    _check_ring_size(n)
+    check_ring(n)
     missing = {}
     rng = random.Random(seed)
     draw, getrandbits = rng.random, rng.getrandbits
@@ -200,19 +202,13 @@ def random_positions(n: int, k: int, seed: int) -> tuple[int, ...]:
 
 # --- run start, snapshots and round application -----------------------------
 
-def check_ring(n: int) -> None:
-    """Raise ``ValueError`` unless the ring has at least 3 nodes."""
-    if n < 3:
-        raise ValueError(f"ring needs at least 3 nodes, got n={n}")
-
-
 def start_run(algorithm, n: int, k: int, initial: Sequence[int]):
-    """Start a run of the engine or the solver: check the ring (n >= 3), the
-    team (k >= 1), the start (one distinct in-range node per agent, each an
-    int: a float or a bool raises ``ValueError``) and that the team has
-    exactly one of ``joint_step`` and ``step`` (else ``TypeError``),
-    validate the team and return its start memory: one team memory for a
-    global-view team, a tuple of k for a per-agent team."""
+    """Start a run of the engine or the solver: check the ring (an int
+    >= 3), the team (k >= 1), the start (one distinct in-range node per
+    agent, each an int: a float or a bool raises ``ValueError``) and that
+    the team has exactly one of ``joint_step`` and ``step`` (else
+    ``TypeError``), validate the team and return its start memory: one team
+    memory for a global-view team, a tuple of k for a per-agent team."""
     positions = tuple(initial)
     check_ring(n)
     if k < 1:

@@ -45,7 +45,6 @@ from ringpatrol.suites import rows_kpingpong, rows_known_floor, rows_place_and_s
 from ringpatrol.worstcase import offline_opt_search, solve_worst_case
 
 from test_fsm import four_state_fixture
-from test_stability import ROWS_KPINGPONG_DIGEST, report_digest
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -124,8 +123,6 @@ def test_criterion_05_kpingpong():
     detail = "; ".join(f"{r.claim} n={r.n} k={r.k}: {r.measured}<={r.bound}" for r in rows)
     report("05 k-ping-pong", ok, detail)
     assert ok
-    # the rows' report bytes are pinned here, so they are built once per run
-    assert report_digest(rows) == ROWS_KPINGPONG_DIGEST
 
 
 @pytest.mark.xfail(

@@ -825,6 +825,25 @@ def test_fsm_spec_rejects_arcs_that_are_not_ints(arc, message):
         FsmSpec(states=2, initial=0, arcs=arcs)
 
 
+@pytest.mark.parametrize(
+    "states, initial, source, message",
+    [
+        (1.0, 0, 0, "states must be an integer, got 1.0"),
+        (True, 0, 0, "states must be an integer, got True"),
+        (1, True, 0, "initial state must be an integer, got True"),
+        (1, 0.0, 0, "initial state must be an integer, got 0.0"),
+        (1, 0, 0.0, "leaves non-integer state 0.0"),
+        (1, 0, False, "leaves non-integer state False"),
+    ],
+)
+def test_fsm_spec_rejects_machine_fields_that_are_not_ints(states, initial, source, message):
+    # each was once accepted, and classify then raised a bare TypeError
+    arcs = {(0, label): (0, CW) for label in SNAPSHOT_CLASSES}
+    arcs[source, SNAP_BOTH] = arcs.pop((0, SNAP_BOTH))
+    with pytest.raises(ValueError, match=f"{message}$"):
+        FsmSpec(states=states, initial=initial, arcs=arcs)
+
+
 @pytest.mark.parametrize("name", BUILTIN_FSM_NAMES)
 def test_fsm_spec_is_read_only_and_built_ins_are_built_once(name):
     spec = fsm_of(name)

@@ -29,6 +29,7 @@ from ringpatrol.ring import (
     random_positions,
     uniform_positions,
 )
+from ringpatrol.worstcase import solve_worst_case
 
 
 class Stayers:
@@ -80,6 +81,17 @@ def test_single_clockwise_walk_positions():
 def test_run_without_driver_rejects_two_node_ring():
     with pytest.raises(ValueError, match="at least 3 nodes"):
         run(PingPong(), None, (0, 1), 5, n=2)
+
+
+@pytest.mark.parametrize("n", [6.0, True])
+def test_engine_and_solver_refuse_a_ring_size_that_is_not_an_int(n):
+    # n=6.0 once ran and wrote positions 1.0 and 4.0 to the trace, and the
+    # solver raised a bare TypeError from a shift
+    message = f"^n must be an integer, got {n!r}$"
+    with pytest.raises(ScheduleError, match=message):
+        run(PingPong(), None, (0, 3), 4, n=n)
+    with pytest.raises(ScheduleError, match=message):
+        solve_worst_case(PingPong(), n, 2, (0, 3))
 
 
 def test_run_rejects_empty_team():

@@ -8,7 +8,12 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringpatrol.adversaries import fixed_edge_schedule, wave_schedule, wave_start_positions
+from ringpatrol.adversaries import (
+    fixed_edge_schedule,
+    gate_adversary,
+    wave_schedule,
+    wave_start_positions,
+)
 from ringpatrol.agents import (
     BUILTIN_FSM_NAMES,
     SNAPSHOT_CLASSES,
@@ -38,6 +43,7 @@ from ringpatrol.ring import (
     start_run,
     uniform_positions,
 )
+from ringpatrol.suites import rows_kpingpong
 from ringpatrol.worstcase import (
     UNBOUNDED,
     BudgetExceeded,
@@ -1053,6 +1059,34 @@ def test_engine_never_beats_the_solver(make, n, initial):
         sched = make_random_schedule(n, 8 * n, 100 * n + seed)
         tr = run(make(), sched, initial, 8 * n)
         assert idle_time(tr).idle <= res.worst_idle
+
+
+@pytest.fixture(scope="module")
+def kpingpong_rows():
+    return {(row.n, row.k): row for row in rows_kpingpong()}
+
+
+@pytest.mark.parametrize(
+    "n,k", [(8, 2), (12, 2), (16, 2), (8, 4), (12, 4), (16, 4), (9, 2), (10, 4), (12, 3)]
+)
+def test_kpingpong_rows_bound_engine_runs(kpingpong_rows, n, k):
+    # table1's kpingpong figures are exact: the row's solve replays to its
+    # figure, and no seeded run has a gap, open or closed, above it.
+    # worst_gap(0) counts every gap of the run, so it also bounds the
+    # worst_gap(2n) the rows once sampled.
+    row = kpingpong_rows[(n, k)]
+    initial = uniform_positions(n, k)
+    res = solve_worst_case(KPingPong(), n, k, initial)
+    tr = run(KPingPong(), witness_schedule(n, res.witness), initial, len(res.witness))
+    assert idle_time(tr).idle == res.worst_idle == row.measured
+    drivers = [fixed_edge_schedule(n, 0)] + [
+        make_random_schedule(n, 30 * n, seed) for seed in range(6)
+    ]
+    if k == 2:
+        drivers.append(gate_adversary(n))
+    for driver in drivers:
+        tr = run(KPingPong(), driver, initial, 30 * n, n=n)
+        assert idle_time(tr).worst_gap(0) <= row.measured
 
 
 # --- offline optimum ---------------------------------------------------------
