@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .ring import STAY, ObliviousSchedule, crossed_edge
+from .ring import STAY, ObliviousSchedule, check_ring, crossed_edge
 
 
 def fixed_edge_schedule(n: int, e: int) -> ObliviousSchedule:
@@ -30,6 +30,7 @@ def wave_schedule(n: int) -> ObliviousSchedule:
     are never removed.  Up-edges occupy all even rounds of the period, one
     sweeping outwards and one back; down-edges fill the odd rounds.
     """
+    check_ring(n)
     if n % 2 != 0 or n < 10:
         raise ValueError(f"wave schedule needs even n >= 10, got {n}")
     half = n // 2

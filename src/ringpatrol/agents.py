@@ -155,7 +155,15 @@ class FsmSpec:
             raise ValueError(f"initial state must be an integer, got {self.initial!r}")
         if not (0 <= self.initial < self.states):
             raise ValueError(f"initial state {self.initial} out of range")
-        for (s, label), (to, move) in self.arcs.items():
+        if not isinstance(self.arcs, Mapping):
+            raise ValueError(f"arcs must be a mapping, got {type(self.arcs).__name__}")
+        for key, value in self.arcs.items():
+            try:
+                (s, label), (to, move) = key, value
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"arc {key!r}: {value!r} is not (state, snapshot class) to (state, move)"
+                ) from None
             if type(s) is not int:
                 raise ValueError(f"arc {(s, label)} leaves non-integer state {s!r}")
             if not (0 <= s < self.states):

@@ -193,7 +193,10 @@ def consecutive_positions(n: int, k: int) -> tuple[int, ...]:
 
 
 def random_positions(n: int, k: int, seed: int) -> tuple[int, ...]:
-    """Seeded injective placement; k outside 0..n raises ValueError."""
+    """Seeded injective placement; an ``n`` that is not an int, or k outside
+    0..n, raises ValueError."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if not 0 <= k <= n:
         raise ValueError(f"cannot place k={k} agents on distinct nodes of n={n}")
     rng = random.Random(seed)

@@ -9,7 +9,7 @@ from ringpatrol.adversaries import (
 )
 from ringpatrol.agents import FsmAlgorithm, PingPong, fsm_of
 from ringpatrol.engine import distinct_nodes_visited, idle_time, run
-from ringpatrol.ring import uniform_positions
+from ringpatrol.ring import ScheduleError, uniform_positions
 
 from test_ring import reference_check_schedule
 
@@ -111,6 +111,13 @@ def test_wave_schedule_parameters():
         wave_schedule(9)
     with pytest.raises(ValueError):
         wave_schedule(8)
+
+
+@pytest.mark.parametrize("n", [10.0, 12.0, True])
+def test_wave_schedule_checks_the_ring_size(n):
+    # 10.0 once ended in a bare TypeError from range
+    with pytest.raises(ScheduleError, match=f"^n must be an integer, got {n!r}$"):
+        wave_schedule(n)
 
 
 def test_wave_schedule_up_edge_rounds():

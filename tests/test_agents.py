@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import pytest
 
@@ -842,6 +843,22 @@ def test_fsm_spec_rejects_machine_fields_that_are_not_ints(states, initial, sour
     arcs[source, SNAP_BOTH] = arcs.pop((0, SNAP_BOTH))
     with pytest.raises(ValueError, match=f"{message}$"):
         FsmSpec(states=states, initial=initial, arcs=arcs)
+
+
+@pytest.mark.parametrize(
+    "arcs, message",
+    [
+        ({(0, SNAP_BOTH): 5}, "arc (0, 'both'): 5 is not (state, snapshot class) to (state, move)"),
+        ({0: (0, CW)}, "arc 0: (0, 1) is not (state, snapshot class) to (state, move)"),
+        ({(0, SNAP_BOTH, 2): (0, CW)}, "arc (0, 'both', 2): (0, 1) is not"),
+        ({(0, SNAP_BOTH): (0, CW, 1)}, "arc (0, 'both'): (0, 1, 1) is not"),
+        ([((0, SNAP_BOTH), (0, CW))], "arcs must be a mapping, got list"),
+    ],
+)
+def test_fsm_spec_rejects_arcs_of_the_wrong_shape(arcs, message):
+    # each once ended in a bare TypeError or AttributeError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FsmSpec(states=1, initial=0, arcs=arcs)
 
 
 @pytest.mark.parametrize("name", BUILTIN_FSM_NAMES)

@@ -282,6 +282,13 @@ def test_random_schedule_checks_the_ring_before_drawing(monkeypatch, n):
         make_random_schedule(n, 50, 0)
 
 
+@pytest.mark.parametrize("n", [6.0, True, "6"])
+def test_random_positions_refuses_a_ring_size_that_is_not_an_int(n):
+    # 6.0 once ended in a bare TypeError from random.sample
+    with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        random_positions(n, 2, 0)
+
+
 @pytest.mark.parametrize("k", [-1, 6])
 def test_random_positions_names_k_and_n(k):
     with pytest.raises(ValueError, match=f"cannot place k={k} agents on distinct nodes of n=5"):

@@ -18,7 +18,9 @@ anchored starts; the place-and-swipe k=2, two-agent spread, fixed-edge and
 mixed-direction traces before place-and-swipe's placement plan became one
 (direction, target) pair per agent.  The ``rows_kpingpong`` report was
 re-recorded when its rows came from the exact solver instead of sampled
-schedules.  A refactor that changes any move, block flag, missing edge,
+schedules.  The ``table1-bounce-upper`` and ``table1-gate-lower`` cases pick
+their claim's rows out of ``rows_pingpong``, which builds both claims from
+one solve per ring.  A refactor that changes any move, block flag, missing edge,
 witness or report row changes a digest.
 The report cases cover the fast suites and the fast ``table1`` builders, so
 the default test run guards report bytes without the long ``table1`` rows.
@@ -162,8 +164,12 @@ def _suite(name):
     return lambda: _report(suites.run_suite(name))
 
 
-def _builder(make):
-    return lambda: _report(make())
+def _builder(make, claim=None):
+    def render():
+        return _report([row for row in make() if claim in (None, row.claim)])
+
+    render.builder = make
+    return render
 
 
 CASES = {
@@ -322,11 +328,11 @@ CASES = {
         "657759870de6b82f7fc15c76f2bfbcab392a28fc3b82046aa719dbc78c0e9ac0",
     ),
     "table1-bounce-upper": (
-        _builder(suites.rows_bounce_upper),
+        _builder(suites.rows_pingpong, "bounce-upper"),
         "a490c8b87cdec0f3d5f614b68503215121e2628e4670b114759e05364f4a44b1",
     ),
     "table1-gate-lower": (
-        _builder(suites.rows_gate_lower),
+        _builder(suites.rows_pingpong, "gate-lower"),
         "31f40327574cb1a592899adefb5aedfd8216a8782a6a0da6ef9ef9024b6b081b",
     ),
     "table1-kpingpong": (
@@ -352,6 +358,17 @@ CASES = {
 def test_output_bytes_are_stable(name):
     render, digest = CASES[name]
     assert hashlib.sha256(render().encode()).hexdigest() == digest
+
+
+def test_every_fast_table1_builder_is_pinned():
+    # rows_place_and_swipe takes seconds; acceptance criteria 3 and 4 check it
+    pinned = {getattr(render, "builder", None) for render, _ in CASES.values()}
+    unpinned = [
+        make.__name__
+        for make in suites.SUITES["table1"]
+        if make is not suites.rows_place_and_swipe and make not in pinned
+    ]
+    assert unpinned == []
 
 
 @pytest.mark.parametrize(
