@@ -60,6 +60,7 @@ def wave_schedule(n: int) -> ObliviousSchedule:
 
 def wave_start_positions(n: int) -> tuple[int, int]:
     """The adjacent starting pair used with wave_schedule."""
+    check_ring(n)
     return (0, n - 1)
 
 

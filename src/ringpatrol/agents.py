@@ -5,13 +5,13 @@ Its steps are called only from the round kernel ``ring.decide_moves``, on
 the one ``GlobalSnapshot`` of the pre-move state; agent ``i`` stands on
 ``snap.positions[i]``.
 
-* ``validate(n, k)``   -- reject unsupported team sizes
+* ``initial_memory(n, k, positions)`` -- the start memory, made once per
+  run; a team the algorithm does not support raises ``ValueError``
 * global view (``PingPong``, ``KPingPong``, ``UniformSpread``): every agent
   sees the same snapshot, so the moves are one joint plan, made once per
-  round on one team memory: ``initial_memory(n, k, positions)`` and
-  ``joint_step(mem, snap) -> (new_mem, moves)``
+  round on one team memory: ``joint_step(mem, snap) -> (new_mem, moves)``
 * per agent (``FsmAlgorithm``, ``PlaceAndSwipe``): one memory per agent,
-  ``initial_memory(n, k, i, positions)`` and
+  each agent starting from the one start memory:
   ``step(i, mem, snap) -> (new_mem, move)``
 
 * optional, ``rotate_memory(mem, shift, n)``: the memory the team would hold
@@ -30,11 +30,11 @@ bounded-memory machines read only the two edges at their own node, so they
 keep a per-agent view by design.  Place-and-swipe is one team planner
 behind ``step``: every agent holds the one team memory, ``_team_step(mem,
 snap)`` makes the whole round's moves and ``step`` returns agent ``i``'s.
-The first agent to step keeps the result under its whole input ``(mem,
-snap)`` and the rest find it there, so a reused result is by construction
-the one the agent would compute; ``validate`` (called at every run start)
-drops it.  Once the benchmark counts ``joint_step`` calls (ROADMAP item 1),
-``_team_step`` becomes ``joint_step``, and ``step`` and its memo go.
+The first agent to step keeps the result under its input ``(mem, snap)``;
+the rest step on those same two objects and find it by identity (an equal
+copy is planned again), and ``initial_memory`` drops it.  Once the
+benchmark counts ``joint_step`` calls (ROADMAP item 1), ``_team_step``
+becomes ``joint_step``, and ``step`` and its memo go.
 
 A step reads the missing edge only through ``snap.blocks(p, move)``: would
 a move from node ``p`` be blocked this round?  The exact solver relies on
@@ -100,11 +100,9 @@ class PingPong:
     must not bounce again, or it would swap in place forever.
     """
 
-    def validate(self, n: int, k: int) -> None:
+    def initial_memory(self, n, k, positions):
         if k != 2:
             raise ValueError(f"ping-pong runs with exactly 2 agents, got {k}")
-
-    def initial_memory(self, n, k, positions):
         return S0
 
     @staticmethod
@@ -219,10 +217,7 @@ class FsmAlgorithm:
     def __init__(self, spec: FsmSpec):
         self.spec = spec
 
-    def validate(self, n, k):
-        pass
-
-    def initial_memory(self, n, k, i, positions):
+    def initial_memory(self, n, k, positions):
         return self.spec.initial
 
     @staticmethod
@@ -657,9 +652,6 @@ class UniformSpread:
     so turning the ring can reorder the plans in the memory.
     """
 
-    def validate(self, n, k):
-        pass
-
     def initial_memory(self, n, k, positions):
         return None
 
@@ -715,7 +707,7 @@ class PlaceAndSwipe:
         self.schedule = schedule
         self._last = None  # (mem, snap, new_mem, moves) of the last team step
 
-    def validate(self, n, k):
+    def initial_memory(self, n, k, positions):
         if k < 2:
             raise ValueError("place-and-swipe needs k >= 2")
         if n <= k:
@@ -726,8 +718,6 @@ class PlaceAndSwipe:
                 f"run on {n}"
             )
         self._last = None  # every run starts here: no step outlives its run
-
-    def initial_memory(self, n, k, i, positions):
         return PlaceAndSwipeMemory(round=0, anchor=0 if is_uniform(n, positions) else None)
 
     def _plan_epoch(self, r, positions, L):
@@ -770,7 +760,7 @@ class PlaceAndSwipe:
 
     def step(self, i, mem: PlaceAndSwipeMemory, snap: GlobalSnapshot):
         last = self._last
-        if last is None or last[0] != mem or last[1] != snap:
+        if last is None or last[0] is not mem or last[1] is not snap:
             last = self._last = (mem, snap, *self._team_step(mem, snap))
         return last[2], last[3][i]
 
@@ -805,11 +795,9 @@ class KPingPong:
     group as transparent) before the group rules take over.
     """
 
-    def validate(self, n, k):
+    def initial_memory(self, n, k, positions):
         if k < 2:
             raise ValueError(f"k-ping-pong needs k >= 2, got {k}")
-
-    def initial_memory(self, n, k, positions):
         return KPingPongMemory(stage=KP_S0)
 
     @staticmethod

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .agents import SNAP_BOTH, SNAPSHOT_CLASSES, FsmAlgorithm, FsmSpec
-from .ring import check_ring, uniform_positions
+from .ring import check_ring, check_team, uniform_positions
 from .worstcase import GameSolverResult, _path_from_init, solve_worst_case
 
 NOT_PATROLLING = "NOT_PATROLLING"
@@ -137,8 +137,7 @@ def classify(spec: FsmSpec, k: int, memory_bits: int) -> Classification:
     """Classify a machine: either it provably fails patrolling, or every
     fault-free cycle it can be driven into drifts and the drift-herding
     bound applies.  ``memory_bits`` only checks that the states fit."""
-    if k < 1:
-        raise ValueError(f"a team needs at least one agent, got k={k}")
+    check_team(k)
     if spec.states > 2 ** memory_bits:
         raise ValueError(
             f"{spec.states} states do not fit in {memory_bits} memory bits"

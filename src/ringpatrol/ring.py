@@ -54,6 +54,15 @@ def check_ring(n) -> None:
         raise ScheduleError(f"ring needs at least 3 nodes, got n={n}")
 
 
+def check_team(k) -> None:
+    """Raise ``ValueError`` unless the team size is an int >= 1 (a float or a
+    bool is refused)."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"a team needs at least one agent, got k={k}")
+
+
 @dataclass(frozen=True)
 class ObliviousSchedule:
     """Per-round missing-edge function defining the dynamic ring.
@@ -138,8 +147,10 @@ def make_random_schedule(n: int, rounds: int, seed: int) -> ObliviousSchedule:
     ``getrandbits(n.bit_length())``, drawn again while it is ``>= n``: the
     draw ``randrange(n)`` makes, so a seed gives the same schedule, but not
     through ``randrange``'s private ``_randbelow`` helper.  An ``n`` that is
-    not an int >= 3 raises ``ScheduleError`` before any draw."""
+    not an int >= 3, or ``rounds`` not an int >= 0, is a ``ScheduleError``."""
     check_ring(n)
+    if type(rounds) is not int or rounds < 0:
+        raise ScheduleError(f"rounds must be an integer >= 0, got {rounds!r}")
     missing = {}
     rng = random.Random(seed)
     draw, getrandbits = rng.random, rng.getrandbits
@@ -157,8 +168,7 @@ def make_random_schedule(n: int, rounds: int, seed: int) -> ObliviousSchedule:
 
 def uniform_gaps(n: int, k: int) -> list[int]:
     """Inter-agent gaps of the canonical uniform placement, larger gaps first."""
-    if k < 1:
-        raise ValueError(f"a placement needs at least one agent, got k={k}")
+    check_team(k)
     q, rem = divmod(n, k)
     return [q + 1] * rem + [q] * (k - rem)
 
@@ -189,14 +199,16 @@ def is_uniform(n: int, positions: Sequence[int]) -> bool:
 
 
 def consecutive_positions(n: int, k: int) -> tuple[int, ...]:
+    check_team(k)
     return tuple(i % n for i in range(k))
 
 
 def random_positions(n: int, k: int, seed: int) -> tuple[int, ...]:
-    """Seeded injective placement; an ``n`` that is not an int, or k outside
-    0..n, raises ValueError."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an integer, got {n!r}")
+    """Seeded injective placement; an ``n`` or ``k`` that is not an int, or
+    k outside 0..n, raises ValueError."""
+    for name, value in (("n", n), ("k", k)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 0 <= k <= n:
         raise ValueError(f"cannot place k={k} agents on distinct nodes of n={n}")
     rng = random.Random(seed)
@@ -207,15 +219,14 @@ def random_positions(n: int, k: int, seed: int) -> tuple[int, ...]:
 
 def start_run(algorithm, n: int, k: int, initial: Sequence[int]):
     """Start a run of the engine or the solver: check the ring (an int
-    >= 3), the team (k >= 1), the start (one distinct in-range node per
-    agent, each an int: a float or a bool raises ``ValueError``) and that
-    the team has exactly one of ``joint_step`` and ``step`` (else
-    ``TypeError``), validate the team and return its start memory: one team
-    memory for a global-view team, a tuple of k for a per-agent team."""
+    >= 3), the team (an int k >= 1), the start (one distinct in-range node
+    per agent, each an int: a float or a bool raises ``ValueError``) and
+    that the team has exactly one of ``joint_step`` and ``step`` (else
+    ``TypeError``), then return the algorithm's one ``initial_memory``, for
+    a per-agent team as a tuple of k references to that one object."""
     positions = tuple(initial)
     check_ring(n)
-    if k < 1:
-        raise ValueError(f"a run needs at least one agent, got k={k}")
+    check_team(k)
     if len(positions) != k:
         raise ValueError(f"expected {k} start nodes, one per agent, got {positions}")
     for p in positions:
@@ -229,10 +240,8 @@ def start_run(algorithm, n: int, k: int, initial: Sequence[int]):
     if joint == hasattr(algorithm, "step"):
         name = type(algorithm).__name__
         raise TypeError(f"{name} must define exactly one of joint_step and step")
-    algorithm.validate(n, k)
-    if joint:
-        return algorithm.initial_memory(n, k, positions)
-    return tuple(algorithm.initial_memory(n, k, i, positions) for i in range(k))
+    memory = algorithm.initial_memory(n, k, positions)
+    return memory if joint else (memory,) * k
 
 
 class GlobalSnapshot(NamedTuple):

@@ -99,6 +99,7 @@ from .ring import (
     GlobalSnapshot,
     ObliviousSchedule,
     apply_round,
+    check_team,
     crossed_edge,
     decide_moves,
     start_run,
@@ -691,9 +692,9 @@ def offline_opt_search(
 ) -> int:
     """Exact minimum number of rounds for ``k`` agents (1 to 3) to visit every
     node and then stand on ``home`` again, moving any way they like against the
-    known schedule (blocked moves waste the round).  Start nodes and ``home``
-    are ints on the ring (a float or a bool raises ``ValueError``);
-    ``max_rounds`` (default 8n) must be an integer >= 0.
+    known schedule (blocked moves waste the round).  ``k``, the start nodes
+    and ``home`` are ints, nodes on the ring (a float or a bool raises
+    ``ValueError``); ``max_rounds`` (default 8n) must be an integer >= 0.
 
     Each agent's reach states (offset from its start, ccw and cw sweep extents)
     are tracked on their own and combined per round.  Waiting keeps every state,
@@ -703,6 +704,7 @@ def offline_opt_search(
     combinations holding a new state or arc: the answer of a full re-advance.
     """
     n = schedule.n
+    check_team(k)
     if k != len(start):
         raise ValueError("one start node per agent")
     if not (1 <= k <= 3):

@@ -12,7 +12,6 @@ import json
 import pytest
 
 from ringpatrol.adversaries import (
-    gate_adversary,
     trap_adversary,
     wave_schedule,
     wave_start_positions,
@@ -22,7 +21,6 @@ from ringpatrol.agents import (
     KPingPong,
     PingPong,
     PlaceAndSwipe,
-    compute_swipe_set,
     fsm_of,
 )
 from ringpatrol.engine import distinct_nodes_visited, idle_time, run
@@ -41,7 +39,13 @@ from ringpatrol.ring import (
     random_positions,
     uniform_positions,
 )
-from ringpatrol.suites import rows_kpingpong, rows_known_floor, rows_place_and_swipe
+from ringpatrol.suites import (
+    rows_kpingpong,
+    rows_known_floor,
+    rows_pingpong,
+    rows_place_and_swipe,
+    rows_sweep_property,
+)
 from ringpatrol.worstcase import offline_opt_search, solve_worst_case
 
 from test_fsm import four_state_fixture
@@ -51,27 +55,30 @@ def report(criterion: str, passed: bool, detail: str):
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} ({detail})")
 
 
-def test_criterion_01_bounce_upper_exact():
-    values = {}
-    ok = True
-    for n in (6, 8, 10, 12):
-        res = solve_worst_case(PingPong(), n, 2, uniform_positions(n, 2))
-        values[n] = res.worst_idle
-        ok = ok and (not res.unbounded) and res.worst_idle <= 2 * (n - 1)
+@pytest.fixture(scope="module")
+def pingpong_rows():
+    # one exact solve and one 60n-round gate run per ring
+    return rows_pingpong()
+
+
+def test_criterion_01_bounce_upper_exact(pingpong_rows):
+    rows = [r for r in pingpong_rows if r.claim == "bounce-upper"]
+    assert [(r.n, r.driver, r.bound) for r in rows] == [
+        (n, "solver", 2 * (n - 1)) for n in (6, 8, 10, 12)
+    ]
+    ok = all(r.passed for r in rows)
+    values = {r.n: r.measured for r in rows}
     report("01 two-agent-bounce-upper", ok, f"exact worst cases {values}")
     assert ok
 
 
-def test_criterion_02_gate_lower():
-    ok = True
-    details = []
-    for n in (6, 8, 10, 12):
-        tr = run(PingPong(), gate_adversary(n), uniform_positions(n, 2), 60 * n)
-        measured = idle_time(tr).idle
-        res = solve_worst_case(PingPong(), n, 2, uniform_positions(n, 2))
-        good = measured >= 2 * n - 6 and (res.unbounded or res.worst_idle >= 2 * n - 6)
-        ok = ok and good
-        details.append(f"n={n}: gate {measured}, solver {res.worst_idle}")
+def test_criterion_02_gate_lower(pingpong_rows):
+    rows = [r for r in pingpong_rows if r.claim == "gate-lower"]
+    assert [(r.n, r.driver, r.bound) for r in rows] == [
+        (n, driver, 2 * n - 6) for n in (6, 8, 10, 12) for driver in ("gate", "solver")
+    ]
+    ok = all(r.passed for r in rows)
+    details = [f"n={r.n}: {r.driver} {r.measured}" for r in rows]
     report("02 two-agent-gate-lower", ok, "; ".join(details))
     assert ok
 
@@ -168,17 +175,13 @@ def test_criterion_07_wave_exact_values_regression():
 
 
 def test_criterion_08_sweep_property():
-    ok = True
-    checks = 0
-    for n in (8, 12):
-        for seed in range(1000):
-            sched = make_random_schedule(n, 3 * n, seed)
-            for h in range(1, n):
-                checks += 1
-                # at least n - h clockwise walkers never blocked over [0, h)
-                if len(compute_swipe_set(sched, 0, h)) < n - h:
-                    ok = False
-    report("08 guaranteed-sweep property", ok, f"{checks} windows")
+    # clockwise walkers from every node, stepped through apply_round
+    rows = rows_sweep_property()
+    assert [(r.n, r.note) for r in rows] == [
+        (8, "7000 windows checked"), (12, "11000 windows checked")
+    ]
+    ok = all(r.passed for r in rows)
+    report("08 guaranteed-sweep property", ok, "; ".join(f"n={r.n}: {r.note}" for r in rows))
     assert ok
 
 

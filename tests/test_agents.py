@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import json
 import re
@@ -13,6 +14,7 @@ from ringpatrol.agents import (
     KPingPong,
     PingPong,
     PlaceAndSwipe,
+    PlaceAndSwipeMemory,
     PlacementInfeasibleError,
     S0,
     SNAP_BOTH,
@@ -138,10 +140,7 @@ def per_agent_pingpong_step(i, mem, snap):
 class PerAgentPingPong:
     """PingPong stepped agent by agent with ``per_agent_pingpong_step``."""
 
-    validate = PingPong.validate
-
-    def initial_memory(self, n, k, i, positions):
-        return S0
+    initial_memory = PingPong.initial_memory
 
     def step(self, i, mem, snap):
         return per_agent_pingpong_step(i, mem, snap)
@@ -550,6 +549,94 @@ def test_place_and_swipe_plans_once_per_round(monkeypatch):
     assert calls == {"_team_step": 224, "step": 4 * 224}
 
 
+@pytest.mark.parametrize(
+    "make,n,k,message",
+    [
+        pytest.param(PingPong, 6, 3, "ping-pong runs with exactly 2 agents, got 3",
+                     id="pingpong"),
+        pytest.param(KPingPong, 6, 1, "k-ping-pong needs k >= 2, got 1", id="kpingpong"),
+        pytest.param(UniformSpread, 6, 1, None, id="spread"),
+        pytest.param(lambda: FsmAlgorithm(fsm_of("clockwise")), 6, 1, None, id="fsm"),
+        pytest.param(lambda: PlaceAndSwipe(ObliviousSchedule(n=12)), 12, 1,
+                     "place-and-swipe needs k >= 2", id="place-and-swipe-one-agent"),
+        pytest.param(lambda: PlaceAndSwipe(ObliviousSchedule(n=3)), 3, 3,
+                     "place-and-swipe needs n > k", id="place-and-swipe-full-ring"),
+        pytest.param(lambda: PlaceAndSwipe(ObliviousSchedule(n=12)), 10, 2,
+                     "place-and-swipe planned on a ring of 12 nodes, run on 10",
+                     id="place-and-swipe-other-ring"),
+    ],
+)
+def test_every_algorithm_starts_through_one_initial_memory(make, n, k, message):
+    # the one start method also refuses the teams the algorithm cannot run
+    algorithm = make()
+    assert not hasattr(algorithm, "validate")
+    params = inspect.signature(algorithm.initial_memory).parameters
+    assert list(params) == ["n", "k", "positions"]
+    start = uniform_positions(n, k)
+    if message is None:
+        start_run(algorithm, n, k, start)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            start_run(algorithm, n, k, start)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FsmAlgorithm(fsm_of("oscillator")),
+        lambda: PlaceAndSwipe(make_random_schedule(12, 240, 5)),
+    ],
+    ids=["fsm", "place-and-swipe"],
+)
+def test_per_agent_team_starts_with_one_initial_memory_call(make):
+    algorithm = make()
+    calls = []
+    initial_memory = algorithm.initial_memory
+
+    def counting(*args):
+        calls.append(args)
+        return initial_memory(*args)
+
+    algorithm.initial_memory = counting
+    memory = start_run(algorithm, 12, 4, uniform_positions(12, 4))
+    assert calls == [(12, 4, uniform_positions(12, 4))]
+    assert len(memory) == 4 and all(m is memory[0] for m in memory)
+
+
+def test_place_and_swipe_plans_again_on_equal_copies():
+    # the round's plan is found by identity; an equal but distinct memory or
+    # snapshot is planned again, to the same moves and memory
+    n, k = 12, 3
+    sched = make_random_schedule(n, 20 * n, 7)
+    tr = run(PlaceAndSwipe(sched), sched, uniform_positions(n, k), 4 * n)
+    memories = round_memories(PlaceAndSwipe(sched), tr)
+    algo = PlaceAndSwipe(sched)
+    plans = []
+    team_step = algo._team_step
+
+    def counting(mem, snap):
+        plans.append(mem.round)
+        return team_step(mem, snap)
+
+    algo._team_step = counting
+    for r in (0, 5, 7, 17, 30):  # round 8 plans an epoch
+        rec = tr.records[r + 1]
+        mem = memories[r][0]
+        snap = GlobalSnapshot(n, rec.missing_edge, rec.before)
+        mem_copy, snap_copy = PlaceAndSwipeMemory(*mem), GlobalSnapshot(*snap)
+        assert (mem_copy, snap_copy) == (mem, snap)
+        assert mem_copy is not mem and snap_copy is not snap
+        for inputs, planned in (
+            ([(mem, snap), (mem_copy, snap), (mem, snap_copy)], 3),
+            ([(mem_copy, snap_copy)] * k, 1),
+        ):
+            del plans[:]
+            stepped = [algo.step(i, m, s) for i, (m, s) in enumerate(inputs)]
+            assert len(plans) == planned
+            assert tuple(move for _, move in stepped) == rec.moves
+            assert tuple(new_mem for new_mem, _ in stepped) == memories[r + 1]
+
+
 def test_reused_place_and_swipe_runs_like_a_fresh_one():
     n, k = 12, 3
     L = -(-n // k)
@@ -586,7 +673,6 @@ def test_place_and_swipe_step_on_an_earlier_input_matches_a_fresh_instance():
         snap = GlobalSnapshot(n, sched.missing_edge(r + 1), tr.records[r].after)
         for i in reversed(range(k)):
             fresh = PlaceAndSwipe(sched)
-            fresh.validate(n, k)
             assert algo.step(i, mem[i], snap) == fresh.step(i, mem[i], snap)
 
 

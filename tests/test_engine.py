@@ -35,10 +35,7 @@ from ringpatrol.worstcase import solve_worst_case
 class Stayers:
     """One memoryless agent per call that never moves."""
 
-    def validate(self, n, k):
-        pass
-
-    def initial_memory(self, n, k, i, positions):
+    def initial_memory(self, n, k, positions):
         return None
 
     def step(self, i, mem, snap):
@@ -51,9 +48,6 @@ def clockwise():
 
 class FloatMover:
     """A global-view team whose moves are a float and a bool, not ints."""
-
-    def validate(self, n, k):
-        pass
 
     def initial_memory(self, n, k, positions):
         return None

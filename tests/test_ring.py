@@ -17,6 +17,7 @@ from ringpatrol.ring import (
     ScheduleError,
     apply_round,
     arc_distance,
+    consecutive_positions,
     crossed_edge,
     decide_moves,
     is_uniform,
@@ -26,7 +27,7 @@ from ringpatrol.ring import (
     uniform_gaps,
     uniform_positions,
 )
-from ringpatrol.adversaries import wave_schedule
+from ringpatrol.adversaries import wave_schedule, wave_start_positions
 from ringpatrol.agents import (
     SNAP_BOTH,
     SNAP_CCW_MISSING,
@@ -40,6 +41,7 @@ from ringpatrol.agents import (
     fsm_of,
 )
 from ringpatrol.engine import run
+from ringpatrol.fsm import classify, cross_validate
 from ringpatrol.worstcase import SearchBudgetError, offline_opt_search, solve_worst_case
 
 
@@ -418,9 +420,6 @@ class StepsAgentByAgent(PingPong):
 
 
 class NoStep:
-    def validate(self, n, k):
-        pass
-
     def initial_memory(self, n, k, positions):
         return None
 
@@ -477,13 +476,10 @@ def test_uniform_positions_and_gaps():
 
 
 class Team:
-    """Accepts any team; its memories name the agent and its start."""
+    """Accepts any team; its memory names the start."""
 
-    def validate(self, n, k):
-        pass
-
-    def initial_memory(self, n, k, i, positions):
-        return (i, positions[i])
+    def initial_memory(self, n, k, positions):
+        return positions
 
     def step(self, i, mem, snap):
         return mem, STAY
@@ -492,7 +488,7 @@ class Team:
 def test_initial_configuration_must_be_injective():
     with pytest.raises(ValueError, match="distinct"):
         start_run(Team(), 6, 2, (1, 1))
-    assert start_run(Team(), 6, 2, [0, 3]) == ((0, 0), (1, 3))
+    assert start_run(Team(), 6, 2, [0, 3]) == ((0, 3), (0, 3))
 
 
 @pytest.mark.parametrize(
@@ -512,6 +508,53 @@ def test_initial_configuration_must_be_injective():
 def test_start_run_rejects_bad_ring_and_start(n, k, initial, message):
     with pytest.raises(ValueError, match=message):
         start_run(Team(), n, k, initial)
+
+
+def _cross_validate_stay(k):
+    spec = fsm_of("stay")
+    return cross_validate(classify(spec, 2, 1), spec, 8, k)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(lambda: solve_worst_case(PingPong(), 6, 2.0, (0, 3)),
+                     ValueError, "k must be an integer, got 2.0", id="solve-float-k"),
+        pytest.param(lambda: solve_worst_case(FsmAlgorithm(fsm_of("clockwise")), 6, True, (0,)),
+                     ValueError, "k must be an integer, got True", id="solve-bool-k"),
+        pytest.param(lambda: start_run(PingPong(), 6, 2.0, (0, 3)),
+                     ValueError, "k must be an integer, got 2.0", id="start-run-float-k"),
+        pytest.param(lambda: classify(fsm_of("stay"), True, 1),
+                     ValueError, "k must be an integer, got True", id="classify-bool-k"),
+        pytest.param(lambda: classify(fsm_of("stay"), 2.0, 1),
+                     ValueError, "k must be an integer, got 2.0", id="classify-float-k"),
+        pytest.param(lambda: _cross_validate_stay(2.0),
+                     ValueError, "k must be an integer, got 2.0", id="cross-validate-float-k"),
+        pytest.param(lambda: uniform_positions(6, 2.0),
+                     ValueError, "k must be an integer, got 2.0", id="uniform-float-k"),
+        pytest.param(lambda: uniform_positions(6, True),
+                     ValueError, "k must be an integer, got True", id="uniform-bool-k"),
+        pytest.param(lambda: consecutive_positions(6, 2.0),
+                     ValueError, "k must be an integer, got 2.0", id="consecutive-float-k"),
+        pytest.param(lambda: consecutive_positions(6, 0),
+                     ValueError, "a team needs at least one agent, got k=0", id="consecutive-no-agents"),
+        pytest.param(lambda: random_positions(6, 2.0, 0),
+                     ValueError, "k must be an integer, got 2.0", id="random-float-k"),
+        pytest.param(lambda: random_positions(6, True, 0),
+                     ValueError, "k must be an integer, got True", id="random-bool-k"),
+        pytest.param(lambda: offline_opt_search(wave_schedule(10), 2.0, (0, 9), 0),
+                     ValueError, "k must be an integer, got 2.0", id="offline-float-k"),
+        pytest.param(lambda: make_random_schedule(10, 2.5, 0),
+                     ScheduleError, "rounds must be an integer >= 0, got 2.5", id="schedule-float-rounds"),
+        pytest.param(lambda: make_random_schedule(10, -5, 0),
+                     ScheduleError, "rounds must be an integer >= 0, got -5", id="schedule-negative-rounds"),
+        pytest.param(lambda: wave_start_positions(10.0),
+                     ScheduleError, "n must be an integer, got 10.0", id="wave-start-float-n"),
+    ],
+)
+def test_team_sizes_and_counts_must_be_ints(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_start_run_validates_the_team():

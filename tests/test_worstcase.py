@@ -284,10 +284,7 @@ class RawReader:
     """Reads the missing edge straight off the snapshot instead of asking
     ``blocks``, which the solver's protocol forbids."""
 
-    def validate(self, n, k):
-        pass
-
-    def initial_memory(self, n, k, i, positions):
+    def initial_memory(self, n, k, positions):
         return None
 
     def step(self, i, mem, snap):
