@@ -457,12 +457,10 @@ def placement_route(
     """
     n, k = schedule.n, len(current)
     missing = [schedule.missing_edge(t) for t in range(start_round, start_round + window)]
-    reach: dict[tuple[int, int], int] = {}
 
     def arrives(i, target, direction):
-        if (i, direction) not in reach:
-            reach[i, direction] = _greedy_reach(current[i], direction, missing, n)
-        return (direction * (target - current[i])) % n <= reach[i, direction]
+        reach = _greedy_reach(current[i], direction, missing, n)
+        return (direction * (target - current[i])) % n <= reach
 
     for direction, assignment in _order_preserving_assignments(current, targets, n):
         if all(arrives(i, assignment[i], direction) for i in range(k)):

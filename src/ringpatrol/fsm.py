@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .agents import SNAP_BOTH, SNAPSHOT_CLASSES, FsmAlgorithm, FsmSpec
-from .ring import check_ring, check_team, uniform_positions
+from .ring import check_team, uniform_positions
 from .worstcase import GameSolverResult, _path_from_init, solve_worst_case
 
 NOT_PATROLLING = "NOT_PATROLLING"
@@ -187,8 +187,10 @@ def cross_validate(
     claims idle >= n - 7|S|k, which an unbounded solver result also
     satisfies; at small n the formula is usually vacuous and the check
     degrades to requiring the claimed floor (at least 1) not be contradicted.
+    A team size other than the classification's raises ``ValueError``.
     """
-    check_ring(n)  # before the placement takes nodes mod n
+    if k != classification.k:
+        raise ValueError(f"k={k}, but the classification is for k={classification.k}")
     algorithm = FsmAlgorithm(spec)
     result = solve_worst_case(algorithm, n, k, uniform_positions(n, k))
     if classification.verdict == NOT_PATROLLING:

@@ -173,9 +173,18 @@ def uniform_gaps(n: int, k: int) -> list[int]:
     return [q + 1] * rem + [q] * (k - rem)
 
 
+def _check_placement(n, k) -> None:
+    """``check_ring``, ``check_team``, and a ``ValueError`` for k > n."""
+    check_ring(n)
+    check_team(k)
+    if k > n:
+        raise ValueError(f"cannot place k={k} agents on distinct nodes of n={n}")
+
+
 def uniform_positions(n: int, k: int, anchor: int = 0) -> tuple[int, ...]:
     """The uniform pattern anchored at ``anchor``: gaps floor(n/k)/ceil(n/k),
-    larger gaps placed first."""
+    larger gaps placed first.  A bad ring or team, or k > n, raises ValueError."""
+    _check_placement(n, k)
     gaps = uniform_gaps(n, k)
     positions = [anchor % n]
     for g in gaps[:-1]:
@@ -199,16 +208,17 @@ def is_uniform(n: int, positions: Sequence[int]) -> bool:
 
 
 def consecutive_positions(n: int, k: int) -> tuple[int, ...]:
-    check_team(k)
-    return tuple(i % n for i in range(k))
+    """Nodes 0..k-1.  A bad ring or team, or k > n, raises ValueError."""
+    _check_placement(n, k)
+    return tuple(range(k))
 
 
 def random_positions(n: int, k: int, seed: int) -> tuple[int, ...]:
-    """Seeded injective placement; an ``n`` or ``k`` that is not an int, or
-    k outside 0..n, raises ValueError."""
-    for name, value in (("n", n), ("k", k)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    """Seeded injective placement; a bad ring (``check_ring``), a ``k``
+    that is not an int, or k outside 0..n raises ValueError."""
+    check_ring(n)
+    if type(k) is not int:
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 0 <= k <= n:
         raise ValueError(f"cannot place k={k} agents on distinct nodes of n={n}")
     rng = random.Random(seed)

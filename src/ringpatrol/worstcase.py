@@ -86,7 +86,7 @@ import logging
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from operator import itemgetter
 from time import perf_counter
 from typing import Optional, Sequence
@@ -648,27 +648,18 @@ def _advance(front, fresh, held, start, n, missing):
 
 def _home_covered(fronts, fresh, arcs, start, home, n):
     """Is an agent on ``home`` while its sweep and one arc of each other agent
-    cover the ring?  Grows ``arcs[a]`` (first node -> longest arc swept from it);
-    tests only combinations holding a new state or arc (older ones failed)."""
+    cover the ring?  Grows ``arcs[a]`` (first node -> longest arc swept from it)
+    from new states, then tests each home state with all helper-arc combinations."""
     k = len(fronts)
-    split = []  # per agent: (all arcs, arcs new this round, older arcs)
     for a in range(k):
-        grown = {}
         for (_, ccw, cw), back in fresh[a].items():
             if back is None:  # only a grown sweep adds an arc
                 lo, length = (start[a] - ccw) % n, min(n, ccw + cw + 1)
                 if arcs[a].get(lo, 0) < length:
-                    arcs[a][lo] = grown[lo] = length
-        old = [arc for arc in arcs[a].items() if arc[0] not in grown]
-        split.append((list(arcs[a].items()), list(grown.items()), old))
+                    arcs[a][lo] = length
     covers = _covers_arc if k == 2 else _covers_union
     for a in range(k):
-        helpers = [split[b] for b in range(k) if b != a]
-        every = [[h[0] for h in helpers]]
-        newer = [  # helper i holds the first new arc
-            [h[2] for h in helpers[:i]] + [h[1]] + [h[0] for h in helpers[i + 1:]]
-            for i, h in enumerate(helpers)
-        ]
+        helpers = [list(arcs[b].items()) for b in range(k) if b != a]
         d = (home - start[a]) % n
         for o in (d, d - n):
             for ccw, cw in fronts[a].get(o, ()):
@@ -676,9 +667,7 @@ def _home_covered(fronts, fresh, arcs, start, home, n):
                 if own_len >= n:
                     return True
                 need_first = ((start[a] - ccw) % n + own_len) % n
-                parts = every if (o, ccw, cw) in fresh[a] else newer
-                combos = chain.from_iterable(product(*p) for p in parts)
-                if any(covers(c, need_first, n - own_len, n) for c in combos):
+                if any(covers(c, need_first, n - own_len, n) for c in product(*helpers)):
                     return True
     return False
 
@@ -700,8 +689,8 @@ def offline_opt_search(
     are tracked on their own and combined per round.  Waiting keeps every state,
     so the reach set only grows and an old state made its moves in an earlier
     round unless the missing edge blocked them.  A round therefore moves only new
-    states and blocked moves whose edge is back, and tests cover only for
-    combinations holding a new state or arc: the answer of a full re-advance.
+    states and blocked moves whose edge is back: the answer of a full re-advance.
+    Cover is tested for every home state and every combination of helper arcs.
     """
     n = schedule.n
     check_team(k)

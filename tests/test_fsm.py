@@ -228,6 +228,13 @@ def test_cross_validation_checks_the_ring_before_placing():
         cross_validate(cls, spec, 0, 3)
 
 
+def test_cross_validation_refuses_another_team_size():
+    # a k=1 verdict once judged a k=3 solve against the k=1 floor
+    spec = fsm_of("clockwise")
+    with pytest.raises(ValueError, match="k=3.*k=1"):
+        cross_validate(classify(spec, 1, 1), spec, 30, 3)
+
+
 def test_classification_report_format():
     cls = classify(build_transition_graph(fsm_of("reverse-on-block")), 2, 1)
     payload = json.loads(cls.to_json())

@@ -291,6 +291,38 @@ def test_random_positions_refuses_a_ring_size_that_is_not_an_int(n):
         random_positions(n, 2, 0)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        # 6.0 once ended in a bare TypeError, True once placed an agent
+        pytest.param(lambda: uniform_positions(6.0, 2),
+                     "n must be an integer, got 6.0", id="uniform-float-n"),
+        pytest.param(lambda: uniform_positions(True, 1),
+                     "n must be an integer, got True", id="uniform-bool-n"),
+        # 6.0 once returned the float nodes (0.0, 1.0)
+        pytest.param(lambda: consecutive_positions(6.0, 2),
+                     "n must be an integer, got 6.0", id="consecutive-float-n"),
+        pytest.param(lambda: uniform_positions(2, 1),
+                     "ring needs at least 3 nodes, got n=2", id="uniform-two-nodes"),
+        pytest.param(lambda: consecutive_positions(2, 1),
+                     "ring needs at least 3 nodes, got n=2", id="consecutive-two-nodes"),
+        pytest.param(lambda: random_positions(2, 1, 0),
+                     "ring needs at least 3 nodes, got n=2", id="random-two-nodes"),
+    ],
+)
+def test_placements_check_the_ring(call, message):
+    with pytest.raises(ScheduleError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("place", [uniform_positions, consecutive_positions])
+def test_placements_put_at_most_one_agent_per_node(place):
+    # k=5 on n=3 once wrapped round and repeated nodes
+    with pytest.raises(ValueError, match="^cannot place k=5 agents on distinct nodes of n=3$"):
+        place(3, 5)
+    assert place(3, 3) == (0, 1, 2)
+
+
 @pytest.mark.parametrize("k", [-1, 6])
 def test_random_positions_names_k_and_n(k):
     with pytest.raises(ValueError, match=f"cannot place k={k} agents on distinct nodes of n=5"):
