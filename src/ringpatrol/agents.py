@@ -28,13 +28,14 @@ the one ``GlobalSnapshot`` of the pre-move state; agent ``i`` stands on
 pure: coordination happens through the snapshot plus the memory.  The
 bounded-memory machines read only the two edges at their own node, so they
 keep a per-agent view by design.  Place-and-swipe is one team planner
-behind ``step``: every agent holds the one team memory, ``_team_step(mem,
-snap)`` makes the whole round's moves and ``step`` returns agent ``i``'s.
-The first agent to step keeps the result under its input ``(mem, snap)``;
-the rest step on those same two objects and find it by identity (an equal
-copy is planned again), and ``initial_memory`` drops it.  Once the
-benchmark counts ``joint_step`` calls (ROADMAP item 1), ``_team_step``
-becomes ``joint_step``, and ``step`` and its memo go.
+behind ``step``: every agent holds the one team memory.  A spreading round
+or an epoch's first round is one ``_team_step(mem, snap)``, which the first
+agent to step keeps under its input; the rest find it by identity (an equal
+copy is planned again), and ``initial_memory`` drops it.  Its memory carries
+the epoch's later rounds, each agent's (direction, target) and the next
+memory, so there ``step`` only compares agent ``i``'s node with its target.
+Once the benchmark counts ``joint_step`` calls (ROADMAP item 1),
+``_team_step`` becomes ``joint_step``, and ``step`` and its memo go.
 
 A step reads the missing edge only through ``snap.blocks(p, move)``: would
 a move from node ``p`` be blocked this round?  The exact solver relies on
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -327,76 +329,51 @@ def fsm_of(name: str) -> FsmSpec:
 # Known-schedule planning helpers
 # ---------------------------------------------------------------------------
 
-def compute_swipe_set(schedule: ObliviousSchedule, r: int, h: int) -> set[int]:
-    """Start nodes whose clockwise walk over rounds [r, r+h) is never blocked.
+def _ruled_out(missing: Sequence, n: int) -> set[int]:
+    """Starts whose clockwise walk is blocked in a window whose rounds
+    removed ``missing`` (None: no removal): the edge ``e`` removed at offset
+    ``j`` blocks only the walker that left ``e - j`` (mod n)."""
+    return {(e - j) % n for j, e in enumerate(missing) if e is not None}
 
-    A start ``s`` survives iff no round ``t`` in the window removes the edge
-    in front of the walker, which sits at ``s + (t - r)``.  So the edge ``e``
-    removed in round ``t`` disqualifies exactly the start ``e - (t - r)``
-    (mod n), and a round with no removal disqualifies none: one lookup per
-    round, and at least ``n - h`` starts survive.
-    """
+
+def compute_swipe_set(schedule: ObliviousSchedule, r: int, h: int) -> set[int]:
+    """Start nodes whose clockwise walk over rounds [r, r+h) is never
+    blocked: one lookup per round, and at least ``n - h`` starts survive.
+    ``r`` must be an int >= 0 and ``h`` an int in [1, n-1] (a float or a
+    bool is refused), else ``ValueError`` names the argument."""
     n = schedule.n
+    for name, value in (("r", r), ("h", h)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
     if not (1 <= h <= n - 1):
         raise ValueError(f"h must be in [1, n-1], got {h}")
-    survivors = set(range(n))
-    for t in range(r, r + h):
-        e = schedule.missing_edge(t)
-        if e is not None:
-            survivors.discard((e - (t - r)) % n)
-    return survivors
+    missing = [schedule.missing_edge(t) for t in range(r, r + h)]
+    return set(range(n)) - _ruled_out(missing, n)
 
 
-def select_targets(candidates: set[int], n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield every rotation of the uniform pattern lying inside
-    ``candidates`` once, sorted, smallest anchor offset first.
-
-    The pattern anchored at offset ``rho`` places its larger gaps first, so
-    it holds node ``v`` exactly when ``v - rho`` is a node of the base
-    pattern: each node outside ``candidates`` rules out k anchors at once.
-    Raises TargetSelectionError, once exhausted, when no rotation fits.
-    """
+@lru_cache(maxsize=None)
+def _rotations(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Every rotation of the uniform pattern once, sorted, smallest anchor
+    offset first; built and checked once per (n, k)."""
     base = uniform_positions(n, k)
-    ruled_out = {(v - b) % n for v in set(range(n)) - candidates for b in base}
-    fitting = set()
-    for rho in range(n):
-        if rho in ruled_out:
-            continue
-        pattern = tuple(sorted((p + rho) % n for p in base))
-        if pattern not in fitting:
-            fitting.add(pattern)
+    return tuple(dict.fromkeys(tuple(sorted((p + rho) % n for p in base)) for rho in range(n)))
+
+
+def select_targets(ruled_out: set[int], n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Yield every rotation of the uniform pattern (``_rotations`` order)
+    that holds no node of ``ruled_out``.  Raises TargetSelectionError, once
+    exhausted, when none fits."""
+    fits = False
+    for pattern in _rotations(n, k):
+        if ruled_out.isdisjoint(pattern):
+            fits = True
             yield pattern
-    if not fitting:
+    if not fits:
         raise TargetSelectionError(
-            f"no uniform {k}-pattern fits inside candidate set of size {len(candidates)}"
+            f"no uniform {k}-pattern fits inside candidate set of size {n - len(ruled_out)}"
         )
-
-
-def _order_preserving_assignments(
-    positions: Sequence[int], targets: Sequence[int], n: int
-) -> Iterator[tuple[int, dict[int, int]]]:
-    """Non-crossing agent-to-target plans: yields (CW, {agent_index:
-    target}), then the same for CCW.
-
-    Non-crossing assignments are exactly the k cyclic shifts of the sorted
-    target list against the sorted agent list.  The clockwise plan uses the
-    shift minimizing the largest clockwise distance (each agent to its
-    nearest feasible target); the counter-clockwise plan uses the shift one
-    notch behind it, so every agent's two path arcs tile the stretch between
-    its flanking targets and the two plans never share a ring edge.
-    """
-    k = len(positions)
-    order = sorted(range(k), key=lambda i: (positions[i], i))
-    tsorted = sorted(targets)
-
-    def max_cw_dist(shift):
-        return max(
-            (tsorted[(shift + i) % k] - positions[order[i]]) % n for i in range(k)
-        )
-
-    s_cw = min(range(k), key=max_cw_dist)  # the first shift on ties
-    for direction, shift in ((CW, s_cw), (CCW, (s_cw - 1) % k)):
-        yield direction, {order[i]: tsorted[(shift + i) % k] for i in range(k)}
 
 
 def _greedy_reach(start: int, direction: int, missing: Sequence, n: int) -> int:
@@ -433,46 +410,59 @@ def _match(k: int, targets: Sequence[int], reaches) -> Optional[dict[int, int]]:
 
 
 def placement_route(
-    current: Sequence[int],
-    targets: Sequence[int],
-    schedule: ObliviousSchedule,
-    start_round: int,
-    window: int,
-) -> tuple[tuple[int, int], ...]:
-    """Bring the agents standing on ``current`` onto ``targets`` within the
-    window: one ``(direction, target)`` pair per agent.
+    current: Sequence[int], targets: Sequence[int], missing: Sequence, n: int
+) -> Optional[tuple[tuple[int, int], ...]]:
+    """Bring the agents standing on ``current`` onto the sorted ``targets``
+    within a window whose rounds removed ``missing``: one ``(direction,
+    target)`` pair per agent, or None when no assignment arrives in time.
+    An agent walks toward its target, waiting on blocks, and holds there, so
+    it arrives exactly when its greedy walk covers the target.
 
-    An agent walks toward its target in its direction, waiting on blocks,
-    and holds once it is there, so it arrives in time exactly when its
-    greedy walk under the schedule covers the target (``_greedy_reach``).
-
-    The clockwise order-preserving plan is tried first, then the
-    counter-clockwise one.  Both can be late for uniform patterns whose gaps
-    come in another order (one overruns the window, the other has no round
-    to spare), e.g. n=10 from (6, 9, 2, 4) onto (1, 4, 7, 9) in rounds
-    [4, 7) of make_random_schedule(10, 80, 0).  Then every agent gets a
-    target inside its clockwise or counter-clockwise reach by a bipartite
-    matching, clockwise where both reach it.  PlacementInfeasibleError means
-    that no agent-to-target assignment arrives in time.
+    Non-crossing assignments are the k cyclic shifts of the targets against
+    the agents in node order.  The clockwise plan takes the shift with the
+    smallest largest clockwise distance (the first on ties) and walks an
+    agent only until it has covered its distance.  Then the
+    counter-clockwise plan, one notch behind it, so the two plans share no
+    ring edge.  Both can be late for uniform patterns whose gaps come in
+    another order, e.g. n=10 from (6, 9, 2, 4) onto (1, 4, 7, 9) in rounds
+    [4, 7) of make_random_schedule(10, 80, 0).  Then a bipartite matching
+    gives every agent a target in its clockwise or counter-clockwise reach
+    (``_greedy_reach``), clockwise where both reach it.
     """
-    n, k = schedule.n, len(current)
-    missing = [schedule.missing_edge(t) for t in range(start_round, start_round + window)]
+    k = len(current)
+    order = sorted(range(k), key=current.__getitem__)
+    widest = [
+        max([(targets[(s + j) % k] - current[a]) % n for j, a in enumerate(order)])
+        for s in range(k)
+    ]
+    s = widest.index(min(widest))
+    free = missing.count(None)  # a walker is blocked at most once per removal
+    plan = [None] * k
+    for j, a in enumerate(order):
+        p, t = current[a], targets[(s + j) % k]
+        d = (t - p) % n
+        if d > free:
+            for e in missing:
+                if not d:
+                    break
+                if p != e:
+                    p, d = (p + 1) % n, d - 1
+            if d:
+                break
+        plan[a] = (CW, t)
+    else:
+        return tuple(plan)
 
     def arrives(i, target, direction):
         reach = _greedy_reach(current[i], direction, missing, n)
         return (direction * (target - current[i])) % n <= reach
 
-    for direction, assignment in _order_preserving_assignments(current, targets, n):
-        if all(arrives(i, assignment[i], direction) for i in range(k)):
-            return tuple((direction, assignment[i]) for i in range(k))
-    matching = _match(
-        k, targets, lambda i, t: arrives(i, t, CW) or arrives(i, t, CCW)
-    )
+    ccw = {a: targets[(s - 1 + j) % k] for j, a in enumerate(order)}
+    if all(arrives(i, ccw[i], CCW) for i in range(k)):
+        return tuple((CCW, ccw[i]) for i in range(k))
+    matching = _match(k, targets, lambda i, t: arrives(i, t, CW) or arrives(i, t, CCW))
     if matching is None:
-        raise PlacementInfeasibleError(
-            f"no placement plan reaches {tuple(targets)} from {tuple(current)} "
-            f"in rounds [{start_round}, {start_round + window})"
-        )
+        return None
     return tuple(
         (CW if arrives(i, matching[i], CW) else CCW, matching[i]) for i in range(k)
     )
@@ -665,6 +655,7 @@ class PlaceAndSwipeMemory(NamedTuple):  # the team memory, held by every agent
     anchor: Optional[int]  # round the epoch clock starts at; None while spreading
     plan: tuple = ()  # every agent's (direction, target) in the placement phase
     spread: Optional[SpreadState] = None
+    ahead: Optional[tuple] = None  # in an epoch: (this round's plan, next memory)
 
 
 def _spread_move_two(i, snap: GlobalSnapshot):
@@ -697,11 +688,18 @@ class PlaceAndSwipe:
     their gap by at least one node per round; larger teams run the general
     spread plan), then anchor the epoch clock at the first uniform round.
 
+    An epoch is planned from one read of its 2L - 1 schedule rounds, L =
+    ceil(n/k).  Moves read the snapshot's positions, so a run under another
+    driver follows its own rounds, and only a spreading round or an epoch's
+    first round is a team step, kept in the memo for the rest of the team.
+
     It defines no ``rotate_memory``: its plans read the schedule at the
     absolute round, and the schedule names absolute edges.
     """
 
     def __init__(self, schedule: ObliviousSchedule):
+        if not isinstance(schedule, ObliviousSchedule):
+            raise TypeError(f"place-and-swipe plans on an ObliviousSchedule, got {schedule!r}")
         self.schedule = schedule
         self._last = None  # (mem, snap, new_mem, moves) of the last team step
 
@@ -721,21 +719,27 @@ class PlaceAndSwipe:
     def _plan_epoch(self, r, positions, L):
         """The team's placement plan for the epoch starting at round ``r``
         with phases of ``L`` rounds, one (direction, target) pair per agent:
-        the first rotation inside the swipe set, in ``select_targets``'
-        order, that ``placement_route`` lands.  When none lands, the first
-        rotation's PlacementInfeasibleError is raised."""
-        candidates = compute_swipe_set(self.schedule, r + L, L - 1)
-        errors = []
-        for targets in select_targets(candidates, self.schedule.n, len(positions)):
-            try:
-                return placement_route(positions, targets, self.schedule, r, L)
-            except PlacementInfeasibleError as exc:
-                errors.append(exc)
-        raise errors[0]
+        the first rotation clear of the starts the swipe rounds rule out, in
+        ``select_targets``' order, that ``placement_route`` lands in the
+        placement rounds, else the first rotation's PlacementInfeasibleError."""
+        n = self.schedule.n
+        window = list(map(self.schedule.missing_edge, range(r, r + 2 * L - 1)))
+        placing = window[:L]
+        first = None
+        for targets in select_targets(_ruled_out(window[L:], n), n, len(positions)):
+            plan = placement_route(positions, targets, placing, n)
+            if plan is not None:
+                return plan
+            first = first or targets
+        raise PlacementInfeasibleError(
+            f"no placement plan reaches {first} from {tuple(positions)} "
+            f"in rounds [{r}, {r + L})"
+        )
 
     def _team_step(self, mem: PlaceAndSwipeMemory, snap: GlobalSnapshot):
-        """One round of the whole team: (new team memory, moves)."""
-        r, anchor, plan, spread = mem
+        """One round of the whole team: (new team memory, moves).  In an
+        epoch, the new memory carries the epoch's later rounds."""
+        r, anchor, plan, spread, _ = mem
         positions = snap.positions
         n, k = snap.n, len(positions)
         if anchor is None:
@@ -750,13 +754,21 @@ class PlaceAndSwipe:
         t = (r - anchor) % (2 * L)
         if t == 0:
             plan = self._plan_epoch(r, positions, L)
-        if t < L:
-            moves = tuple([STAY if p == to else d for p, (d, to) in zip(positions, plan)])
-        else:
-            moves = (CW if t < 2 * L - 1 else STAY,) * k
-        return PlaceAndSwipeMemory(r + 1, anchor, plan), moves
+        # each epoch round's (direction, target) per agent; no node is the
+        # target None, so a swiping agent moves until the last round
+        rules = [plan] * L + [((CW, None),) * k] * (L - 1) + [((STAY, None),) * k]
+        new_mem = PlaceAndSwipeMemory(r + 2 * L - t, anchor, plan)
+        for u in range(2 * L - 1, t, -1):
+            new_mem = PlaceAndSwipeMemory(r + u - t, anchor, plan, None, (rules[u], new_mem))
+        moves = tuple([STAY if p == to else d for p, (d, to) in zip(positions, rules[t])])
+        return new_mem, moves
 
     def step(self, i, mem: PlaceAndSwipeMemory, snap: GlobalSnapshot):
+        ahead = mem.ahead
+        if ahead is not None:  # a later round of an epoch: no team step
+            rule, new_mem = ahead
+            d, to = rule[i]
+            return new_mem, STAY if snap.positions[i] == to else d
         last = self._last
         if last is None or last[0] is not mem or last[1] is not snap:
             last = self._last = (mem, snap, *self._team_step(mem, snap))

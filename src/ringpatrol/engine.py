@@ -134,6 +134,12 @@ def _gaps(trace: ExecutionTrace, r_s: int) -> tuple[list[int], list[int]]:
     return widest, last
 
 
+def _worst_gap(trace: ExecutionTrace, r_s: int) -> int:
+    """``IdleReport.worst_gap`` from one scan, without the report."""
+    widest, last = _gaps(trace, r_s)
+    return max(max(widest), trace.horizon - min(last))
+
+
 @dataclass
 class IdleReport:
     horizon: int
@@ -156,8 +162,7 @@ class IdleReport:
         """Like stable_idle but also counts still-open trailing gaps, so an
         upper-bound check cannot be fooled by a node going stale right
         before the horizon."""
-        widest, last = _gaps(self.trace, r_s)
-        return max(max(widest), self.horizon - min(last))
+        return _worst_gap(self.trace, r_s)
 
 
 def idle_time(trace: ExecutionTrace) -> IdleReport:

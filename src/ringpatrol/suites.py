@@ -41,7 +41,7 @@ from .agents import (
     UniformSpread,
     fsm_of,
 )
-from .engine import distinct_nodes_visited, idle_time, run
+from .engine import _gaps, _worst_gap, distinct_nodes_visited, idle_time, run
 from .ring import (
     CW,
     ObliviousSchedule,
@@ -146,7 +146,7 @@ def _place_and_swipe_row(n: int, k: int) -> Row:
         except (TargetSelectionError, PlacementInfeasibleError):
             flagged += 1
             continue
-        worst = max(worst, idle_time(tr).worst_gap(2 * n))
+        worst = max(worst, _worst_gap(tr, 2 * n))
     row = Row(
         "table1", "swipe-upper", "place-and-swipe", n, k,
         f"random x{PLACE_AND_SWIPE_TRIALS}", worst, "<=", bound,
@@ -195,7 +195,7 @@ def rows_known_floor() -> list[Row]:
             algos["place-and-swipe"] = PlaceAndSwipe(sched)
             for name in sorted(algos):
                 tr = run(algos[name], sched, uniform_positions(n, k), 20 * n)
-                st = idle_time(tr).stable_idle(2 * n)
+                st = max(_gaps(tr, 2 * n)[0])  # the stable idle from round 2n
                 row = Row("table1", "line-floor", name, n, k, "fixed-edge", st, ">=", floor)
                 if not row.passed:
                     row.note = "discrete line optimum beats the claimed floor"

@@ -24,7 +24,6 @@ from ringpatrol.agents import (
     TargetSelectionError,
     UniformSpread,
     _lexmin_rotation_slots,
-    _order_preserving_assignments,
     _removed_edge,
     compute_swipe_set,
     fsm_of,
@@ -253,25 +252,41 @@ def test_swipe_set_matches_walking_reference(n):
                 compute_swipe_set(sched, 0, h)
 
 
+@pytest.mark.parametrize(
+    "r,h,message",
+    [
+        (0, 2.0, "h must be an integer, got 2.0"),
+        (1.5, 2, "r must be an integer, got 1.5"),
+        (0, True, "h must be an integer, got True"),
+        (False, 2, "r must be an integer, got False"),
+        (-1, 2, "r must be >= 0, got -1"),
+    ],
+)
+def test_swipe_set_refuses_rounds_that_are_not_ints(r, h, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compute_swipe_set(ObliviousSchedule(n=10), r, h)
+
+
 def test_select_targets_examples():
-    # every fitting rotation, each once, smallest anchor offset first
-    assert list(select_targets(set(range(10)), 10, 2)) == [
+    # every rotation clear of the ruled-out starts, each once, smallest
+    # anchor offset first
+    assert list(select_targets(set(), 10, 2)) == [
         (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)
     ]
-    assert list(select_targets({1, 2, 3, 4, 5, 6}, 10, 2)) == [(1, 6)]
+    assert list(select_targets({0, 7, 8, 9}, 10, 2)) == [(1, 6)]
     # anchors 0, 1, 3 and 8 of the pattern (0, 3, 6, 8); the order is the anchor's
-    assert list(select_targets({0, 1, 3, 4, 6, 7, 8, 9}, 10, 4)) == [
+    assert list(select_targets({2, 5}, 10, 4)) == [
         (0, 3, 6, 8), (1, 4, 7, 9), (1, 3, 6, 9), (1, 4, 6, 8)
     ]
     # a periodic pattern: 12 anchors give 4 distinct rotations
-    assert list(select_targets(set(range(12)), 12, 3)) == [
+    assert list(select_targets(set(), 12, 3)) == [
         (0, 4, 8), (1, 5, 9), (2, 6, 10), (3, 7, 11)
     ]
 
 
 def test_select_targets_failure_reported():
-    with pytest.raises(TargetSelectionError):
-        next(select_targets({0, 1}, 10, 2))
+    with pytest.raises(TargetSelectionError, match="candidate set of size 2$"):
+        next(select_targets(set(range(2, 10)), 10, 2))
 
 
 @pytest.mark.parametrize("n,k", [(10, 2), (11, 2), (12, 3), (9, 4)])
@@ -280,11 +295,17 @@ def test_select_targets_never_fails_on_real_windows(n, k):
     for seed in range(250):
         sched = make_random_schedule(n, 3 * n, seed)
         survivors = compute_swipe_set(sched, 0, h)
-        for targets in select_targets(survivors, n, k):
+        for targets in select_targets(set(range(n)) - survivors, n, k):
             assert len(targets) == k and is_uniform(n, targets)
+            assert survivors.issuperset(targets)
 
 
 # --- placement routing ------------------------------------------------------------
+
+def _window(schedule, start_round, window):
+    """Each round's missing edge in rounds [start_round, start_round + window)."""
+    return [schedule.missing_edge(t) for t in range(start_round, start_round + window)]
+
 
 def _play_route(current, route, schedule, start_round, window):
     """(positions after the window, per-round move tuples) when every agent
@@ -300,7 +321,7 @@ def _play_route(current, route, schedule, start_round, window):
 
 def test_placement_route_static_two_agents():
     sched = ObliviousSchedule(n=10)
-    route = placement_route((0, 5), (2, 7), sched, 0, 5)
+    route = placement_route((0, 5), (2, 7), _window(sched, 0, 5), 10)
     assert route == ((CW, 2), (CW, 7))
     assert _play_route((0, 5), route, sched, 0, 5)[0] == (2, 7)
 
@@ -309,22 +330,30 @@ def test_placement_route_falls_back_counter_clockwise():
     n = 10
     # wall off the first agent's clockwise exit for the whole window
     sched = fixed_edge_schedule(n, 0)
-    route = placement_route((0, 5), (2, 7), sched, 0, 5)
+    route = placement_route((0, 5), (2, 7), _window(sched, 0, 5), n)
     assert route == ((CCW, 7), (CCW, 2))
     assert _play_route((0, 5), route, sched, 0, 5)[0] == (7, 2)
 
 
 def test_assignment_shift_pairing():
-    # the two directions' assignments differ by exactly one cyclic notch
+    # the counter-clockwise plan is the clockwise assignment one cyclic notch
+    # back.  On a static ring an agent walks one node per round, so a plan
+    # lands within w rounds exactly when no agent is more than w nodes away
+    routes = {CW: 0, CCW: 0}
     for n, k in ((9, 4), (12, 3), (10, 2), (13, 4)):
         for seed in range(40):
             agents = random_positions(n, k, seed)
-            targets = uniform_positions(n, k, seed % n)
-            plans = dict(_order_preserving_assignments(agents, targets, n))
-            cw, ccw = plans[CW], plans[CCW]
-            ts = sorted(targets)
-            for i in cw:
-                assert ccw[i] == ts[(ts.index(cw[i]) - 1) % k]
+            targets = tuple(sorted(uniform_positions(n, k, seed % n)))
+            w = 1 + seed % n
+            cw = reference_assignments(agents, targets, n)[CW]
+            ccw = {i: targets[(targets.index(t) - 1) % k] for i, t in cw.items()}
+            route = placement_route(agents, targets, [None] * w, n)
+            for direction, plan in ((CW, cw), (CCW, ccw)):
+                if all((direction * (plan[i] - agents[i])) % n <= w for i in range(k)):
+                    assert route == tuple((direction, plan[i]) for i in range(k))
+                    routes[direction] += 1
+                    break
+    assert min(routes.values()) > 0, routes
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -336,15 +365,15 @@ def test_placement_dichotomy_holds(k):
         for seed in range(30):
             sched = make_random_schedule(n, 4 * L, seed)
             agents = uniform_positions(n, k, seed % n)
-            survivors = compute_swipe_set(sched, L, L - 1)
+            ruled_out = set(range(n)) - compute_swipe_set(sched, L, L - 1)
             try:
-                targets = next(select_targets(survivors, n, k))
+                targets = next(select_targets(ruled_out, n, k))
             except TargetSelectionError:
                 continue
             ref = reference_placement_route(agents, targets, sched, 0, L)
             assert ref is not None
             _, direction, assignment = ref
-            route = placement_route(agents, targets, sched, 0, L)
+            route = placement_route(agents, targets, _window(sched, 0, L), n)
             assert route == tuple((direction, assignment[i]) for i in range(k))
             count += 1
     assert count > 200
@@ -355,7 +384,7 @@ def test_placement_completes_for_uniform_patterns():
     current, targets = (6, 9, 2, 4), (1, 4, 7, 9)
     sched = make_random_schedule(10, 80, 0)
     assert is_uniform(10, current) and is_uniform(10, targets)
-    route = placement_route(current, targets, sched, 4, 3)
+    route = placement_route(current, targets, _window(sched, 4, 3), 10)
     assert sorted(_play_route(current, route, sched, 4, 3)[0]) == sorted(targets)
 
 
@@ -380,10 +409,32 @@ def reference_simulate_plan(positions, assignment, schedule, start_round, window
     return None
 
 
+def reference_assignments(positions, targets, n):
+    """The two non-crossing plans, ``{CW: assignment, CCW: assignment}``,
+    from before the planner walked the clockwise plan inline: the clockwise
+    shift of the sorted targets against the agents in node order minimizes
+    the largest clockwise distance (the first on ties), the
+    counter-clockwise shift is one notch behind it."""
+    k = len(positions)
+    order = sorted(range(k), key=lambda i: (positions[i], i))
+    tsorted = sorted(targets)
+
+    def max_cw_dist(shift):
+        return max(
+            (tsorted[(shift + i) % k] - positions[order[i]]) % n for i in range(k)
+        )
+
+    s_cw = min(range(k), key=max_cw_dist)
+    return {
+        direction: {order[i]: tsorted[(shift + i) % k] for i in range(k)}
+        for direction, shift in ((CW, s_cw), (CCW, (s_cw - 1) % k))
+    }
+
+
 def reference_placement_route(current, targets, schedule, start_round, window):
     """(per-round moves, direction, assignment) of the first order-preserving
     plan that lands, or None when both are late."""
-    for direction, assignment in _order_preserving_assignments(current, targets, schedule.n):
+    for direction, assignment in reference_assignments(current, targets, schedule.n).items():
         plan = reference_simulate_plan(
             current, assignment, schedule, start_round, window, direction
         )
@@ -401,14 +452,16 @@ def test_placement_route_matches_round_by_round_reference(n):
             sched = make_random_schedule(n, 6 * n, 1000 * n + 10 * k + seed)
             start_round = seed % (4 * n)
             current = random_positions(n, k, seed)
-            targets = uniform_positions(n, k, seed * 7 % n)
+            targets = tuple(sorted(uniform_positions(n, k, seed * 7 % n)))
             window = L if seed % 2 else 1 + seed % (2 * L)
             ref = reference_placement_route(current, targets, sched, start_round, window)
             if ref is None:
                 continue
             found += 1
             plan, direction, assignment = ref
-            route = placement_route(current, targets, sched, start_round, window)
+            route = placement_route(
+                current, targets, _window(sched, start_round, window), n
+            )
             assert route == tuple((direction, assignment[i]) for i in range(k))
             assert _play_route(current, route, sched, start_round, window)[1] == plan
     assert found > 40
@@ -442,12 +495,11 @@ def test_placement_route_is_exact():
             for seed in range(60):
                 sched = make_random_schedule(n, 4 * n, 100 * n + 10 * k + seed)
                 current = uniform_positions(n, k, seed % n)
-                targets = uniform_positions(n, k, seed * 3 % n)
+                targets = tuple(sorted(uniform_positions(n, k, seed * 3 % n)))
                 window = max(1, L - seed % 3)
                 exists = _assignment_exists(current, targets, sched, seed, window)
-                try:
-                    route = placement_route(current, targets, sched, seed, window)
-                except PlacementInfeasibleError:
+                route = placement_route(current, targets, _window(sched, seed, window), n)
+                if route is None:
                     assert not exists
                     outcomes["infeasible"] += 1
                     continue
@@ -486,7 +538,8 @@ def test_place_and_swipe_epoch_invariants(n, k, make_sched):
         if t == L - 1:
             # placement just ended: standing on a uniform pattern whose
             # clockwise swipe, starting next round, is never blocked
-            targets = select_targets(compute_swipe_set(sched, mem.round, L - 1), n, k)
+            ruled_out = set(range(n)) - compute_swipe_set(sched, mem.round, L - 1)
+            targets = select_targets(ruled_out, n, k)
             assert tuple(sorted(tr.records[r].after)) in list(targets)
         if t == 2 * L - 1:  # epoch just ended: uniform again
             assert is_uniform(n, tr.records[r].after)
@@ -503,6 +556,17 @@ def test_place_and_swipe_arbitrary_start_spreads_fast():
         assert first_uniform <= n // 2
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [None, 12, "random:3", {"n": 12}, gate_adversary(12)],
+    ids=["none", "int", "spec", "dict", "adversary"],
+)
+def test_place_and_swipe_refuses_what_is_not_a_schedule(schedule):
+    # refused when built, not when the first epoch is planned
+    with pytest.raises(TypeError, match="^place-and-swipe plans on an ObliviousSchedule, got "):
+        PlaceAndSwipe(schedule)
+
+
 def test_place_and_swipe_needs_room():
     sched = ObliviousSchedule(n=4)
     with pytest.raises(ValueError):
@@ -517,12 +581,13 @@ def test_place_and_swipe_rejects_schedule_of_another_ring():
 
 def test_place_and_swipe_plans_each_epoch_once_per_team(monkeypatch):
     rounds = []
+    plan_epoch = PlaceAndSwipe._plan_epoch
 
-    def counting_route(current, targets, schedule, start_round, window):
-        rounds.append(start_round)
-        return placement_route(current, targets, schedule, start_round, window)
+    def counting_plan(self, r, positions, L):
+        rounds.append(r)
+        return plan_epoch(self, r, positions, L)
 
-    monkeypatch.setattr("ringpatrol.agents.placement_route", counting_route)
+    monkeypatch.setattr(PlaceAndSwipe, "_plan_epoch", counting_plan)
     sched = make_random_schedule(16, 320, 3)
     run(PlaceAndSwipe(sched), sched, uniform_positions(16, 4), 224)
     # phase length 4, so an epoch every 8 rounds: 28 epochs, one plan each
@@ -545,8 +610,10 @@ def test_place_and_swipe_plans_once_per_round(monkeypatch):
         monkeypatch.setattr(PlaceAndSwipe, name, counting(name))
     sched = make_random_schedule(16, 320, 3)
     run(PlaceAndSwipe(sched), sched, uniform_positions(16, 4), 224)
-    # the first agent's step plans the round; the other three reuse the plan
-    assert calls == {"_team_step": 224, "step": 4 * 224}
+    # an epoch's first round is one team step, which the first agent's step
+    # makes and the other three reuse; every other round of the epoch reads
+    # its moves from the memories that step built: 28 epochs of 8 rounds
+    assert calls == {"_team_step": 28, "step": 4 * 224}
 
 
 @pytest.mark.parametrize(
@@ -604,8 +671,10 @@ def test_per_agent_team_starts_with_one_initial_memory_call(make):
 
 
 def test_place_and_swipe_plans_again_on_equal_copies():
-    # the round's plan is found by identity; an equal but distinct memory or
-    # snapshot is planned again, to the same moves and memory
+    # an epoch's first round is planned once per team, found by identity: an
+    # equal but distinct memory or snapshot is planned again, to the same
+    # moves and memory.  Every other round reads its moves from the memory,
+    # so no input of it, copied or not, makes a team step
     n, k = 12, 3
     sched = make_random_schedule(n, 20 * n, 7)
     tr = run(PlaceAndSwipe(sched), sched, uniform_positions(n, k), 4 * n)
@@ -619,7 +688,8 @@ def test_place_and_swipe_plans_again_on_equal_copies():
         return team_step(mem, snap)
 
     algo._team_step = counting
-    for r in (0, 5, 7, 17, 30):  # round 8 plans an epoch
+    # the memory after round r meets round r + 1; rounds 8, 16 and 32 plan
+    for r, team_round in ((0, 0), (5, 0), (7, 1), (15, 1), (17, 0), (30, 0), (31, 1)):
         rec = tr.records[r + 1]
         mem = memories[r][0]
         snap = GlobalSnapshot(n, rec.missing_edge, rec.before)
@@ -627,8 +697,8 @@ def test_place_and_swipe_plans_again_on_equal_copies():
         assert (mem_copy, snap_copy) == (mem, snap)
         assert mem_copy is not mem and snap_copy is not snap
         for inputs, planned in (
-            ([(mem, snap), (mem_copy, snap), (mem, snap_copy)], 3),
-            ([(mem_copy, snap_copy)] * k, 1),
+            ([(mem, snap), (mem_copy, snap), (mem, snap_copy)], 3 * team_round),
+            ([(mem_copy, snap_copy)] * k, team_round),
         ):
             del plans[:]
             stepped = [algo.step(i, m, s) for i, (m, s) in enumerate(inputs)]
@@ -704,16 +774,19 @@ def test_place_and_swipe_places_every_sweep_start():
 def test_unplaceable_epoch_raises_the_first_rotations_error(monkeypatch):
     tried = []
 
-    def never_lands(current, targets, schedule, start_round, window):
+    def never_lands(current, targets, missing, n):
         tried.append(targets)
-        raise PlacementInfeasibleError(f"late for {targets}")
+        return None
 
     monkeypatch.setattr("ringpatrol.agents.placement_route", never_lands)
     n, k = 12, 3
     sched = ObliviousSchedule(n=n)
-    with pytest.raises(PlacementInfeasibleError, match=r"late for \(0, 4, 8\)$"):
+    with pytest.raises(
+        PlacementInfeasibleError,
+        match=r"^no placement plan reaches \(0, 4, 8\) from \(0, 4, 8\) in rounds \[0, 4\)$",
+    ):
         run(PlaceAndSwipe(sched), sched, uniform_positions(n, k), 4)
-    assert tried == list(select_targets(compute_swipe_set(sched, 4, 3), n, k))
+    assert tried == list(select_targets(set(), n, k))
     assert len(tried) == 4
 
 

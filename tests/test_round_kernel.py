@@ -5,15 +5,23 @@ tuples, with the previous ``decide_moves`` (``zip`` over the agents' steps)
 and ``apply_round`` (the counter-clockwise block tested per agent).
 ``ReferencePlaceAndSwipe`` and ``ReferenceKPingPong`` keep the previous
 place-and-swipe step, planning and k-ping-pong group rules.  Each seeded
-case runs both and must give equal records, CSV and per-round memories.
+case runs both and must give equal records, CSV and per-round memories (a
+place-and-swipe memory without the later rounds it carries within an epoch).
 """
 
+import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import pytest
 
-from ringpatrol.adversaries import fixed_edge_schedule, gate_adversary, trap_adversary
+from ringpatrol.adversaries import (
+    fixed_edge_schedule,
+    gate_adversary,
+    trap_adversary,
+    wave_schedule,
+)
 from ringpatrol.agents import (
     BUILTIN_FSM_NAMES,
     KP_C,
@@ -39,6 +47,7 @@ from ringpatrol.ring import (
     CW,
     STAY,
     GlobalSnapshot,
+    ObliviousSchedule,
     is_uniform,
     make_random_schedule,
     random_positions,
@@ -192,7 +201,7 @@ class ReferencePlaceAndSwipe(PlaceAndSwipe):
         raise errors[0]
 
     def _team_step(self, mem, snap):
-        r, anchor, plan, spread = mem
+        r, anchor, plan, spread = mem[:4]
         positions = snap.positions
         n, k = snap.n, len(positions)
         if anchor is None:
@@ -260,7 +269,10 @@ def outcome(run_fn, algorithm, driver, initial, horizon, n=None):
         (rec.before, rec.missing_edge, rec.moves, rec.blocked, rec.after)
         for rec in trace.records
     ]
-    return records, trace_to_csv(trace), round_memories(algorithm, trace)
+    memories = round_memories(algorithm, trace)
+    if isinstance(algorithm, PlaceAndSwipe):  # without the epoch rounds carried
+        memories = [tuple(m[:4] for m in memory) for memory in memories]
+    return records, trace_to_csv(trace), memories
 
 
 def assert_same(make_algo, make_ref, make_driver, initial, horizon, n=None):
@@ -269,19 +281,87 @@ def assert_same(make_algo, make_ref, make_driver, initial, horizon, n=None):
     assert got == want
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+def periodic_schedule(n, seed):
+    """A seeded random schedule repeating every n + 3 rounds."""
+    period = n + 3
+    missing = make_random_schedule(n, period, seed).missing
+    return ObliviousSchedule(n=n, missing=missing, period=period)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_place_and_swipe_matches_reference(k):
-    for n in range(max(5, k + 1), 17):
+    """Runs on the team's own random, periodic, fixed-edge and wave
+    schedules, and runs planned on a random schedule but driven by a static
+    ring, an adaptive adversary (the gate for two agents, the trap for more)
+    or another schedule of the same ring, where the moves follow the
+    snapshot's positions, not the plan's."""
+    for n in range(max(5, k + 1), 25):
         for seed in range(3):
             sched = make_random_schedule(n, 20 * n, 100 * n + 10 * k + seed)
-            for initial in (
-                uniform_positions(n, k, seed % n),
-                random_positions(n, k, 1000 * n + seed),
+            start = random_positions(n, k, 1000 * n + seed)
+            own = [periodic_schedule(n, 10 * n + k + seed), fixed_edge_schedule(n, 7 * seed % n)]
+            if n % 2 == 0 and n >= 10:
+                own.append(wave_schedule(n))
+            other = make_random_schedule(n, 20 * n, 200 * n + 10 * k + seed)
+            # the gate drives two agents; the trap pens agent 0 of any team
+            adversary = (lambda: gate_adversary(n)) if k == 2 else trap_adversary
+            foreign = (lambda: None, adversary, lambda: other)[seed]
+            mine = own[seed % len(own)]
+            for plan_on, make_driver, initial in (
+                (sched, lambda: sched, uniform_positions(n, k, seed % n)),
+                (sched, lambda: sched, start),
+                (mine, lambda: mine, start),
+                (sched, foreign, start),
             ):
                 assert_same(
-                    lambda: PlaceAndSwipe(sched), lambda: ReferencePlaceAndSwipe(sched),
-                    lambda: sched, initial, 8 * n,
+                    lambda: PlaceAndSwipe(plan_on), lambda: ReferencePlaceAndSwipe(plan_on),
+                    make_driver, initial, 8 * n, n=n,
                 )
+
+
+def plan_outcome(algorithm, r, positions, L):
+    """An epoch's plan, or the type and message of the error planning it."""
+    try:
+        return algorithm._plan_epoch(r, positions, L)
+    except (PlacementInfeasibleError, TargetSelectionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_plan_epoch_matches_reference():
+    """Epoch plans on drawn rounds, starts (uniform or not) and phase
+    lengths, against the previous planner: every branch is reached, the
+    clockwise and counter-clockwise plans, the matching, and epochs where
+    no rotation lands or none fits."""
+    # both order-preserving plans are late here; a matching lands
+    sched = make_random_schedule(10, 80, 0)
+    plan = PlaceAndSwipe(sched)._plan_epoch(4, (6, 9, 2, 4), 3)
+    assert plan == ReferencePlaceAndSwipe(sched)._plan_epoch(4, (6, 9, 2, 4), 3)
+    assert plan == ((CW, 7), (CW, 9), (CW, 4), (CCW, 1))
+    kinds = Counter()
+    for n in range(5, 25):
+        for seed in range(40):
+            rng = random.Random(f"plan/{n}/{seed}")
+            k = rng.randint(2, min(6, n - 1))
+            sched = (
+                make_random_schedule(n, 6 * n, seed),
+                periodic_schedule(n, seed),
+                fixed_edge_schedule(n, seed % n),
+            )[seed % 3]
+            if seed % 4 == 0:
+                positions = uniform_positions(n, k, rng.randrange(n))
+            else:
+                positions = random_positions(n, k, seed)
+            r, L = rng.randrange(4 * n), rng.randint(2, n)
+            got = plan_outcome(PlaceAndSwipe(sched), r, positions, L)
+            assert got == plan_outcome(ReferencePlaceAndSwipe(sched), r, positions, L)
+            if got[0] in (PlacementInfeasibleError, TargetSelectionError):
+                kinds[got[0].__name__] += 1
+            else:
+                kinds[frozenset(d for d, _ in got)] += 1
+    assert set(kinds) == {
+        frozenset({CW}), frozenset({CCW}), frozenset({CW, CCW}),
+        "PlacementInfeasibleError", "TargetSelectionError",
+    }, kinds
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
