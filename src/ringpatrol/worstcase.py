@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import json
 import logging
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -582,94 +582,170 @@ class SearchBudgetError(RuntimeError):
     pass
 
 
-def _covers_union(arcs, need_first, need_len, n):
-    """Can the given arcs jointly cover the needed stretch?  The stretch is
-    contiguous, so a small interval-merge over offsets suffices."""
-    spans = []
-    for lo, length in arcs:
-        if length >= n:
+def _walker(schedule, n, cap):
+    """``walk(move, u, t, steps, limit)``: the round a walker that leaves
+    node ``u`` at round ``t`` and moves ``move`` whenever its edge is present
+    arrives ``steps`` nodes on; ``cap + 1`` if that is after ``limit``.
+
+    A clockwise walker that left ``u`` at ``t`` is blocked at round ``r``
+    exactly when ``(missing(r) - r) % n == (u - t) % n`` (counter-clockwise:
+    ``missing(r) + r`` against ``u + t - 1``), and a block shifts that key
+    by one.  With the blocking rounds sorted per key, a walk takes one
+    bisect per block."""
+    blocks = {CW: [[] for _ in range(n)], CCW: [[] for _ in range(n)]}
+    for r in range(cap):
+        e = schedule.missing_edge(r)
+        if e is not None:
+            blocks[CW][(e - r) % n].append(r)
+            blocks[CCW][(e + r) % n].append(r)
+
+    def walk(move, u, t, steps, limit):
+        if t + steps > limit:
+            return cap + 1
+        by_key = blocks[move]
+        key = (u - move * t - (move == CCW)) % n
+        while True:
+            rounds = by_key[key]
+            i = bisect_left(rounds, t)
+            if i == len(rounds) or rounds[i] >= t + steps:
+                return t + steps
+            steps -= rounds[i] - t
+            t = rounds[i] + 1
+            if t + steps > limit:
+                return cap + 1
+            key = (key - move) % n
+
+    return walk
+
+
+def _grow(s, level, sweep, walk, limit):
+    """Fill one level (arcs of ``level + 1`` nodes) of an agent's sweep
+    times and return the crossing walks taken.
+
+    ``sweep[move][i][j]`` is the earliest round by which the agent from
+    ``s`` has swept exactly the arc from ``i`` nodes ``move``-wise of ``s``
+    to ``j`` nodes the other way, standing on the ``move`` end having just
+    swept it.  A new node is one step on from the end it extends or a walk
+    across the arc from the other end."""
+    walks = 0
+    for move in (CW, CCW):
+        ahead, behind = sweep[move], sweep[-move]
+        for i in range(1, level + 1):
+            j = level - i
+            t, back, end = ahead[i - 1][j], behind[j][i - 1], s + move * (i - 1)
+            t = walk(move, end, t, 1, limit)
+            if back + level < t:
+                walks += 1
+                t = min(t, walk(move, s - move * j, back, level, limit))
+            ahead[i][j] = t
+    return walks
+
+
+def _reach(s, n, level, sweep):
+    """``reach(lo, r)``: the most nodes clockwise from ``lo`` that the agent
+    from ``s`` has swept by round ``r``, with an arc of at most ``level + 1``
+    nodes or the whole ring.
+
+    No arc is swept later than a wider one: the agent that sweeps the wider
+    arc reaches both ends of the narrower, and the greedy walk from the end
+    it reached first to the other sweeps exactly the narrower arc no later.
+    So each row of arc times is sorted, and the widest arc by ``r`` with a
+    given end is one bisect."""
+    left, right = sweep[CCW], sweep[CW]
+    best = [[min(left[x][y], right[y][x]) for y in range(level + 1 - x)] for x in range(level + 1)]
+    whole = min(best[x][n - 1 - x] for x in range(n)) if level == n - 1 else None
+
+    def reach(lo, r):
+        if whole is not None and whole <= r:
+            return n
+        d, nodes = (lo - s) % n, 0
+        if d <= level:  # lo clockwise of s: on to the right end
+            nodes = bisect_right(best[0], r) - d
+        if 0 < n - d <= level:  # lo counter-clockwise of s: on past s
+            ends = bisect_right(best[n - d], r)
+            if ends:
+                nodes = max(nodes, n - d + ends)
+        return max(nodes, 0)
+
+    return reach
+
+
+def _swept(orders, lo, length, r):
+    """Do the helpers sweep the ``length`` nodes clockwise from ``lo`` by
+    round ``r``?  In some order, each sweeps all it can from where the one
+    before stopped."""
+    for order in orders:
+        swept = 0
+        for reach in order:
+            swept += reach(lo + swept, r)
+        if swept >= length:
             return True
-        off = (lo - need_first) % n
-        # portion of this arc overlapping the needed stretch [0, need_len)
-        if off < need_len:
-            spans.append((off, min(need_len, off + length)))
-        if off + length > n:  # wraps past node 0 of the stretch
-            spans.append((0, min(need_len, off + length - n)))
-    spans.sort()
-    reach = 0
-    for a, b in spans:
-        if a > reach:
-            return False
-        reach = max(reach, b)
-        if reach >= need_len:
-            return True
-    return reach >= need_len
-
-
-def _covers_arc(arcs, need_first, need_len, n):
-    """``_covers_union`` for one helper arc."""
-    ((lo, length),) = arcs
-    return length >= n or (need_first - lo) % n + need_len <= length
-
-
-def _advance(front, fresh, held, start, n, missing):
-    """Advance one agent's reach states a round in place; return the new ones.
-
-    ``front`` maps an offset from the start node to its Pareto-maximal (ccw, cw)
-    extents; ``fresh`` maps each new state to the move back to its parent (None
-    if its sweep grew), which reaches nothing new.  Blocked moves wait in ``held``.
-    """
-    moves = [m for m in held if m[0] != missing]
-    held[:] = [m for m in held if m[0] == missing]
-    for (o, ccw, cw), back in fresh.items():
-        for move in (CW, CCW) if back is None else (-back,):
-            edge = crossed_edge(n, (start + o) % n, move)
-            (held if edge == missing else moves).append((edge, move, o + move, ccw, cw))
-    new = {}
-    for _, move, o, ccw, cw in moves:
-        back = -move
-        if -o > ccw:
-            ccw, back = -o, None
-        elif o > cw:
-            cw, back = o, None
-        if ccw + cw >= n - 1:  # the sweep spans the ring: only the node matters
-            o, ccw, cw = o % n, n, n
-        kept = [(ccw, cw)]
-        for a, b in front.get(o, ()):
-            if a >= ccw and b >= cw:
-                break
-            if a > ccw or b > cw:
-                kept.append((a, b))
-        else:
-            front[o] = kept
-            new[o, ccw, cw] = back
-    return {st: back for st, back in new.items() if st[1:] in front[st[0]]}
-
-
-def _home_covered(fronts, fresh, arcs, start, home, n):
-    """Is an agent on ``home`` while its sweep and one arc of each other agent
-    cover the ring?  Grows ``arcs[a]`` (first node -> longest arc swept from it)
-    from new states, then tests each home state with all helper-arc combinations."""
-    k = len(fronts)
-    for a in range(k):
-        for (_, ccw, cw), back in fresh[a].items():
-            if back is None:  # only a grown sweep adds an arc
-                lo, length = (start[a] - ccw) % n, min(n, ccw + cw + 1)
-                if arcs[a].get(lo, 0) < length:
-                    arcs[a][lo] = length
-    covers = _covers_arc if k == 2 else _covers_union
-    for a in range(k):
-        helpers = [list(arcs[b].items()) for b in range(k) if b != a]
-        d = (home - start[a]) % n
-        for o in (d, d - n):
-            for ccw, cw in fronts[a].get(o, ()):
-                own_len = ccw + cw + 1
-                if own_len >= n:
-                    return True
-                need_first = ((start[a] - ccw) % n + own_len) % n
-                if any(covers(c, need_first, n - own_len, n) for c in product(*helpers)):
-                    return True
     return False
+
+
+def _least(fits, lo, hi):
+    """The least round in ``lo..hi`` that ``fits``, which holds at ``hi``
+    and at every round after one it holds at."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid + 1, hi)
+    return hi
+
+
+def _best_cover(n, start, home, tables, level, best, walk):
+    """The earliest round below ``best`` at which one agent stands on
+    ``home`` and the ring is swept, using arcs of at most ``level + 1``
+    nodes; ``best`` if there is none.  Returns it with the arcs evaluated.
+
+    For every arc of a home agent: the later of the round it stands on
+    home, walking inward from either end (either way round once it has
+    swept the ring), and the round the others have swept the rest, one a
+    prefix and the next the rest of it.  A helper arc that holds the home
+    agent's arc and nodes on both sides is no prefix: there the other two
+    agents sweep the ring on their own while the third walks straight
+    home.  Each holds from some round on, which ``_least`` bisects."""
+    k, arcs = len(start), 0
+    reaches = [_reach(s, n, level, sweep) for s, sweep in zip(start, tables)]
+    for a, s in enumerate(start):
+        left, right = tables[a][CCW], tables[a][CW]
+        others = [reaches[b] for b in range(k) if b != a]
+        orders = (others, others[::-1]) if k == 3 else (others,)
+        d = (home - s) % n
+        for x in range(level + 1):
+            for y in range(level + 1 - x):
+                tl, tr = left[x][y], right[y][x]
+                if tl >= best and tr >= best:
+                    continue
+                lft, rgt, length = s - x, s + y, n - 1 - x - y
+                if length and d > y and n - d > x:  # home is off the arc
+                    continue
+                if not _swept(orders, rgt + 1, length, best - 1):
+                    continue
+                arcs += 1
+                if length:  # inward from either end
+                    o = d if d <= y else d - n
+                    ways = ((CW, lft, tl, o + x), (CCW, rgt, tr, y - o))
+                else:  # the whole ring: either way round
+                    ways = [(m, u, tu, m * (home - u) % n) for u, tu in ((lft, tl), (rgt, tr))
+                            for m in (CW, CCW)]
+                t = min(walk(m, u, tu, steps, best - 1) for m, u, tu, steps in ways)
+                if t < best:
+                    best = _least(lambda r: _swept(orders, rgt + 1, length, r), t, best - 1)
+    for a in range(k if k == 3 else 0):
+        b, c = (b for b in range(3) if b != a)
+        d = (home - start[a]) % n
+        t = min(
+            walk(CW, start[a], 0, d, best - 1),
+            walk(CCW, start[a], 0, (n - d) % n, best - 1),
+        )
+        pair = ((reaches[b], reaches[c]),)
+
+        def fits(r, s=start[b]):  # c sweeps what b leaves, from each left end of b
+            return any(_swept(pair, s - x, n, r) for x in range(level + 1))
+
+        if t < best and fits(best - 1):
+            best = _least(fits, t, best - 1)
+    return best, arcs
 
 
 def offline_opt_search(
@@ -685,12 +761,20 @@ def offline_opt_search(
     and ``home`` are ints, nodes on the ring (a float or a bool raises
     ``ValueError``); ``max_rounds`` (default 8n) must be an integer >= 0.
 
-    Each agent's reach states (offset from its start, ccw and cw sweep extents)
-    are tracked on their own and combined per round.  Waiting keeps every state,
-    so the reach set only grows and an old state made its moves in an earlier
-    round unless the missing edge blocked them.  A round therefore moves only new
-    states and blocked moves whose edge is back: the answer of a full re-advance.
-    Cover is tested for every home state and every combination of helper arcs.
+    An interval DP.  An agent's sweep is an arc around its start that grows
+    one node at a time, at the end where the agent stands, so per agent it
+    keeps the earliest round it has swept each arc standing on either end
+    (``_grow``).  With at most one missing edge per round, a walker that
+    moves whenever its edge is present is never behind another that left
+    the same node in the same round, so every walk is greedy (``_walker``).
+    The answer is the least, over every arc of every agent, of the later of
+    the round it stands on ``home`` with that arc swept and the round the
+    others have swept the rest (``_best_cover``).  Arcs are added a level
+    (one node) at a time, and the search stops at the first level whose
+    arcs cannot be swept before the best answer found so far.  Each search
+    logs one record at DEBUG level to the ``ringpatrol.worstcase`` logger:
+    the value (``none`` past ``max_rounds``), the arcs evaluated, the
+    crossing walks and its time.
     """
     n = schedule.n
     check_team(k)
@@ -708,17 +792,29 @@ def offline_opt_search(
     elif type(max_rounds) is not int or max_rounds < 0:
         raise ValueError(f"max_rounds must be an integer >= 0, got {max_rounds!r}")
 
-    fronts = [{0: [(0, 0)]} for _ in range(k)]
-    fresh = [{(0, 0, 0): None} for _ in range(k)]
-    held, arcs = [[] for _ in range(k)], [{} for _ in range(k)]
-    for t in range(max_rounds + 1):
-        if any(fresh) and _home_covered(fronts, fresh, arcs, start, home, n):
-            return t
-        if t == max_rounds:
-            break
-        missing = schedule.missing_edge(t)
-        fresh = [
-            _advance(fronts[a], fresh[a], held[a], start[a], n, missing)
-            for a in range(k)
-        ]
+    t0 = perf_counter()
+    inf = max_rounds + 1
+    walk = _walker(schedule, n, max_rounds)
+    tables = [{move: [[inf] * (n - i) for i in range(n)] for move in (CW, CCW)} for _ in start]
+    for sweep in tables:
+        sweep[CW][0][0] = sweep[CCW][0][0] = 0
+    # k agents sweep at most k(t + 1) nodes in t rounds
+    best, level, top = inf, 0, min(n - 1, max_rounds, -(-n // k) - 1)
+    walks = arcs = 0
+    while True:
+        for level in range(level + 1, top + 1):
+            for s, sweep in zip(start, tables):
+                walks += _grow(s, level, sweep, walk, best - 1)
+        level = top
+        best, evaluated = _best_cover(n, start, home, tables, level, best, walk)
+        arcs += evaluated
+        if level == n - 1 or level >= max_rounds or level + 1 >= best:
+            break  # no wider arc is swept before ``best``
+        top = min(n - 1, max_rounds, best - 1 if best < inf else 2 * level + 1)
+    log.debug(
+        "offline n=%d k=%d: value=%s arcs=%d crossing_walks=%d search_s=%.4f",
+        n, k, best if best < inf else "none", arcs, walks, perf_counter() - t0,
+    )
+    if best < inf:
+        return best
     raise SearchBudgetError(f"no covering strategy found within {max_rounds} rounds")

@@ -49,7 +49,6 @@ from ringpatrol.worstcase import (
     BudgetExceeded,
     GameSolverResult,
     SearchBudgetError,
-    _covers_union,
     _analyse,
     _explore,
     _Game,
@@ -1122,6 +1121,28 @@ def brute_force_cover_and_rehome(schedule, start, home, cap=40):
     raise AssertionError("oracle cap exceeded")
 
 
+def covers_union(arcs, need_first, need_len, n):
+    """Can the given (first node, length) arcs jointly cover the
+    ``need_len`` nodes clockwise from ``need_first``?  The stretch is
+    contiguous, so an interval merge over offsets suffices."""
+    spans = []
+    for lo, length in arcs:
+        if length >= n:
+            return True
+        off = (lo - need_first) % n
+        if off < need_len:
+            spans.append((off, min(need_len, off + length)))
+        if off + length > n:  # wraps past node 0 of the stretch
+            spans.append((0, min(need_len, off + length - n)))
+    spans.sort()
+    reach = 0
+    for a, b in spans:
+        if a > reach:
+            return False
+        reach = max(reach, b)
+    return reach >= need_len
+
+
 def reference_offline_search(schedule, k, start, home, max_rounds=None):
     """Reference offline search on valid input: every round re-advances every
     Pareto-maximal (offset, ccw, cw) reach state of every agent and tests
@@ -1172,7 +1193,7 @@ def reference_offline_search(schedule, k, start, home, max_rounds=None):
                     return t
                 need_first = ((start[a] - ccw) % n + own_len) % n
                 if any(
-                    _covers_union(combo, need_first, n - own_len, n)
+                    covers_union(combo, need_first, n - own_len, n)
                     for combo in itertools.product(*others)
                 ):
                     return t
@@ -1240,6 +1261,15 @@ def test_offline_static_antipodal_split():
             (0, 1, 4),
             3,
         ),
+        # coinciding starts
+        (lambda: ObliviousSchedule(n=7, missing={0: 3, 1: 0, 2: 5}, period=3), (2, 2), 5),
+        (lambda: fixed_edge_schedule(7, 2), (4, 4, 1), 4),
+        # a home on no start node
+        (lambda: ObliviousSchedule(n=8, missing={0: 6, 1: 1}, period=2), (0, 3, 5), 7),
+        # a home agent that sweeps the whole ring and comes back either way
+        # round: on across the edge between its sweep's ends, or back inward
+        (lambda: ObliviousSchedule(n=6), (0,), 0),
+        (lambda: ObliviousSchedule(n=7, missing={0: 0, 1: 6}, period=2), (0,), 3),
     ],
 )
 def test_offline_matches_brute_force_oracle(make, start, home):
@@ -1252,13 +1282,54 @@ def test_offline_single_agent_line():
     value = offline_opt_search(fixed_edge_schedule(6, 5), 1, (0,), 0)
     # sweep to the wall and come back: 2(n-1)
     assert value == 10
+    # the wall keeps the agent from the short way home, so one round less
+    # is the round cap's error
+    assert offline_opt_search(fixed_edge_schedule(6, 5), 1, (0,), 0, max_rounds=10) == 10
+    with pytest.raises(SearchBudgetError, match="^no covering strategy found within 9 rounds$"):
+        offline_opt_search(fixed_edge_schedule(6, 5), 1, (0,), 0, max_rounds=9)
 
 
-@pytest.mark.parametrize("n,exact", [(10, 9), (12, 12)])
+# frozen optima of the wave construction (two agents at 0 and n-1, home 0);
+# n = 10 and 12 sit one below the claimed floor 6(n-1)/5, see the ledger
+WAVE_OPTIMUM = {
+    10: 9, 12: 12, 14: 14, 16: 16, 18: 18, 20: 21, 22: 24, 24: 26,
+    26: 28, 28: 30, 30: 33, 32: 36, 34: 38, 36: 40, 38: 42, 40: 45,
+}
+
+
+@pytest.mark.parametrize("n,exact", sorted(WAVE_OPTIMUM.items()))
 def test_offline_wave_exact_values(n, exact):
     value = offline_opt_search(wave_schedule(n), 2, wave_start_positions(n), 0)
-    assert value == exact  # frozen: one below the claimed floor, see ledger
-    assert value >= (6 * (n - 1)) // 5 - 1
+    assert value == exact
+    if n <= 12:
+        assert value == (6 * (n - 1)) // 5 - 1
+
+
+def offline_record(caplog, *args, **kwargs):
+    with caplog.at_level(logging.DEBUG, logger="ringpatrol.worstcase"):
+        caplog.clear()
+        try:
+            offline_opt_search(*args, **kwargs)
+        except SearchBudgetError:
+            pass
+    (record,) = [r for r in caplog.records if r.name == "ringpatrol.worstcase"]
+    assert record.levelno == logging.DEBUG
+    return record.getMessage()
+
+
+def test_offline_logs_one_record_at_debug(caplog, capsys):
+    message = offline_record(caplog, wave_schedule(10), 2, wave_start_positions(10), 0)
+    assert re.fullmatch(
+        r"offline n=10 k=2: value=9 arcs=19 crossing_walks=60 search_s=\d+\.\d{4}", message
+    ), message
+    message = offline_record(caplog, ObliviousSchedule(n=9), 3, (0, 3, 6), 0)
+    assert re.fullmatch(
+        r"offline n=9 k=3: value=3 arcs=9 crossing_walks=18 search_s=\d+\.\d{4}", message
+    ), message
+    # a search that runs out of rounds logs no value
+    message = offline_record(caplog, fixed_edge_schedule(6, 5), 1, (0,), 0, max_rounds=9)
+    assert message.startswith("offline n=6 k=1: value=none arcs=")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_offline_respects_round_cap():
