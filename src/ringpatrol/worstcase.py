@@ -31,19 +31,19 @@ and the schedule clock does not name nodes.
   positions, turned memory, occupancy mask), interned once per solve, and
   ``shift`` is agent 0's node; without the hook each state is its own class
   at shift 0.  The team steps once per class and scheduled edge turned into
-  the class's frame, and the expansion keeps one (choice, successor class,
-  successor shift) per step.  A state's successors are then integer
-  arithmetic: add ``shift`` mod n, rotate the removed edges back into edge
-  order and the class's mask by ``shift`` bits.  Successors, first choices,
-  discovery order and witnesses are those of stepping each state itself.
-* Analysis: a game is symmetric when the team has the hook, the
-  restriction, if any, removes no edge, and every reached state turned one
-  node clockwise was reached too.  Every state of a class then takes its
-  successors from the class's one expansion, so turning a state turns its
-  successors, and no other node can force a longer gap than node 0 (see
-  ``_analyse``).  The analysis stops after node 0 with the result the
-  all-nodes loop would return.  Hookless teams and restrictions that remove
-  edges get one pass per node.
+  the class's frame.  Turned by ``shift``, removed edges ``n - shift`` and
+  above wrap to the front of edge order, so per wrap point the expansion
+  keeps one (choice, successor class, successor shift) per distinct
+  successor, and a state's visit adds ``shift`` mod n to each.  The graph,
+  its discovery order and the witnesses are those of stepping each state.
+* Analysis: a game is symmetric when the team has the hook, the restriction,
+  if any, removes no edge, and every reached state turned one node clockwise
+  was reached too: n states per reached (class, clock).  Every state of a
+  class then takes its successors from the class's one expansion, so turning
+  a state turns its successors, and no other node can force a longer gap
+  than node 0 (see ``_analyse``).  The analysis stops after node 0 with the
+  result the all-nodes loop would return.  Hookless teams and restrictions
+  that remove edges get one pass per node.
 
 Before any graph is built, a starvation walk tries to settle the solve
 (``_starvation_walk``).  From the start it takes, at each state, the first
@@ -86,8 +86,6 @@ import logging
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
-from operator import itemgetter
 from time import perf_counter
 from typing import Optional, Sequence
 
@@ -193,7 +191,7 @@ class _Game:
         self.rotate = getattr(algorithm, "rotate_memory", None)
         self.class_ids = {}  # (positions, memory) of a class -> class id
         self.classes = []  # class id -> (positions, memory, occupancy mask)
-        self.expansions = {}  # (class, scheduled edge turned by -shift) -> steps
+        self.expansions = {}  # (class, turned scheduled edge) -> _turnings(steps)
         self.init = (*self._intern(tuple(initial), init_memory), 0)
 
     def _intern(self, positions, memory):
@@ -239,10 +237,10 @@ class _Game:
         return steps
 
     def expansion(self, state):
-        """``state``'s team steps in the explorer's order, as (steps, shift,
-        clock).  A step (choice, class, s) of the class's frame is the
-        successor (class, (s + shift) % n, clock) on the choice turned by
-        ``shift``."""
+        """``state``'s distinct successors in the explorer's order, as (steps,
+        team steps, shift, clock).  A step (choice, class, s) of the class's
+        frame is the successor (class, (s + shift) % n, clock), reached first
+        by the choice turned by ``shift``; ``team steps`` counts them all."""
         c, shift, clock = state
         n, schedule = self.n, self.schedule
         if schedule is None:
@@ -250,21 +248,33 @@ class _Game:
         else:
             edge = schedule.missing_edge(clock)
             key = (c, None if edge is None else (edge - shift) % n)
-        steps = self.expansions.get(key)
-        if steps is None:
-            steps = self.expansions[key] = self._expand(*key)
-        if len(steps) > 2 and steps[-1][0] >= n - shift:
-            # turned clockwise, the removed edges at n - shift and above wrap
-            # around to the front of edge order (with one edge, or none at
-            # n - shift and above, the order stays)
-            cut = bisect_left(steps, n - shift, 1, key=itemgetter(0))
-            steps = steps[:1] + steps[cut:] + steps[1:cut]
-        return steps, shift, (clock + 1) % self.modulus
+        entry = self.expansions.get(key)
+        if entry is None:
+            entry = self.expansions[key] = self._turnings(self._expand(*key))
+        stepped, by_shift = entry
+        return by_shift[shift], stepped, shift, (clock + 1) % self.modulus
+
+    def _turnings(self, steps):
+        """The number of ``steps`` and, per shift (0 alone without the hook),
+        a state's distinct successors in the explorer's order, each on its
+        first step.  Shifts with one wrap point ``cut`` share one tuple."""
+        n, cut, by_shift = self.n, len(steps), []
+        shifts = n if self.rotate is not None else 1
+        while len(by_shift) < shifts:
+            turned = steps[:1] + steps[cut:] + steps[1:cut] if cut < len(steps) else steps
+            first = {}
+            for step in turned:
+                first.setdefault(step[1:], step)
+            # ``cut`` is the wrap point of the shifts below n - (edge before it)
+            end = min(n - steps[cut - 1][0] if cut > 1 else n, shifts)
+            by_shift += [tuple(first.values())] * (end - len(by_shift))
+            cut -= 1
+        return len(steps), by_shift
 
     def kernel_steps(self) -> int:
         """The team steps the round kernel computed: those of every cached
         expansion.  The others were cache hits."""
-        return sum(map(len, self.expansions.values()))
+        return sum(stepped for stepped, _ in self.expansions.values())
 
 
 def _starvation_walk(game, budget):
@@ -280,8 +290,8 @@ def _starvation_walk(game, budget):
     choices = []
     team_steps = 0
     while len(walk_index) <= budget:
-        steps, shift, clock = game.expansion(state)
-        team_steps += len(steps)
+        steps, stepped, shift, clock = game.expansion(state)
+        team_steps += stepped
         for choice, tc, ts in steps:
             ts = (ts + shift) % n
             if not classes[tc][2] >> (-ts % n) & 1:  # the target avoids node 0
@@ -331,9 +341,9 @@ def _explore(game, budget):
 
     while queue:
         si = queue.popleft()
-        steps, shift, clock = game.expansion(states[si])
-        team_steps += len(steps)
-        out: dict[int, Optional[int]] = {}
+        steps, stepped, shift, clock = game.expansion(states[si])
+        team_steps += stepped
+        out = []
         for choice, tc, ts in steps:
             if choice is not None:
                 choice = (choice + shift) % n
@@ -355,13 +365,13 @@ def _explore(game, budget):
                         f"{len(_path_from_init(parents, ti))} reached, "
                         f"{len(queue)} states still queued"
                     )
-            out.setdefault(ti, choice)
-        succs.append(list(out.items()))
+            out.append((ti, choice))
+        succs.append(out)
 
     symmetric = (
         game.rotate is not None
         and not (game.schedule is not None and game.schedule.missing)
-        and all((c, (shift + 1) % n, clock) in index for c, shift, clock in states)
+        and len(states) == n * len({(c, clock) for c, _, clock in states})
     )
     return masks, succs, parents, symmetric, (
         team_steps, team_steps - game.kernel_steps(), len(classes)
@@ -476,6 +486,7 @@ def _analyse(n, masks, succs, parent, symmetric) -> tuple[GameSolverResult, int]
     for s in range(n_states):
         for t, _ in succs[s]:
             preds[t].append(s)
+    degrees = [len(out) for out in succs]
 
     best_gap = -1
     best = None  # (node, gap start state, its longest-path table)
@@ -484,7 +495,7 @@ def _analyse(n, masks, succs, parent, symmetric) -> tuple[GameSolverResult, int]
         bit = 1 << v
         on_v = [t for t in range(n_states) if masks[t] & bit]
         # a step avoids v unless its target is on v
-        out_deg = [len(out) for out in succs]
+        out_deg = degrees.copy()
         for t in on_v:
             for p in preds[t]:
                 out_deg[p] -= 1
@@ -535,12 +546,15 @@ def _analyse(n, masks, succs, parent, symmetric) -> tuple[GameSolverResult, int]
         # pruning order, which visited successors before predecessors)
         longest = [0] * n_states
         for s in order:
-            avoiding = [longest[t] for t, _ in succs[s] if not masks[t] & bit]
-            if avoiding:
-                longest[s] = 1 + max(avoiding)
+            most = -1
+            for t, _ in succs[s]:
+                if not masks[t] & bit and longest[t] > most:
+                    most = longest[t]
+            longest[s] = most + 1
         # a gap starts at round -1 (state 0) or on a step that visits v.
-        # Ties go to the first start in set iteration order, so insert in
-        # the order a scan of the steps first meets each target: discovery.
+        # Ties go to the first start in the set's iteration order, which
+        # follows CPython's layout of the state indices in the set, not
+        # discovery order (ROADMAP item 1 makes the tie-break explicit).
         starts = {0}
         starts.update(on_v)
         for s in starts:
@@ -582,10 +596,11 @@ class SearchBudgetError(RuntimeError):
     pass
 
 
-def _walker(schedule, n, cap):
+def _walker(missing, n):
     """``walk(move, u, t, steps, limit)``: the round a walker that leaves
     node ``u`` at round ``t`` and moves ``move`` whenever its edge is present
     arrives ``steps`` nodes on; ``cap + 1`` if that is after ``limit``.
+    ``missing[r]`` is round ``r``'s missing edge, for each of ``cap`` rounds.
 
     A clockwise walker that left ``u`` at ``t`` is blocked at round ``r``
     exactly when ``(missing(r) - r) % n == (u - t) % n`` (counter-clockwise:
@@ -593,8 +608,8 @@ def _walker(schedule, n, cap):
     by one.  With the blocking rounds sorted per key, a walk takes one
     bisect per block."""
     blocks = {CW: [[] for _ in range(n)], CCW: [[] for _ in range(n)]}
-    for r in range(cap):
-        e = schedule.missing_edge(r)
+    cap = len(missing)
+    for r, e in enumerate(missing):
         if e is not None:
             blocks[CW][(e - r) % n].append(r)
             blocks[CCW][(e + r) % n].append(r)
@@ -618,22 +633,26 @@ def _walker(schedule, n, cap):
     return walk
 
 
-def _grow(s, level, sweep, walk, limit):
+def _grow(s, level, sweep, walk, missing, limit):
     """Fill one level (arcs of ``level + 1`` nodes) of an agent's sweep
     times and return the crossing walks taken.
 
     ``sweep[move][i][j]`` is the earliest round by which the agent from
     ``s`` has swept exactly the arc from ``i`` nodes ``move``-wise of ``s``
     to ``j`` nodes the other way, standing on the ``move`` end having just
-    swept it.  A new node is one step on from the end it extends or a walk
-    across the arc from the other end."""
-    walks = 0
+    swept it.  A new node is one step on from the end it extends, waiting
+    while the round's ``missing`` edge is the one ahead, or a walk across
+    the arc from the other end."""
+    walks, n, inf = 0, len(sweep[CW]), len(missing) + 1
     for move in (CW, CCW):
         ahead, behind = sweep[move], sweep[-move]
         for i in range(1, level + 1):
             j = level - i
-            t, back, end = ahead[i - 1][j], behind[j][i - 1], s + move * (i - 1)
-            t = walk(move, end, t, 1, limit)
+            t, back = ahead[i - 1][j], behind[j][i - 1]
+            edge = (s + move * (i - 1) - (move == CCW)) % n
+            while t < limit and missing[t] == edge:
+                t += 1
+            t = t + 1 if t < limit else inf
             if back + level < t:
                 walks += 1
                 t = min(t, walk(move, s - move * j, back, level, limit))
@@ -794,7 +813,8 @@ def offline_opt_search(
 
     t0 = perf_counter()
     inf = max_rounds + 1
-    walk = _walker(schedule, n, max_rounds)
+    missing = [schedule.missing_edge(r) for r in range(max_rounds)]
+    walk = _walker(missing, n)
     tables = [{move: [[inf] * (n - i) for i in range(n)] for move in (CW, CCW)} for _ in start]
     for sweep in tables:
         sweep[CW][0][0] = sweep[CCW][0][0] = 0
@@ -804,7 +824,7 @@ def offline_opt_search(
     while True:
         for level in range(level + 1, top + 1):
             for s, sweep in zip(start, tables):
-                walks += _grow(s, level, sweep, walk, best - 1)
+                walks += _grow(s, level, sweep, walk, missing, best - 1)
         level = top
         best, evaluated = _best_cover(n, start, home, tables, level, best, walk)
         arcs += evaluated

@@ -16,9 +16,12 @@ gate traces before global-view teams planned once per round; the symmetric
 spread solve digests before spread plans took one shape for symmetric and
 anchored starts; the place-and-swipe k=2, two-agent spread, fixed-edge and
 mixed-direction traces before place-and-swipe's placement plan became one
-(direction, target) pair per agent.  The ``rows_kpingpong`` report was
-re-recorded when its rows came from the exact solver instead of sampled
-schedules.  The ``table1-bounce-upper`` and ``table1-gate-lower`` cases pick
+(direction, target) pair per agent; the pingpong n=12 and n=32, kpingpong
+k=4 n=12, reverse-on-block k=3 n=14 and wave kpingpong k=4 n=24 solve
+digests, which complete the benchmark's eight solves, before the explorer
+kept each class's turned step list per wrap point.  The ``rows_kpingpong``
+report was re-recorded when its rows came from the exact solver instead of
+sampled schedules.  The ``table1-bounce-upper`` and ``table1-gate-lower`` cases pick
 their claim's rows out of ``rows_pingpong``, which builds both claims from
 one solve per ring.  A refactor that changes any move, block flag, missing edge,
 witness or report row changes a digest.
@@ -298,6 +301,29 @@ CASES = {
     "solve-kpingpong-k4-n12-wave": (
         _solve(KPingPong, 12, 4, wave_schedule(12)),
         "9bc1579f79d0057df5fd969403ab02ace76193fedcde4a6db78655a6190778f5",
+    ),
+    # the benchmark's solves not pinned above: pp-n24, kpp-k3-n12 and
+    # cw-k3-n8-static are solve-pingpong-n24, solve-kpingpong-k3-n12 and
+    # solve-static-sweep-n8
+    "solve-pingpong-n12": (
+        _solve(PingPong, 12, 2),
+        "18c78f1fd47f70468f3e1647c7fccc5bee00c9de5a43a922594599e8c01ff3d0",
+    ),
+    "solve-pingpong-n32": (
+        _solve(PingPong, 32, 2),
+        "7ff3d0fee519bbaa8269a82b21e3dc52bc3c7f7366e81c8f3bb0ba0d681df806",
+    ),
+    "solve-kpingpong-k4-n12": (
+        _solve(KPingPong, 12, 4),
+        "cc4ddf1b6a300ff8564d6f09bf0c8784170564eb89cd8873f51a9ce96dd1f72f",
+    ),
+    "solve-unbounded-rob-k3-n14": (
+        _solve(lambda: FsmAlgorithm(fsm_of("reverse-on-block")), 14, 3),
+        "9f9518f407361241c71e5ad262a9bc00ee034d2fcc66c825e25d33d1fff87165",
+    ),
+    "solve-kpingpong-k4-n24-wave": (
+        _solve(KPingPong, 24, 4, wave_schedule(24)),
+        "a3aa488292248bf1ec2ab08a1fa33d085beeb5833964e4f87bad33290031e338",
     ),
     "solve-spread-n8-symmetric": (
         lambda: _solve_spread(8, (0, 1, 4, 5)).to_json(),

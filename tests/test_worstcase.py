@@ -650,6 +650,75 @@ def test_one_pass_matches_all_nodes_under_edge_removing_restrictions(
     assert_matches_all_nodes(algorithm, n, initial, schedule)
 
 
+def replayed_states(algorithm, n, initial, schedule, parents):
+    """Each explored state as (positions, memory, clock), stepped through
+    the round kernel from its BFS parent on the parent's choice."""
+    modulus = 1 if schedule is None else schedule.period or 1
+    states = [(tuple(initial), start_run(algorithm, n, len(initial), initial), 0)]
+    for p, choice in parents[1:]:
+        positions, memory, clock = states[p]
+        snap = GlobalSnapshot(n, choice, positions)
+        memory, moves = decide_moves(algorithm, snap, memory)
+        after, _ = apply_round(positions, moves, n, choice)
+        states.append((after, memory, (clock + 1) % modulus))
+    return states
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    team=st.sampled_from(("pingpong", "kpingpong", "machine", "pauses", "spread")),
+    restriction=st.sampled_from(("none", "still", "periodic")),
+    seed=st.integers(0, 10**6),
+    n=st.integers(5, 8),
+    period=st.integers(1, 5),
+    data=st.data(),
+)
+def test_symmetry_by_counting_matches_rotation_closure(
+    team, restriction, seed, n, period, data
+):
+    # the explorer counts n states per reached (class, clock); the rule it
+    # replaces asks of every reached state whether its turn by one node was
+    # reached too
+    if team == "pingpong":
+        algorithm, k = PingPong(), 2
+    elif team == "kpingpong":
+        algorithm, k = KPingPong(), 3
+    elif team == "machine":
+        states = data.draw(st.integers(1, 4), label="states")
+        algorithm = FsmAlgorithm(random_machine(seed, states))
+        k = data.draw(st.integers(1, 3), label="k")
+    elif team == "pauses":
+        algorithm, k = PausesOnNodeZero(), 2
+    else:
+        algorithm, k = UniformSpread(), 3
+    schedule = {
+        "none": None,
+        "still": ObliviousSchedule(n=n, period=period),
+        "periodic": periodic_schedule(n, period, seed),
+    }[restriction]
+    initial = random_positions(n, k, seed)
+    masks, _, parents, symmetric, _ = explore(algorithm, n, k, initial, schedule, 10**6)
+    states = replayed_states(algorithm, n, initial, schedule, parents)
+    assert [_occupancy(positions) for positions, _, _ in states] == masks
+    reached = set(states)
+    assert len(reached) == len(states)
+    rotate = getattr(algorithm, "rotate_memory", None)
+    closed = rotate is not None and all(
+        (tuple((p + 1) % n for p in positions), rotate(memory, 1, n), clock) in reached
+        for positions, memory, clock in states
+    )
+    removes = schedule is not None and bool(schedule.missing)
+    assert symmetric == (closed and not removes)
+
+
+def test_symmetry_by_counting_sees_both_outcomes():
+    # the rule says yes to pingpong, and no where agents never move, so
+    # that only shift 0 is reached
+    assert explore(PingPong(), 8, 2, (1, 5), None, 10**6)[3]
+    stay = FsmAlgorithm(fsm_of("stay"))
+    assert not explore(stay, 8, 2, (1, 5), ObliviousSchedule(n=8, period=3), 10**6)[3]
+
+
 # --- interned classes: the explorer against its per-state predecessor --------
 
 def reference_explore(algorithm, n, k, initial, schedule, budget):
